@@ -62,7 +62,7 @@ from .sparse_grid import (
     theta_curved,
     theta_opt,
 )
-from .spectral import LegendreExpansion, QuadratureRule, legendre_1d, legendre_coeffs, quadrature_for
+from .spectral import LegendreExpansion, legendre_1d, legendre_coeffs
 from .targets import (
     EvaluationError,
     TargetSpec,

@@ -2,9 +2,10 @@
 decay parameters, grow the tensor set, repeat.
 
 Each iteration samples the target only at new grid nodes (the coordinate
-cache guarantees nested rules never re-evaluate), reuses previous surpluses,
-and selects the next level threshold from the finite set of weight values on
-the margin of the current tensor set.
+cache guarantees nested rules never re-evaluate), rebuilds the surpluses from
+scratch (a few 1-D passes over the grid, so a resumed run rebuilds exactly
+what an uninterrupted one had), and selects the next level threshold from the
+finite set of weight values on the margin of the current tensor set.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .spectral import legendre_coeffs
 from .sparse_grid import (
     Interpolant,
     TensorSet,
+    _write_json_atomic,
     build_interpolant,
     evaluate_batch,
     grid_nodes,
@@ -233,12 +235,12 @@ def _built(state: RunState) -> bool:
 
 
 def _build_phase(state: RunState, target: TargetSpec) -> None:
-    """Sample new nodes, rebuild surpluses incrementally, fit, record."""
+    """Sample new nodes, rebuild the interpolant, fit, record."""
     config = state.config
     t0 = time.perf_counter()
     prev_nodes = state.interpolant.node_count if state.interpolant else 0
     samples = _collect_samples(state, target)
-    state.interpolant = build_interpolant(state.theta, samples, state.interpolant)
+    state.interpolant = build_interpolant(state.theta, samples)
     fallback = state.fit if state.fit is not None else isotropic_params(config.d)
     if config.fit_enabled:
         try:
@@ -420,8 +422,7 @@ def save_state(state: RunState, path) -> None:
             for r in state.history
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    _write_json_atomic(obj, path)
 
 
 def load_state(path) -> RunState:
@@ -450,8 +451,7 @@ def load_state(path) -> RunState:
             probe_error=r["probe_error"],
         ))
     if state.history:
-        # rebuild the interpolant of the last *built* tensor set; a from-scratch
-        # solve reproduces the incremental history float for float
+        # rebuild the interpolant of the last *built* tensor set
         built = _theta_at_last_record(state)
         grid = grid_nodes(built)
         samples = {j: state.cache[tuple(p)] for j, p in zip(grid.indices, grid.points)}

@@ -3,13 +3,17 @@ construction/evaluation in hierarchical-surplus and combination-weight form.
 
 The surplus (Newton) form is the production evaluation path; the
 combination-weight form is kept for cross-validation, since both must agree
-on lower tensor sets.
+on lower tensor sets.  Transforms of the grid data (samples to surpluses,
+surpluses to Legendre coefficients in `spectral`) act on the lower set of
+grid indices one dimension at a time, with one triangular 1-D matrix applied
+along every fibre.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -162,17 +166,55 @@ def combination_weights(ts: TensorSet) -> dict[MultiIndex, int]:
     return out
 
 
-def _newton_tables(rule: str, mmax: list[int]) -> list[np.ndarray]:
-    """Per-dimension tables T[j-1, i-1] = h_j(y_i) for the 1D Newton basis."""
-    tables = []
-    for m in mmax:
-        x = rules1d.family_nodes(rule, m)
-        N = np.ones((m, m))
-        for j in range(1, m):
-            N[j] = N[j - 1] * (x - x[j - 1])
-        D = np.diag(N).copy()
-        tables.append(N / D[:, None])
-    return tables
+def _newton_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """1-D Newton basis on nodes x at points y: H[p, j] = h_j(y_p).
+
+    h_j(y) = prod_{t<j} (y - x_t) / prod_{t<j} (x_j - x_t), so at the nodes
+    themselves (y = x) H is unit lower triangular.
+    """
+    def products(z):
+        P = np.ones((len(z), len(x)))
+        for j in range(1, len(x)):
+            P[:, j] = P[:, j - 1] * (z - x[j - 1])
+        return P
+
+    return products(y) / np.diag(products(x))[None, :]
+
+
+def _fibre_apply(idx: np.ndarray, data: np.ndarray, mats: list[np.ndarray],
+                 inverse: bool = False) -> np.ndarray:
+    """Apply mats[k] along every dimension-k fibre of a lower grid-index set.
+
+    `idx` holds 1-based grid indices (N, d) and `data` one value per row.  On
+    a lower set every fibre is a prefix 1..l, and the rows a triangular matrix
+    couples stay inside the set, so for triangular mats the d one-dimensional
+    passes equal the tensor-product operator restricted to the set.  With
+    `inverse`, each mats[k] is unit lower triangular and its inverse is
+    applied by forward substitution, which stays accurate where an explicit
+    inverse does not (Clenshaw-Curtis tables from 65 nodes on).
+    """
+    out = np.array(data, dtype=float)
+    n = len(idx)
+    for k, mat in enumerate(mats):
+        # sort by the other coordinates, then by coordinate k: each fibre is
+        # a contiguous run with coordinate k = 1..l
+        order = np.lexsort((idx[:, k],) + tuple(np.delete(idx, k, axis=1).T))
+        c = idx[order, k]
+        start = np.arange(n) - (c - 1)
+        if inverse:
+            # once every member at q is final, eliminate it from those above
+            for q in range(1, len(mat)):
+                at = np.flatnonzero(c > q)
+                out[order[at]] -= mat[c[at] - 1, q - 1] * out[order[start[at] + q - 1]]
+        else:
+            fibre = np.cumsum(c == 1) - 1
+            length = np.bincount(fibre, minlength=1)[fibre]
+            acc = np.zeros_like(out)
+            for q in range(1, len(mat) + 1):
+                at = np.flatnonzero(length >= q)
+                acc[order[at]] += mat[c[at] - 1, q - 1] * out[order[start[at] + q - 1]]
+            out = acc
+    return out
 
 
 def compute_surpluses(ts: TensorSet, samples: dict[MultiIndex, float]) -> dict[MultiIndex, float]:
@@ -190,35 +232,18 @@ def _aligned_values(grid: GridNodes, samples: dict[MultiIndex, float]) -> np.nda
     return np.array([samples[j] for j in grid.indices], dtype=float)
 
 
-def _solve_surpluses(
-    rule: str,
-    grid: GridNodes,
-    values: np.ndarray,
-    known: dict[MultiIndex, float] | None = None,
-) -> np.ndarray:
-    """Unitriangular solve in graded-lex order; `known` surpluses are reused."""
+def _solve_surpluses(rule: str, grid: GridNodes, values: np.ndarray) -> np.ndarray:
+    """Surpluses s with values = (tensor of Newton tables) s on the grid.
+
+    Each dimension's Newton table T[i, j] = h_j(x_i) is unit lower triangular,
+    so the solve is one forward substitution along every fibre.
+    """
     idx = np.array(grid.indices, dtype=np.int64)
-    n, d = idx.shape
-    mmax = idx.max(axis=0).tolist() if n else [0] * d
-    tables = _newton_tables(rule, mmax)
-    s = np.empty(n)
-    solved = np.zeros(n, dtype=bool)
-    if known:
-        for r, j in enumerate(grid.indices):
-            if j in known:
-                s[r] = known[j]
-                solved[r] = True
-    for r in range(n):
-        if solved[r]:
-            continue
-        i = idx[r]
-        mask = np.all(idx[:r] <= i, axis=1)
-        rows = np.flatnonzero(mask)
-        H = np.ones(len(rows))
-        for k in range(d):
-            H *= tables[k][idx[rows, k] - 1, i[k] - 1]
-        s[r] = values[r] - (s[rows] @ H if len(rows) else 0.0)
-    return s
+    mmax = idx.max(axis=0)
+    x = rules1d.family_nodes(rule, int(mmax.max()))
+    table = _newton_basis(x, x)  # nested nodes: each dimension's table is a corner
+    mats = [table[:m, :m] for m in mmax]
+    return _fibre_apply(idx, values, mats, inverse=True)
 
 
 @dataclass
@@ -229,7 +254,6 @@ class Interpolant:
     grid: GridNodes
     samples: np.ndarray      # aligned with grid.indices
     surpluses: np.ndarray    # aligned with grid.indices
-    t_weights: dict[MultiIndex, int]
     range: IndexSet
 
     @property
@@ -247,21 +271,12 @@ class Interpolant:
         return {j: float(self.surpluses[r]) for r, j in enumerate(self.grid.indices)}
 
 
-def build_interpolant(
-    ts: TensorSet,
-    samples: dict[MultiIndex, float],
-    previous: Interpolant | None = None,
-) -> Interpolant:
-    """Assemble the interpolant; surpluses of a previous (nested) build are reused."""
+def build_interpolant(ts: TensorSet, samples: dict[MultiIndex, float]) -> Interpolant:
+    """Assemble the interpolant from samples keyed by 1-based grid index."""
     grid = grid_nodes(ts)
     values = _aligned_values(grid, samples)
-    known = None
-    if previous is not None:
-        if not previous.tensor_set.theta.issubset(ts.theta):
-            raise ValueError("previous interpolant is not nested in the new tensor set")
-        known = previous.surplus_map()
-    s = _solve_surpluses(ts.rule, grid, values, known)
-    return Interpolant(ts, grid, values, s, combination_weights(ts), polynomial_range(ts))
+    s = _solve_surpluses(ts.rule, grid, values)
+    return Interpolant(ts, grid, values, s, polynomial_range(ts))
 
 
 def _check_domain(Y: np.ndarray, allow_extrapolation: bool):
@@ -289,26 +304,11 @@ def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = Fals
     chunk = max(1, (1 << 22) // max(1, n))
     mmax = idx.max(axis=0).tolist()
     nodes1d = [rules1d.family_nodes(interp.tensor_set.rule, m) for m in mmax]
-    # denominators prod_{t<j}(x_j - x_t) per dimension, independent of Y
-    denoms = []
-    for k in range(d):
-        x = nodes1d[k]
-        dd = np.ones(mmax[k])
-        run = np.ones(mmax[k])
-        for j in range(1, mmax[k]):
-            run = run * (x - x[j - 1])
-            dd[j] = run[j]
-        denoms.append(dd)
     for start in range(0, len(Y), chunk):
         Yc = Y[start:start + chunk]
         G = np.ones((len(Yc), n))
         for k in range(d):
-            x = nodes1d[k]
-            m = mmax[k]
-            N = np.ones((len(Yc), m))
-            for j in range(1, m):
-                N[:, j] = N[:, j - 1] * (Yc[:, k] - x[j - 1])
-            H = N / denoms[k][None, :]
+            H = _newton_basis(nodes1d[k], Yc[:, k])
             G *= H[:, idx[:, k] - 1]
         out[start:start + chunk] = G @ interp.surpluses
     return out
@@ -327,7 +327,7 @@ def evaluate_combination(interp: Interpolant, points) -> np.ndarray:
     rule = interp.tensor_set.rule
     sample_of = interp.sample_map()
     out = np.zeros(len(Y))
-    for i, t in interp.t_weights.items():
+    for i, t in combination_weights(interp.tensor_set).items():
         if t == 0:
             continue
         ms = [rules1d.growth(rule, i[k]) for k in range(d)]
@@ -359,6 +359,19 @@ _FORMAT = "adasg-interpolant"
 _VERSION = 1
 
 
+def _write_json_atomic(obj, path) -> None:
+    """Write `obj` as JSON to a temp file beside `path`, then rename it over
+    `path`: a write that fails part-way leaves the previous file intact."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_interpolant(interp: Interpolant, path) -> None:
     obj = {
         "format": _FORMAT,
@@ -371,8 +384,7 @@ def save_interpolant(interp: Interpolant, path) -> None:
         "samples": [float(v) for v in interp.samples],
         "surpluses": [float(v) for v in interp.surpluses],
     }
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    _write_json_atomic(obj, path)
 
 
 def load_interpolant(path) -> Interpolant:
@@ -394,5 +406,4 @@ def load_interpolant(path) -> Interpolant:
     surpluses = np.array(obj["surpluses"], dtype=float)
     if len(samples) != len(grid) or len(surpluses) != len(grid):
         raise ValueError("sample/surplus arrays do not match the grid")
-    return Interpolant(ts, grid, samples, surpluses,
-                       combination_weights(ts), polynomial_range(ts))
+    return Interpolant(ts, grid, samples, surpluses, polynomial_range(ts))

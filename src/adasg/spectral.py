@@ -1,9 +1,11 @@
-"""Orthonormal Legendre expansion of an interpolant via exact tensor quadrature.
+"""Orthonormal Legendre expansion of an interpolant, read off its surpluses.
 
 Polynomials are orthonormal with respect to the uniform *probability* measure
 on [-1,1]^d (standard Legendre scaled by sqrt(2 nu + 1)), so Parseval checks
-are unit-free.  The quadrature is Gauss-Legendre with enough points per
-dimension to integrate interpolant-times-basis products exactly.
+are unit-free.  The change of basis from the Newton surpluses is one upper
+triangular 1-D matrix B[n, j] = <P_n, h_j> per dimension, applied along the
+fibres of the grid-index set; each B comes from a 1-D Gauss-Legendre rule
+that integrates its products exactly.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rules1d
 from .multiindex import IndexSet, MultiIndex
-from .sparse_grid import Interpolant, evaluate_batch
+from .sparse_grid import Interpolant, _fibre_apply, _newton_basis
 
 
 def legendre_1d(nu: int, y):
@@ -40,39 +43,6 @@ def _legendre_matrix(degrees: int, y: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class QuadratureRule:
-    """Tensor Gauss-Legendre rule; weights normalized to uniform probability."""
-
-    nodes: list[np.ndarray]    # per dimension
-    weights: list[np.ndarray]  # per dimension, each summing to 1
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(len(n) for n in self.nodes)
-
-    def grid(self) -> np.ndarray:
-        """All tensor points, shape (prod(counts), d), first axis varying slowest."""
-        mesh = np.meshgrid(*self.nodes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-
-def quadrature_for(lam: IndexSet) -> QuadratureRule:
-    """Per-dimension Gauss-Legendre with n_k = (max degree in dim k) + 1 points.
-
-    Exact for polynomials of degree 2 n_k - 1, which covers products of two
-    members of the space.
-    """
-    if len(lam) == 0:
-        raise ValueError("need a nonempty index set")
-    nodes, weights = [], []
-    for deg in lam.max_degrees():
-        x, w = np.polynomial.legendre.leggauss(deg + 1)
-        nodes.append(x)
-        weights.append(w / 2.0)
-    return QuadratureRule(nodes, weights)
-
-
-@dataclass
 class LegendreExpansion:
     """Coefficients of the orthonormal Legendre expansion over an index set."""
 
@@ -83,16 +53,25 @@ class LegendreExpansion:
         return np.array([self.coeffs[nu] for nu in self.lam.members])
 
 
-def legendre_coeffs(interp: Interpolant, lam: IndexSet) -> LegendreExpansion:
-    """Expansion coefficients of the interpolant over `lam` by tensor quadrature.
+def _basis_change(rule: str, m: int) -> np.ndarray:
+    """B[n, j] = <P_n, h_j> for the first m Newton basis polynomials of `rule`.
 
-    Uses only interpolant evaluations (one pass over the quadrature grid),
-    never the underlying target function.  The rule is sized so that products
-    of the interpolant with any requested basis polynomial integrate exactly,
-    even when `lam` is smaller than the interpolant's range.
+    An m-point Gauss rule integrates these degree <= 2m - 2 products exactly.
+    B is upper triangular because P_n is orthogonal to every degree below n;
+    `triu` drops the rounding noise there.
     """
-    range_degs = interp.range.max_degrees()
-    lam_degs = lam.max_degrees()
+    y, w = np.polynomial.legendre.leggauss(m)
+    nodes = rules1d.family_nodes(rule, m)
+    return np.triu((_legendre_matrix(m - 1, y) * (w / 2.0)[None, :]) @ _newton_basis(nodes, y))
+
+
+def legendre_coeffs(interp: Interpolant, lam: IndexSet) -> LegendreExpansion:
+    """Expansion coefficients of the interpolant over `lam`.
+
+    Computed from the surpluses alone, never from the underlying target.  The
+    interpolant spans exactly the degrees in `interp.range`, so modes of
+    `lam` outside it have coefficient 0.0.
+    """
     outside = [nu for nu in lam.members if nu not in interp.range]
     if outside:
         warnings.warn(
@@ -100,23 +79,15 @@ def legendre_coeffs(interp: Interpolant, lam: IndexSet) -> LegendreExpansion:
             "range; their coefficients are zero by orthogonality",
             stacklevel=2,
         )
-    nodes, weights = [], []
-    for k in range(lam.dim):
-        x, w = np.polynomial.legendre.leggauss(max(range_degs[k], lam_degs[k]) + 1)
-        nodes.append(x)
-        weights.append(w / 2.0)
-    rule = QuadratureRule(nodes, weights)
-    pts = rule.grid()
-    vals = evaluate_batch(interp, pts).reshape(rule.counts)
-    # fold one dimension at a time: tensor of values -> tensor of coefficients
-    curr = vals
-    for k in range(lam.dim):
-        mat = _legendre_matrix(lam_degs[k], rule.nodes[k]) * rule.weights[k][None, :]
-        curr = np.tensordot(mat, curr, axes=([1], [0]))
-        # tensordot puts the new (coefficient) axis first; rotate it to the back
-        curr = np.moveaxis(curr, 0, lam.dim - 1)
-    coeffs = {nu: float(curr[nu]) for nu in lam.members}
-    return LegendreExpansion(lam, coeffs)
+    idx = np.array(interp.grid.indices, dtype=np.int64)
+    mmax = idx.max(axis=0)
+    # B[n, j] does not depend on m, so each dimension's matrix is a corner
+    basis = _basis_change(interp.tensor_set.rule, int(mmax.max()))
+    mats = [basis[:m, :m] for m in mmax]
+    c = _fibre_apply(idx, interp.surpluses, mats)
+    # grid index j carries the degree j - 1
+    of = {tuple(v - 1 for v in j): float(c[r]) for r, j in enumerate(interp.grid.indices)}
+    return LegendreExpansion(lam, {nu: of.get(nu, 0.0) for nu in lam.members})
 
 
 def write_expansion_csv(exp: LegendreExpansion, path) -> None:

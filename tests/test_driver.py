@@ -152,6 +152,27 @@ def test_load_state_refuses_cache_off_the_node_table(tmp_path):
         dr.load_state(ck)
 
 
+def test_checkpoint_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):
+    ck = tmp_path / "checkpoint.json"
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60)
+    dr.run(cfg, RAT2, checkpoint_path=ck)
+    before = ck.read_bytes()
+    state = dr.load_state(ck)
+
+    def broken_dump(obj, fh):
+        fh.write(json.dumps(obj)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sg.json, "dump", broken_dump)
+    state.iteration += 1
+    with pytest.raises(OSError, match="disk full"):
+        dr.save_state(state, ck)
+    monkeypatch.undo()
+    assert ck.read_bytes() == before
+    assert dr.load_state(ck).iteration == state.iteration - 1
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+
 def test_mc_linf_error_contracts():
     cfg = dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60)
     interp, _ = dr.run(cfg, RAT2)

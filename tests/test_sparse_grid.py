@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasg import rules1d as r1
 from adasg import sparse_grid as sg
@@ -231,16 +233,64 @@ def test_form_equivalence_surplus_vs_combination():
 
 
 def test_incremental_surpluses_match_scratch():
+    # hierarchy: a surplus depends only on the samples at grid indices below
+    # it, so a nested smaller build's surpluses reappear unchanged in a bigger one
     rng = np.random.default_rng(13)
     theta = random_lower_set(rng, 2, 4)
     grown = theta.union(random_lower_set(rng, 2, 9))
     ts_small = sg.TensorSet(theta, "clenshaw_curtis")
     ts_big = sg.TensorSet(grown, "clenshaw_curtis")
     samples = random_samples(rng, ts_big)
-    small = sg.build_interpolant(ts_small, samples)
-    inc = sg.build_interpolant(ts_big, samples, previous=small)
-    scratch = sg.build_interpolant(ts_big, samples)
-    assert np.abs(inc.surpluses - scratch.surpluses).max() <= 1e-12
+    small = sg.build_interpolant(ts_small, samples).surplus_map()
+    big = sg.build_interpolant(ts_big, samples).surplus_map()
+    assert len(big) > len(small)
+    assert all(big[j] == s for j, s in small.items())
+
+
+def row_by_row_surpluses(rule, grid, values):
+    """Oracle: unitriangular solve, one grid row at a time in graded-lex order."""
+    idx = np.array(grid.indices, dtype=np.int64)
+    tables = []
+    for m in idx.max(axis=0):
+        x = r1.family_nodes(rule, int(m))
+        tables.append(np.array([[np.prod([(y - x[t]) / (x[j] - x[t]) for t in range(j)])
+                                 for y in x] for j in range(len(x))]))
+    s = np.empty(len(idx))
+    for r, i in enumerate(idx):
+        rows = np.flatnonzero(np.all(idx[:r] <= i, axis=1))
+        H = np.ones(len(rows))
+        for k in range(len(i)):
+            H *= tables[k][idx[rows, k] - 1, i[k] - 1]
+        s[r] = values[r] - s[rows] @ H
+    return s
+
+
+@st.composite
+def lower_sets(draw, max_dim=4, max_size=6):
+    """Random lower sets of tensor levels, grown one margin member at a time.
+
+    Six levels keep Clenshaw-Curtis at <= 33 nodes per dimension: from 129
+    nodes its Newton table (entries up to 1e16) leaves no two solves agreeing.
+    """
+    d = draw(st.integers(1, max_dim))
+    s = IndexSet(d, [(0,) * d])
+    for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
+        cands = margin(s)
+        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]}, lower_flag=True)
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=lower_sets(), rule=st.sampled_from(("leja", "clenshaw_curtis", "rleja_double2")),
+       seed=st.integers(0, 2**32 - 1))
+def test_fibre_surpluses_match_row_by_row_solve(theta, rule, seed):
+    ts = sg.TensorSet(theta, rule)
+    grid = sg.grid_nodes(ts)
+    samples = smooth_samples(np.random.default_rng(seed), ts)
+    values = np.array([samples[j] for j in grid.indices])
+    got = sg.build_interpolant(ts, samples).surpluses
+    ref = row_by_row_surpluses(rule, grid, values)
+    assert np.abs(got - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
 
 def test_full_tensor_norm_bound_sanity():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasg import sparse_grid as sg
 from adasg import spectral as sp
@@ -31,22 +33,23 @@ def test_legendre_1d_orthonormal_under_uniform_probability():
             assert abs(dot - (1.0 if a == b else 0.0)) < 1e-13
 
 
-def test_quadrature_for_counts():
-    assert sp.quadrature_for(IndexSet(2, [(0, 0)])).counts == (1, 1)
-    lam = lambda_classic("total_degree", (1.0, 1.0), 2.0)
-    assert sp.quadrature_for(lam).counts == (3, 3)
-    lam1 = IndexSet(1, [(0,), (1,), (2,), (3,)])
-    assert sp.quadrature_for(lam1).counts == (4,)
-
-
-def test_quadrature_moment_exactness():
-    lam = IndexSet(1, [(j,) for j in range(4)])
-    rule = sp.quadrature_for(lam)
-    x, w = rule.nodes[0], rule.weights[0]
-    for k in range(2 * len(x)):
-        mom = float((w * x**k).sum())
-        ref = 0.0 if k % 2 else 1.0 / (k + 1)
-        assert abs(mom - ref) < 1e-13
+def quadrature_coeffs(interp, lam, counts):
+    """Oracle: project the interpolant's values on a tensor Gauss-Legendre grid
+    (counts[k] points in dimension k, uniform probability) onto each mode."""
+    rules = [np.polynomial.legendre.leggauss(n) for n in counts]
+    nodes = [x for x, _ in rules]
+    weights = [w / 2.0 for _, w in rules]
+    mesh = np.meshgrid(*nodes, indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in mesh], axis=1)
+    vals = sg.evaluate_batch(interp, pts).reshape(counts)
+    out = {}
+    for nu in lam.members:
+        acc = vals
+        for k in range(lam.dim):
+            row = sp.legendre_1d(nu[k], nodes[k]) * weights[k]
+            acc = np.tensordot(row, acc, axes=([0], [0]))
+        out[nu] = float(acc)
+    return out
 
 
 def test_constant_interpolant_coefficients():
@@ -136,20 +139,54 @@ def test_coefficients_stable_under_over_refinement():
     )
     lam = sg.polynomial_range(ts)
     base = sp.legendre_coeffs(interp, lam)
-    # doubled per-dimension counts must land on the exactness plateau
-    rule = sp.quadrature_for(lam)
-    doubled = sp.QuadratureRule(
-        [np.polynomial.legendre.leggauss(2 * n)[0] for n in rule.counts],
-        [np.polynomial.legendre.leggauss(2 * n)[1] / 2 for n in rule.counts],
-    )
-    pts = doubled.grid()
-    vals = sg.evaluate_batch(interp, pts).reshape(doubled.counts)
+    # twice the points an exact rule needs must land on the exactness plateau
+    counts = [2 * (deg + 1) for deg in lam.max_degrees()]
+    ref = quadrature_coeffs(interp, lam, counts)
     for nu in lam.members:
-        acc = vals
-        for k in range(2):
-            row = sp.legendre_1d(nu[k], doubled.nodes[k]) * doubled.weights[k]
-            acc = np.tensordot(row, acc, axes=([0], [0]))
-        assert abs(float(acc) - base.coeffs[nu]) < 1e-12
+        assert abs(ref[nu] - base.coeffs[nu]) < 1e-12
+
+
+@st.composite
+def lower_sets(draw, max_dim=4, max_size=6):
+    """Random lower sets of tensor levels, grown one margin member at a time.
+
+    Six levels keep Clenshaw-Curtis at <= 33 nodes per dimension: from 129
+    nodes its Newton table (entries up to 1e16) leaves no two paths agreeing.
+    """
+    d = draw(st.integers(1, max_dim))
+    s = IndexSet(d, [(0,) * d])
+    for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
+        cands = margin(s)
+        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]}, lower_flag=True)
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=lower_sets(), rule=st.sampled_from(("leja", "clenshaw_curtis", "rleja_double2")),
+       seed=st.integers(0, 2**32 - 1))
+def test_coefficients_match_tensor_gauss_quadrature(theta, rule, seed):
+    rng = np.random.default_rng(seed)
+    ts = sg.TensorSet(theta, rule)
+    grid = sg.grid_nodes(ts)
+    a, b = rng.uniform(-1.2, 1.2, theta.dim), rng.uniform(-1.5, 1.5, theta.dim)
+    values = np.exp(grid.points @ a) * np.cos(grid.points @ b)
+    interp = sg.build_interpolant(ts, dict(zip(grid.indices, values)))
+    lam = sg.polynomial_range(ts)
+    got = sp.legendre_coeffs(interp, lam).coeffs
+    ref = quadrature_coeffs(interp, lam, [deg + 1 for deg in lam.max_degrees()])
+    scale = max(1.0, max(abs(v) for v in ref.values()))
+    assert max(abs(got[nu] - ref[nu]) for nu in lam.members) <= 1e-10 * scale
+
+
+def test_modes_outside_the_range_are_zero():
+    ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0)]), "leja")
+    grid = sg.grid_nodes(ts)
+    interp = sg.build_interpolant(ts, {j: 1.0 + p[0] for j, p in zip(grid.indices, grid.points)})
+    lam = IndexSet(2, [(0, 0), (1, 0), (0, 1), (2, 0)])
+    with pytest.warns(UserWarning, match="2 requested modes lie outside"):
+        exp = sp.legendre_coeffs(interp, lam)
+    assert exp.coeffs[(0, 1)] == 0.0 and exp.coeffs[(2, 0)] == 0.0
+    assert abs(exp.coeffs[(1, 0)] - 1 / math.sqrt(3)) < 1e-14
 
 
 def test_expansion_csv(tmp_path):
@@ -161,8 +198,3 @@ def test_expansion_csv(tmp_path):
     assert lines[0] == "nu_1,nu_2,c_hat"
     assert lines[1] == "0,0,1.5"
     assert lines[2] == "1,0,-0.25"
-
-
-def test_empty_lambda_rejected():
-    with pytest.raises(ValueError):
-        sp.quadrature_for(IndexSet(1, []))
