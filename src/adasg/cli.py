@@ -12,12 +12,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import rules1d
 from .driver import RunConfig, load_state, run, write_history_csv
 from .sparse_grid import evaluate_batch, load_interpolant, save_interpolant
-from .targets import TargetSpec, builtin_target, external_target
+from .targets import TargetSpec, builtin_target, external_target, read_labelled_points
 
 SCHEMES = ("isotropic", "dynamic_td", "dynamic_curved")
 
@@ -164,27 +162,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _read_eval_points(path) -> tuple[list[str], np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        has_id = header and header[0] == "id"
-        ycols = header[1:] if has_id else header
-        if ycols != [f"y_{k + 1}" for k in range(len(ycols))]:
-            raise ValueError(f"bad points header: {header}")
-        ids, rows = [], []
-        for n, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            ids.append(parts[0] if has_id else str(n))
-            rows.append([float(v) for v in (parts[1:] if has_id else parts)])
-    return ids, np.array(rows, dtype=float)
-
-
 def _cmd_evaluate(args) -> int:
     interp = load_interpolant(args.model)
-    ids, pts = _read_eval_points(args.points)
+    ids, pts = read_labelled_points(args.points)
     vals = evaluate_batch(interp, pts, allow_extrapolation=args.allow_extrapolation)
     out = Path(args.output) if args.output else Path(args.workdir) / "evaluations.csv"
     out.parent.mkdir(parents=True, exist_ok=True)

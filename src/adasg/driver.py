@@ -4,16 +4,18 @@ decay parameters, grow the tensor set, repeat.
 Each iteration samples the target only at new grid nodes (the coordinate
 cache guarantees nested rules never re-evaluate), rebuilds the surpluses from
 scratch (a few 1-D passes over the grid, so a resumed run rebuilds exactly
-what an uninterrupted one had), and selects the next level threshold from the
-finite set of weight values on the margin of the current tensor set.
+what an uninterrupted one had), and grows the tensor set on tensor levels:
+a heap over the margin of the current set, keyed by the curved weight at
+which each level enters, admits levels in order of that weight until the
+batch rule or the sample budget stops it.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,12 +35,11 @@ from .sparse_grid import (
     Interpolant,
     TensorSet,
     _write_json_atomic,
+    block_size,
     build_interpolant,
     evaluate_batch,
     grid_nodes,
     grid_size,
-    polynomial_range,
-    theta_curved,
     theta_opt,
 )
 from .targets import EvaluationError, TargetSpec
@@ -135,58 +136,62 @@ def initial_tensor_set(config: RunConfig) -> TensorSet:
     return theta_opt(lam, config.rule)
 
 
-def effective_margin_weight(fit: FitParams, i: MultiIndex, rule: str) -> float:
-    """Smallest curved-space level at which tensor level i becomes selected.
-
-    Separable: each coordinate contributes the minimum of its weight over
-    degrees >= m(i_k - 1), which accounts for dips from negative beta.
-    """
-    total = 0.0
-    for k, ik in enumerate(i):
-        start = rules1d.growth(rule, ik - 1)
-        total += curved_tail_min(fit.alpha[k], fit.beta[k], start)
-    return total
-
-
 def next_level(
     fit: FitParams,
     ts: TensorSet,
     batch: int | str = "minimal",
     sample_budget: int | None = None,
-) -> float:
-    """Smallest level L whose curved tensor set grows ts (or adds >= batch nodes)."""
-    base_nodes = grid_size(ts)
-    weights = CurvedWeights(fit.alpha, fit.beta)
-    seen: set[MultiIndex] = set(ts.theta.members)
-    frontier = [i for i in margin(ts.theta)]
-    candidates = sorted({effective_margin_weight(fit, i, ts.rule) for i in frontier})
-    seen.update(frontier)
+) -> tuple[float, TensorSet]:
+    """Smallest level L whose curved tensor set grows ts (or adds >= batch
+    nodes), and the grown set: ts together with theta_curved(L).
+
+    Tensor level i enters at W(i) = sum_k min_{t >= m(i_k - 1)}
+    (alpha_k t + beta_k log(t + 1)), the least curved weight of a degree its
+    interpolant adds.  W is non-decreasing in i, so theta_curved(L) is
+    {i : W(i) <= L} and grows through the margin, as the active set of
+    Gerstner & Griebel (Computing 2003): each round pops the smallest weight
+    L, admits every level with W <= L, and pushes each successor whose
+    predecessors are all in.  The node count runs along; the budget and the
+    batch rule are checked after each round.
+    """
+    rule, d = ts.rule, ts.dim
+
+    def weight(i: MultiIndex) -> float:
+        w = 0.0  # summed left to right, as lambda_curved sums membership
+        for k, ik in enumerate(i):
+            w += curved_tail_min(fit.alpha[k], fit.beta[k], rules1d.growth(rule, ik - 1))
+        return w
+
+    members = set(ts.theta.members)
+    heap = [(weight(i), i) for i in margin(ts.theta)]
+    heapq.heapify(heap)
+    base = nodes = grid_size(ts)
+    added: list[MultiIndex] = []
     best: float | None = None
-    while candidates:
-        L = candidates.pop(0)
-        th2 = ts.theta.union(theta_curved(weights, L, ts.rule).theta)
-        n2 = grid_size(TensorSet(th2, ts.rule))
-        if n2 == base_nodes:
-            continue
-        if sample_budget is not None and n2 > sample_budget:
-            if best is not None:
-                return best
-            raise BudgetExhausted(
-                f"smallest growth step needs {n2} samples, budget is {sample_budget}"
-            )
-        best = L
-        if batch == "minimal" or n2 - base_nodes >= int(batch):
-            return best
-        # widen the frontier past the already-reachable region
-        grown = TensorSet(th2, ts.rule)
-        fresh = [i for i in margin(grown.theta) if i not in seen]
-        seen.update(fresh)
-        candidates = sorted(
-            set(candidates) | {effective_margin_weight(fit, i, ts.rule) for i in fresh}
-        )
-    if best is not None:
-        return best
-    raise BudgetExhausted("no candidate level grows the tensor set")
+    kept = 0  # levels added up to the last round within the budget
+    while True:
+        L = heap[0][0]
+        while heap[0][0] <= L:
+            _, i = heapq.heappop(heap)
+            members.add(i)
+            added.append(i)
+            nodes += block_size(rule, i)
+            for k in range(d):
+                succ = i[:k] + (i[k] + 1,) + i[k + 1:]
+                if all(succ[:j] + (succ[j] - 1,) + succ[j + 1:] in members
+                       for j in range(d) if succ[j] > 0):
+                    heapq.heappush(heap, (weight(succ), succ))
+        if sample_budget is not None and nodes > sample_budget:
+            if best is None:
+                raise BudgetExhausted(
+                    f"smallest growth step needs {nodes} samples, budget is {sample_budget}"
+                )
+            break
+        best, kept = L, len(added)
+        if batch == "minimal" or nodes - base >= int(batch):
+            break
+    grown = IndexSet(d, ts.theta.members + tuple(added[:kept]), lower_flag=True)
+    return best, TensorSet(grown, rule)
 
 
 def _collect_samples(state: RunState, target: TargetSpec) -> dict[MultiIndex, float]:
@@ -215,8 +220,7 @@ def _fit_from(interp: Interpolant, config: RunConfig) -> FitParams:
     if config.fit_source == "surplus":
         return fit_surplus(interp.surplus_map(), config.rule,
                            config.min_magnitude, config.fit_beta)
-    lam = polynomial_range(interp.tensor_set)
-    coeffs = legendre_coeffs(interp, lam).coeffs
+    coeffs = legendre_coeffs(interp, interp.range).coeffs
     return fit_curved(coeffs, config.min_magnitude, config.fit_beta)
 
 
@@ -238,7 +242,7 @@ def _build_phase(state: RunState, target: TargetSpec) -> None:
     """Sample new nodes, rebuild the interpolant, fit, record."""
     config = state.config
     t0 = time.perf_counter()
-    prev_nodes = state.interpolant.node_count if state.interpolant else 0
+    prev_nodes = state.history[-1].node_count if state.history else 0
     samples = _collect_samples(state, target)
     state.interpolant = build_interpolant(state.theta, samples)
     fallback = state.fit if state.fit is not None else isotropic_params(config.d)
@@ -270,13 +274,10 @@ def _build_phase(state: RunState, target: TargetSpec) -> None:
 
 
 def _grow_phase(state: RunState) -> None:
-    """Pick the next level and union the curved tensor set into the current one."""
+    """Grow the tensor set to the next level of the fitted curved weights."""
     config = state.config
-    L = next_level(state.fit, state.theta, config.batch,
-                   sample_budget=config.max_samples)
-    weights = CurvedWeights(state.fit.alpha, state.fit.beta)
-    grown = state.theta.theta.union(theta_curved(weights, L, config.rule).theta)
-    state.theta = TensorSet(grown, config.rule)
+    _, state.theta = next_level(state.fit, state.theta, config.batch,
+                                sample_budget=config.max_samples)
     state.iteration += 1
 
 
@@ -332,95 +333,42 @@ _STATE_FORMAT = "adasg-checkpoint"
 _STATE_VERSION = 1
 
 
-def _config_to_dict(config: RunConfig) -> dict:
-    return {
-        "rule": config.rule,
-        "d": config.d,
-        "fit_source": config.fit_source,
-        "fit_beta": config.fit_beta,
-        "fit_enabled": config.fit_enabled,
-        "batch": config.batch,
-        "max_iterations": config.max_iterations,
-        "max_samples": config.max_samples,
-        "probe_count": config.probe_count,
-        "probe_seed": config.probe_seed,
-        "initial_kind": config.initial_kind,
-        "initial_level": config.initial_level,
-        "initial_alpha": list(config.initial_alpha) if config.initial_alpha else None,
-        "initial_beta": list(config.initial_beta) if config.initial_beta else None,
-        "min_magnitude": config.min_magnitude,
-    }
+def _to_dict(obj, skip: tuple[str, ...] = ()) -> dict:
+    """A dataclass's fields in declaration order, as JSON-ready values.
+
+    Tuples serialize as JSON arrays; frozensets are written as sorted lists.
+    """
+    out = {}
+    for f in fields(obj):
+        if f.name not in skip:
+            value = getattr(obj, f.name)
+            out[f.name] = sorted(value) if isinstance(value, frozenset) else value
+    return out
 
 
-def _config_from_dict(obj: dict) -> RunConfig:
-    return RunConfig(
-        rule=obj["rule"],
-        d=obj["d"],
-        fit_source=obj["fit_source"],
-        fit_beta=obj["fit_beta"],
-        fit_enabled=obj["fit_enabled"],
-        batch=obj["batch"],
-        max_iterations=obj["max_iterations"],
-        max_samples=obj["max_samples"],
-        probe_count=obj["probe_count"],
-        probe_seed=obj["probe_seed"],
-        initial_kind=obj["initial_kind"],
-        initial_level=obj["initial_level"],
-        initial_alpha=tuple(obj["initial_alpha"]) if obj["initial_alpha"] else None,
-        initial_beta=tuple(obj["initial_beta"]) if obj["initial_beta"] else None,
-        min_magnitude=obj["min_magnitude"],
-    )
-
-
-def _fit_to_dict(fit: FitParams | None) -> dict | None:
-    if fit is None:
-        return None
-    return {
-        "alpha": list(fit.alpha),
-        "beta": list(fit.beta),
-        "c_const": fit.c_const,
-        "corrected_dims": sorted(fit.corrected_dims),
-        "excluded_dims": sorted(fit.excluded_dims),
-        "residual": fit.residual,
-        "n_used": fit.n_used,
-    }
-
-
-def _fit_from_dict(obj: dict | None) -> FitParams | None:
-    if obj is None:
-        return None
-    return FitParams(
-        tuple(obj["alpha"]), tuple(obj["beta"]), obj["c_const"],
-        frozenset(obj["corrected_dims"]), frozenset(obj["excluded_dims"]),
-        obj["residual"], obj["n_used"],
-    )
+def _from_dict(cls, obj: dict):
+    """Inverse of `_to_dict`: JSON arrays become frozensets for fields whose
+    default is a frozenset and tuples otherwise; absent fields keep their
+    default."""
+    default = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
+    for name, value in obj.items():
+        if isinstance(value, list):
+            value = frozenset(value) if isinstance(default[name], frozenset) else tuple(value)
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 def save_state(state: RunState, path) -> None:
     obj = {
         "format": _STATE_FORMAT,
         "version": _STATE_VERSION,
-        "config": _config_to_dict(state.config),
+        "config": _to_dict(state.config),
         "iteration": state.iteration,
         "theta": [list(i) for i in state.theta.theta.members],
         "cache": [[list(k), v] for k, v in sorted(state.cache.items())],
-        "fit": _fit_to_dict(state.fit),
-        "history": [
-            {
-                "iteration": r.iteration,
-                "node_count": r.node_count,
-                "new_node_count": r.new_node_count,
-                "alpha": list(r.alpha),
-                "beta": list(r.beta),
-                "c_const": r.c_const,
-                "residual": r.residual,
-                "n_used": r.n_used,
-                "corrected": list(r.corrected),
-                "excluded": list(r.excluded),
-                "probe_error": r.probe_error,
-            }
-            for r in state.history
-        ],
+        "fit": None if state.fit is None else _to_dict(state.fit),
+        "history": [_to_dict(r, skip=("wall_time",)) for r in state.history],
     }
     _write_json_atomic(obj, path)
 
@@ -430,32 +378,18 @@ def load_state(path) -> RunState:
         obj = json.load(fh)
     if obj.get("format") != _STATE_FORMAT or obj.get("version") != _STATE_VERSION:
         raise ValueError(f"not a version-{_STATE_VERSION} {_STATE_FORMAT} file")
-    config = _config_from_dict(obj["config"])
+    config = _from_dict(RunConfig, obj["config"])
     theta = TensorSet(IndexSet(config.d, [tuple(i) for i in obj["theta"]]), config.rule)
     state = RunState(config, theta, obj["iteration"])
     state.cache = {tuple(k): float(v) for k, v in obj["cache"]}
     _check_cache_nodes(state)
-    state.fit = _fit_from_dict(obj["fit"])
-    for r in obj["history"]:
-        state.history.append(Record(
-            iteration=r["iteration"],
-            node_count=r["node_count"],
-            new_node_count=r["new_node_count"],
-            alpha=tuple(r["alpha"]),
-            beta=tuple(r["beta"]),
-            c_const=r["c_const"],
-            residual=r["residual"],
-            n_used=r["n_used"],
-            corrected=tuple(r["corrected"]),
-            excluded=tuple(r["excluded"]),
-            probe_error=r["probe_error"],
-        ))
-    if state.history:
-        # rebuild the interpolant of the last *built* tensor set
-        built = _theta_at_last_record(state)
-        grid = grid_nodes(built)
+    state.fit = None if obj["fit"] is None else _from_dict(FitParams, obj["fit"])
+    state.history = [_from_dict(Record, r) for r in obj["history"]]
+    if _built(state):
+        # a pending (grown, unsampled) theta is built by the next run instead
+        grid = grid_nodes(state.theta)
         samples = {j: state.cache[tuple(p)] for j, p in zip(grid.indices, grid.points)}
-        state.interpolant = build_interpolant(built, samples)
+        state.interpolant = build_interpolant(state.theta, samples)
     return state
 
 
@@ -470,32 +404,6 @@ def _check_cache_nodes(state: RunState) -> None:
     table = set(rules1d.family_nodes(rule, rules1d.growth(rule, top)).tolist())
     if any(y not in table for key in state.cache for y in key):
         raise ValueError(f"checkpoint does not match the node table of rule {rule!r}")
-
-
-def _theta_at_last_record(state: RunState) -> TensorSet:
-    """Tensor set of the last built interpolant.
-
-    After a growth phase the checkpoint holds the pending theta, whose new
-    blocks are unsampled; the built set is recovered by keeping the levels
-    whose node blocks are fully cached.
-    """
-    if _built(state):
-        return state.theta
-    rule = state.config.rule
-    d = state.config.d
-    keep = []
-    for i in state.theta.theta.members:
-        nodes1d = [rules1d.family_nodes(rule, rules1d.growth(rule, i[k]))
-                   for k in range(d)]
-        ranges = [range(rules1d.growth(rule, i[k] - 1) + 1,
-                        rules1d.growth(rule, i[k]) + 1) for k in range(d)]
-        cached = all(
-            tuple(nodes1d[k][j[k] - 1] for k in range(d)) in state.cache
-            for j in itertools.product(*ranges)
-        )
-        if cached:
-            keep.append(i)
-    return TensorSet(IndexSet(d, keep), rule)
 
 
 def write_history_csv(history: list[Record], d: int, path) -> None:

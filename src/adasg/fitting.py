@@ -109,21 +109,15 @@ def fit_curved(
         raise UnfittableError("design matrix is rank-deficient")
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     c_const = float(x[0])
-    alpha_in = x[1:1 + len(included)]
+    # non-positive rates among the included dimensions get the smallest positive one
+    alpha_in, corrected_pos = adhoc_correction(x[1:1 + len(included)])
     beta_in = x[1 + len(included):] if include_beta else np.zeros(len(included))
     alpha = [0.0] * d
     beta = [0.0] * d
     for pos, k in enumerate(included):
-        alpha[k] = float(alpha_in[pos])
+        alpha[k] = alpha_in[pos]
         beta[k] = float(beta_in[pos])
-    fitted_included = {k: alpha[k] for k in included}
-    pos_values = [a for a in fitted_included.values() if a > 0.0]
-    if not pos_values:
-        raise UnfittableError("no positive decay rate among included dimensions")
-    floor = min(pos_values)
-    corrected = frozenset(k for k in included if alpha[k] <= 0.0)
-    for k in corrected:
-        alpha[k] = floor
+    corrected = frozenset(included[pos] for pos in corrected_pos)
     fill = max(alpha[k] for k in included)
     for k in excluded:
         alpha[k] = fill

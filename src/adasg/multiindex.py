@@ -178,14 +178,18 @@ def _enumerate_additive(
 ) -> list[MultiIndex]:
     """Members of {nu : sum_k g[k](nu_k) <= L} for per-coordinate weights that are
     non-decreasing beyond dip_ends[k]."""
-    # suffix[k]: least possible contribution of coordinates k..d-1
-    suffix = [0.0] * (d + 1)
-    for k in reversed(range(d)):
-        gk = g[k]
-        best = min(gk(t) for t in range(0, dip_ends[k] + 1))
-        suffix[k] = suffix[k + 1] + min(best, gk(dip_ends[k]))
+    # least contribution of each coordinate; a prefix is pruned when even
+    # these minima push it past L.  They are added left to right, in the
+    # order of the membership sum, so by monotone rounding the bound never
+    # exceeds a member's sum and no member is pruned.
+    lows = [min(g[k](t) for t in range(dip_ends[k] + 1)) for k in range(d)]
     out: list[MultiIndex] = []
     prefix = [0] * d
+
+    def bound(k: int, w: float) -> float:
+        for low in lows[k + 1:]:
+            w += low
+        return w
 
     def scan(k: int, partial: float):
         if k == d:
@@ -197,7 +201,7 @@ def _enumerate_additive(
         t = 0
         while True:
             w = partial + gk(t)
-            if w + suffix[k + 1] <= L:
+            if bound(k, w) <= L:
                 prefix[k] = t
                 scan(k + 1, w)
             elif t >= dip:

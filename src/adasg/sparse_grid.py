@@ -129,15 +129,17 @@ def grid_nodes(ts: TensorSet) -> GridNodes:
     return GridNodes(indices, pts)
 
 
+def block_size(rule: str, i: MultiIndex) -> int:
+    """Nodes in the disjoint block tensor level i adds: prod_k m(i_k) - m(i_k - 1)."""
+    prod = 1
+    for ik in i:
+        prod *= rules1d.growth(rule, ik) - rules1d.growth(rule, ik - 1)
+    return prod
+
+
 def grid_size(ts: TensorSet) -> int:
     """Node count via the disjoint-block formula, without enumerating points."""
-    total = 0
-    for i in ts.theta.members:
-        prod = 1
-        for k in range(ts.dim):
-            prod *= rules1d.growth(ts.rule, i[k]) - rules1d.growth(ts.rule, i[k] - 1)
-        total += prod
-    return total
+    return sum(block_size(ts.rule, i) for i in ts.theta.members)
 
 
 def polynomial_range(ts: TensorSet) -> IndexSet:

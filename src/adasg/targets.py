@@ -159,7 +159,9 @@ def write_points_csv(path, points: np.ndarray) -> None:
             fh.write(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def read_points_csv(path) -> tuple[list[int], np.ndarray]:
+def read_labelled_points(path) -> tuple[list[str], np.ndarray]:
+    """Points with an optional leading `id` column whose labels are kept as
+    written; rows are labelled from 0 when the column is absent."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         has_id = header and header[0] == "id"
@@ -172,13 +174,15 @@ def read_points_csv(path) -> tuple[list[int], np.ndarray]:
             if not line:
                 continue
             parts = line.split(",")
-            if has_id:
-                ids.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            else:
-                ids.append(n)
-                rows.append([float(v) for v in parts])
+            ids.append(parts[0] if has_id else str(n))
+            rows.append([float(v) for v in (parts[1:] if has_id else parts)])
     return ids, np.array(rows, dtype=float)
+
+
+def read_points_csv(path) -> tuple[list[int], np.ndarray]:
+    """A protocol `points.csv`: integer ids, as `write_points_csv` numbers them."""
+    ids, pts = read_labelled_points(path)
+    return [int(i) for i in ids], pts
 
 
 def read_values_csv(path) -> dict[int, float]:

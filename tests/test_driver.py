@@ -1,13 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasg import driver as dr
 from adasg import sparse_grid as sg
 from adasg import targets as tg
 from adasg.fitting import FitParams, isotropic_params
-from adasg.multiindex import CurvedWeights, IndexSet
+from adasg.multiindex import CurvedWeights, IndexSet, margin
 
 
 RAT2 = tg.builtin_target("rational", 2, c0=2.0, c=[1.0, 0.5])
@@ -16,27 +19,30 @@ RAT2 = tg.builtin_target("rational", 2, c0=2.0, c=[1.0, 0.5])
 def test_next_level_anisotropic_example():
     ts = sg.TensorSet(IndexSet(2, [(0, 0)]), "leja")
     fit = FitParams((1.0, 2.0), (0.0, 0.0), 0.0)
-    L = dr.next_level(fit, ts, "minimal")
+    L, returned = dr.next_level(fit, ts, "minimal")
     assert L == 1.0
     grown = ts.theta.union(sg.theta_curved(CurvedWeights(fit.alpha, fit.beta), L, "leja").theta)
     assert set(grown.members) == {(0, 0), (1, 0)}
+    assert returned.theta == grown
 
 
 def test_next_level_isotropic_ties_enter_together():
     ts = sg.TensorSet(IndexSet(2, [(0, 0)]), "leja")
     fit = isotropic_params(2)
-    L = dr.next_level(fit, ts, "minimal")
+    L, returned = dr.next_level(fit, ts, "minimal")
     grown = ts.theta.union(sg.theta_curved(CurvedWeights(fit.alpha, fit.beta), L, "leja").theta)
     assert set(grown.members) == {(0, 0), (1, 0), (0, 1)}
+    assert returned.theta == grown
 
 
 def test_next_level_target_new_nodes():
     ts = sg.TensorSet(IndexSet(2, [(0, 0)]), "leja")
     fit = isotropic_params(2)
-    L = dr.next_level(fit, ts, 6)
+    L, returned = dr.next_level(fit, ts, 6)
     grown = ts.theta.union(sg.theta_curved(CurvedWeights(fit.alpha, fit.beta), L, "leja").theta)
     added = sg.grid_size(sg.TensorSet(grown, "leja")) - 1
     assert added >= 6
+    assert returned.theta == grown
 
 
 def test_next_level_budget_exhaustion():
@@ -44,6 +50,55 @@ def test_next_level_budget_exhaustion():
     fit = isotropic_params(2)
     with pytest.raises(dr.BudgetExhausted):
         dr.next_level(fit, ts, "minimal", sample_budget=2)
+
+
+# at a level tie the curved prune once dropped every member, and next_level
+# raised "need a nonempty polynomial index set"
+TIE_ALPHA = (0.28961187574712166, 0.4001640933144207, 1.1982658616793185, 1.6661069605448617)
+TIE_BETA = (-2.0, -1.1, -2.4, -1.9)
+
+
+def test_next_level_grows_at_a_level_tie():
+    ts = sg.TensorSet(IndexSet(4, [(0, 0, 0, 0)]), "leja")
+    L, grown = dr.next_level(FitParams(TIE_ALPHA, TIE_BETA, 0.0), ts)
+    assert L == -3.027581746198526
+    expected = ts.theta.union(sg.theta_curved(CurvedWeights(TIE_ALPHA, TIE_BETA), L, "leja").theta)
+    assert grown.theta == expected
+    assert len(grown.theta) > 1
+
+
+@st.composite
+def lower_sets(draw, max_dim=4, max_size=6):
+    """Random lower sets of tensor levels, grown one margin member at a time."""
+    d = draw(st.integers(1, max_dim))
+    s = IndexSet(d, [(0,) * d])
+    for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
+        cands = margin(s)
+        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]}, lower_flag=True)
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta=lower_sets(), rule=st.sampled_from(("leja", "clenshaw_curtis", "rleja_double2")),
+       data=st.data(), batch=st.one_of(st.just("minimal"), st.integers(1, 12)),
+       budget=st.one_of(st.none(), st.integers(1, 60)))
+def test_next_level_matches_the_curved_tensor_set(theta, rule, data, batch, budget):
+    d = theta.dim
+    alpha = tuple(data.draw(st.lists(st.floats(0.5, 3.0), min_size=d, max_size=d)))
+    beta = tuple(data.draw(st.lists(st.floats(-2.5, 1.5), min_size=d, max_size=d)))
+    ts = sg.TensorSet(theta, rule)
+    try:
+        L, grown = dr.next_level(FitParams(alpha, beta, 0.0), ts, batch, sample_budget=budget)
+    except dr.BudgetExhausted:
+        # even the smallest growth step overflows the budget
+        _, smallest = dr.next_level(FitParams(alpha, beta, 0.0), ts)
+        assert sg.grid_size(smallest) > budget
+        return
+    expected = theta.union(sg.theta_curved(CurvedWeights(alpha, beta), L, rule).theta)
+    assert grown.theta == expected
+    assert len(grown.theta) > len(theta)
+    if budget is not None:
+        assert sg.grid_size(grown) <= budget
 
 
 def test_run_constant_target_falls_back_isotropic():
@@ -100,12 +155,14 @@ def test_union_consistency():
     for _ in range(3):
         before = state.theta
         dr._build_phase(state, RAT2)
-        L = dr.next_level(state.fit, state.theta, cfg.batch, sample_budget=cfg.max_samples)
+        L, returned = dr.next_level(state.fit, state.theta, cfg.batch,
+                                    sample_budget=cfg.max_samples)
         expected = before.theta.union(
             sg.theta_curved(CurvedWeights(state.fit.alpha, state.fit.beta), L, cfg.rule).theta
         )
         dr._grow_phase(state)
         assert state.theta.theta == expected
+        assert returned.theta == expected
 
 
 def test_determinism_identical_histories(tmp_path):
@@ -137,6 +194,52 @@ def test_checkpoint_resume_bitwise(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
     pts = np.random.default_rng(5).uniform(-1, 1, (40, 2))
     assert np.array_equal(sg.evaluate_batch(interp_a, pts), sg.evaluate_batch(interp_b, pts))
+
+
+# checkpoint.json as the format's hand-written field lists wrote it
+CHECKPOINT_BYTES = (
+    '{"format": "adasg-checkpoint", "version": 1, "config": {"rule": "leja", "d": 3, '
+    '"fit_source": "surplus", "fit_beta": false, "fit_enabled": true, "batch": 4, '
+    '"max_iterations": 7, "max_samples": 90, "probe_count": 50, "probe_seed": 3, '
+    '"initial_kind": "curved", "initial_level": 1.5, "initial_alpha": [1.0, 2.0, 0.5], '
+    '"initial_beta": [0.0, -0.5, 0.25], "min_magnitude": 1e-12}, "iteration": 1, '
+    '"theta": [[0, 0, 0], [1, 0, 0]], "cache": [[[0.0, 0.0, 0.0], 0.5], [[1.0, 0.0, 0.0], 0.25]], '
+    '"fit": {"alpha": [1.5, 2.5, 1.5], "beta": [-0.25, 0.0, 0.125], "c_const": 0.375, '
+    '"corrected_dims": [0, 2], "excluded_dims": [1], "residual": 0.5, "n_used": 9}, '
+    '"history": [{"iteration": 0, "node_count": 1, "new_node_count": 1, '
+    '"alpha": [1.0, 1.0, 1.0], "beta": [0.0, 0.0, 0.0], "c_const": 0.0, "residual": 0.0, '
+    '"n_used": 0, "corrected": [], "excluded": [], "probe_error": 0.125}, '
+    '{"iteration": 1, "node_count": 2, "new_node_count": 1, "alpha": [1.5, 2.5, 1.5], '
+    '"beta": [-0.25, 0.0, 0.125], "c_const": 0.375, "residual": 0.5, "n_used": 9, '
+    '"corrected": [0, 2], "excluded": [1], "probe_error": null}]}'
+)
+
+
+def test_checkpoint_bytes_and_round_trip(tmp_path):
+    cfg = dr.RunConfig(rule="leja", d=3, fit_source="surplus", fit_beta=False, batch=4,
+                       max_iterations=7, max_samples=90, probe_count=50, probe_seed=3,
+                       initial_kind="curved", initial_level=1.5,
+                       initial_alpha=(1.0, 2.0, 0.5), initial_beta=(0.0, -0.5, 0.25),
+                       min_magnitude=1e-12)
+    fit = FitParams((1.5, 2.5, 1.5), (-0.25, 0.0, 0.125), 0.375,
+                    frozenset({2, 0}), frozenset({1}), 0.5, 9)
+    ts = sg.TensorSet(IndexSet(3, [(0, 0, 0), (1, 0, 0)]), "leja")
+    state = dr.RunState(cfg, ts, iteration=1, fit=fit,
+                        cache={(0.0, 0.0, 0.0): 0.5, (1.0, 0.0, 0.0): 0.25})
+    state.history = [
+        dr.Record(0, 1, 1, (1.0,) * 3, (0.0,) * 3, 0.0, 0.0, 0, (), (), 0.125, wall_time=1.5),
+        dr.Record(1, 2, 1, fit.alpha, fit.beta, fit.c_const, fit.residual, fit.n_used,
+                  (0, 2), (1,), None, wall_time=2.5),
+    ]
+    ck = tmp_path / "checkpoint.json"
+    dr.save_state(state, ck)
+    assert ck.read_text() == CHECKPOINT_BYTES
+    back = dr.load_state(ck)
+    assert back.config == cfg and back.fit == fit and back.theta == ts
+    assert back.cache == state.cache and back.iteration == 1
+    # wall_time is not serialized
+    assert back.history == [dataclasses.replace(r, wall_time=0.0) for r in state.history]
+    assert back.interpolant.node_count == 2
 
 
 def test_load_state_refuses_cache_off_the_node_table(tmp_path):

@@ -97,6 +97,19 @@ def test_lambda_curved_negative_beta_dip():
     assert set(got.members) == {(0,), (1,), (2,), (3,), (4,)}
 
 
+def test_lambda_curved_keeps_members_at_a_level_tie():
+    # L is the sum of the per-coordinate minima; a prune bound summed in
+    # another order than membership once exceeded it by one ulp and dropped
+    # every member
+    w = CurvedWeights(
+        (0.28961187574712166, 0.4001640933144207, 1.1982658616793185, 1.6661069605448617),
+        (-2.0, -1.1, -2.4, -1.9),
+    )
+    got = lambda_curved(w, -3.027581746198526)
+    assert len(got) == 42
+    assert is_lower(got)
+
+
 def test_lambda_curved_membership_oracle():
     # direct inequality scan over a safe box
     rng = np.random.default_rng(12)

@@ -120,6 +120,15 @@ def test_points_csv_precision_round_trip(tmp_path):
     assert np.array_equal(back, pts)
 
 
+def test_points_labels_kept_as_written_or_numbered(tmp_path):
+    (tmp_path / "named.csv").write_text("id,y_1\nrun-07,0.5\n\nb,-0.25\n")
+    ids, pts = tg.read_labelled_points(tmp_path / "named.csv")
+    assert ids == ["run-07", "b"] and pts.tolist() == [[0.5], [-0.25]]
+    (tmp_path / "bare.csv").write_text("y_1,y_2\n0.5,0\n-1,1\n")
+    assert tg.read_labelled_points(tmp_path / "bare.csv")[0] == ["0", "1"]
+    assert tg.read_points_csv(tmp_path / "bare.csv")[0] == [0, 1]
+
+
 def test_config_parsing(tmp_path):
     cfg_text = textwrap.dedent("""
         # run configuration
