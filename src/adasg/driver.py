@@ -34,7 +34,7 @@ from .spectral import legendre_coeffs
 from .sparse_grid import (
     Interpolant,
     TensorSet,
-    _write_json_atomic,
+    _write_text_atomic,
     block_size,
     build_interpolant,
     evaluate_batch,
@@ -114,6 +114,10 @@ class RunState:
     fit: FitParams | None = None
     interpolant: Interpolant | None = None
     history: list[Record] = field(default_factory=list)
+    # {(probe_count, probe_seed): (probe points, target values there)}: the
+    # probe evaluates the target once per run; never serialized
+    probe: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def samples_used(self) -> int:
@@ -224,13 +228,27 @@ def _fit_from(interp: Interpolant, config: RunConfig) -> FitParams:
     return fit_curved(coeffs, config.min_magnitude, config.fit_beta)
 
 
-def mc_linf_error(interp: Interpolant, target: TargetSpec, count: int, seed: int) -> float:
-    """Max abs deviation on `count` uniform random points of the hypercube."""
+def _probe_points(d: int, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError("need at least one probe point")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=(count, interp.dim))
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, d))
+
+
+def mc_linf_error(interp: Interpolant, target: TargetSpec, count: int, seed: int) -> float:
+    """Max abs deviation on `count` uniform random points of the hypercube."""
+    pts = _probe_points(interp.dim, count, seed)
     return float(np.abs(evaluate_batch(interp, pts) - target.evaluate(pts)).max())
+
+
+def _probe_error(state: RunState, target: TargetSpec) -> float:
+    """`mc_linf_error` of the current interpolant, with the target's values
+    at the probe points taken once per run and kept on the state."""
+    key = (state.config.probe_count, state.config.probe_seed)
+    if key not in state.probe:
+        pts = _probe_points(state.config.d, *key)
+        state.probe = {key: (pts, target.evaluate(pts))}
+    pts, values = state.probe[key]
+    return float(np.abs(evaluate_batch(state.interpolant, pts) - values).max())
 
 
 def _built(state: RunState) -> bool:
@@ -253,10 +271,7 @@ def _build_phase(state: RunState, target: TargetSpec) -> None:
             state.fit = fallback
     else:
         state.fit = fallback
-    probe = None
-    if config.probe_count:
-        probe = mc_linf_error(state.interpolant, target, config.probe_count,
-                              config.probe_seed)
+    probe = _probe_error(state, target) if config.probe_count else None
     state.history.append(Record(
         iteration=state.iteration,
         node_count=state.interpolant.node_count,
@@ -370,7 +385,7 @@ def save_state(state: RunState, path) -> None:
         "fit": None if state.fit is None else _to_dict(state.fit),
         "history": [_to_dict(r, skip=("wall_time",)) for r in state.history],
     }
-    _write_json_atomic(obj, path)
+    _write_text_atomic(json.dumps(obj), path)
 
 
 def load_state(path) -> RunState:
@@ -414,15 +429,15 @@ def write_history_csv(history: list[Record], d: int, path) -> None:
         + ["C_hat", "residual", "n_used", "corrected", "excluded",
            "probe_error", "node_count"]
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in history:
-            row = [str(r.iteration)]
-            row += [f"{a:.17g}" for a in r.alpha]
-            row += [f"{b:.17g}" for b in r.beta]
-            row += [f"{r.c_const:.17g}", f"{r.residual:.17g}", str(r.n_used)]
-            row.append(";".join(str(k + 1) for k in r.corrected))
-            row.append(";".join(str(k + 1) for k in r.excluded))
-            row.append("" if r.probe_error is None else f"{r.probe_error:.17g}")
-            row.append(str(r.node_count))
-            fh.write(",".join(row) + "\n")
+    lines = [",".join(cols)]
+    for r in history:
+        row = [str(r.iteration)]
+        row += [f"{a:.17g}" for a in r.alpha]
+        row += [f"{b:.17g}" for b in r.beta]
+        row += [f"{r.c_const:.17g}", f"{r.residual:.17g}", str(r.n_used)]
+        row.append(";".join(str(k + 1) for k in r.corrected))
+        row.append(";".join(str(k + 1) for k in r.excluded))
+        row.append("" if r.probe_error is None else f"{r.probe_error:.17g}")
+        row.append(str(r.node_count))
+        lines.append(",".join(row))
+    _write_text_atomic("\n".join(lines) + "\n", path)

@@ -3,10 +3,11 @@ construction/evaluation in hierarchical-surplus and combination-weight form.
 
 The surplus (Newton) form is the production evaluation path; the
 combination-weight form is kept for cross-validation, since both must agree
-on lower tensor sets.  Transforms of the grid data (samples to surpluses,
-surpluses to Legendre coefficients in `spectral`) act on the lower set of
-grid indices one dimension at a time, with one triangular 1-D matrix applied
-along every fibre.
+on lower tensor sets.  Every operator on the grid data acts on the lower set
+of grid indices one dimension at a time.  The transforms (samples to
+surpluses, surpluses to Legendre coefficients in `spectral`) apply one
+triangular 1-D matrix along every fibre; evaluation contracts the surpluses
+with the 1-D Newton basis over the prefix trie of the lex-sorted indices.
 """
 
 from __future__ import annotations
@@ -292,27 +293,49 @@ def _check_domain(Y: np.ndarray, allow_extrapolation: bool):
 
 
 def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = False) -> np.ndarray:
-    """Surplus-form evaluation at an array of points with shape (P, d)."""
+    """Surplus-form evaluation at an array of points with shape (P, d).
+
+    The sum over grid indices j of s_j h_{j_1}(y_1) ... h_{j_d}(y_d) is
+    contracted one dimension at a time over the prefix trie of the
+    lex-sorted indices: each distinct prefix (j_1..j_k) carries the product
+    of its k basis values, one multiply on its parent prefix's product, and
+    the last dimension is one matrix product with the surpluses laid out by
+    (prefix of length d-1, j_d).
+    """
     Y = np.atleast_2d(np.asarray(points, dtype=float))
     if Y.shape[1] != interp.dim:
         raise ValueError(f"points must have dimension {interp.dim}")
     _check_domain(Y, allow_extrapolation)
     idx = np.array(interp.grid.indices, dtype=np.int64)
-    n = len(idx)
-    if n == 0:
+    if len(idx) == 0:
         return np.zeros(len(Y))
     d = interp.dim
+    order = np.lexsort(idx.T[::-1])
+    idx = idx[order]
+    # prefix[r, k]: id of row r's prefix of length k among the distinct ones
+    new = np.ones(idx.shape, dtype=bool)
+    new[1:] = np.logical_or.accumulate(idx[1:] != idx[:-1], axis=1)
+    prefix = np.zeros((len(idx), d), dtype=np.int64)
+    prefix[:, 1:] = np.cumsum(new[:, :-1], axis=0) - 1
+    # per dimension k < d: for each prefix of length k + 1, its parent and j_k
+    trie = []
+    for k in range(d - 1):
+        first = np.flatnonzero(new[:, k])
+        trie.append((prefix[first, k], idx[first, k] - 1))
+    top = prefix[:, -1]
+    S = np.zeros((top[-1] + 1, idx[:, -1].max()))
+    S[top, idx[:, -1] - 1] = interp.surpluses[order]
+    # nested nodes: one table's basis serves every dimension
+    x = rules1d.family_nodes(interp.tensor_set.rule, int(idx.max()))
     out = np.empty(len(Y))
-    chunk = max(1, (1 << 22) // max(1, n))
-    mmax = idx.max(axis=0).tolist()
-    nodes1d = [rules1d.family_nodes(interp.tensor_set.rule, m) for m in mmax]
+    chunk = max(1, (1 << 16) // len(S))  # (prefixes, chunk) arrays of ~64k doubles
     for start in range(0, len(Y), chunk):
         Yc = Y[start:start + chunk]
-        G = np.ones((len(Yc), n))
-        for k in range(d):
-            H = _newton_basis(nodes1d[k], Yc[:, k])
-            G *= H[:, idx[:, k] - 1]
-        out[start:start + chunk] = G @ interp.surpluses
+        H = _newton_basis(x, Yc.T.ravel()).T.reshape(len(x), d, len(Yc))  # [j, k, p]
+        c = np.ones((1, len(Yc)))
+        for k, (parent, j) in enumerate(trie):
+            c = c[parent] * H[j, k]
+        out[start:start + chunk] = np.einsum("gp,gp->p", c, S @ H[:S.shape[1], -1])
     return out
 
 
@@ -361,13 +384,14 @@ _FORMAT = "adasg-interpolant"
 _VERSION = 1
 
 
-def _write_json_atomic(obj, path) -> None:
-    """Write `obj` as JSON to a temp file beside `path`, then rename it over
-    `path`: a write that fails part-way leaves the previous file intact."""
+def _write_text_atomic(text: str, path) -> None:
+    """Write `text` to a temp file beside `path`, then rename it over `path`:
+    a reader never sees a half-written file, and a write that fails part-way
+    leaves the previous file intact."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            json.dump(obj, fh)
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -386,7 +410,7 @@ def save_interpolant(interp: Interpolant, path) -> None:
         "samples": [float(v) for v in interp.samples],
         "surpluses": [float(v) for v in interp.surpluses],
     }
-    _write_json_atomic(obj, path)
+    _write_text_atomic(json.dumps(obj), path)
 
 
 def load_interpolant(path) -> Interpolant:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .sparse_grid import _write_text_atomic
 from .spectral import legendre_1d
 
 BUILTIN_NAMES = ("rational", "expsum", "gaussian_peak", "legendre_mode")
@@ -152,11 +153,12 @@ def external_target(d: int, workdir, command: str | None = None,
 
 
 def write_points_csv(path, points: np.ndarray) -> None:
+    """Write the points numbered from 0; the file appears whole or not at all,
+    so an evaluator that polls for it never reads a partial request."""
     d = points.shape[1]
-    with open(path, "w", newline="") as fh:
-        fh.write("id," + ",".join(f"y_{k + 1}" for k in range(d)) + "\n")
-        for i, row in enumerate(points):
-            fh.write(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    lines = ["id," + ",".join(f"y_{k + 1}" for k in range(d))]
+    lines += [f"{i}," + ",".join(f"{v:.17g}" for v in row) for i, row in enumerate(points)]
+    _write_text_atomic("\n".join(lines) + "\n", path)
 
 
 def read_labelled_points(path) -> tuple[list[str], np.ndarray]:

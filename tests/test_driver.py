@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import json
 
@@ -255,6 +256,27 @@ def test_load_state_refuses_cache_off_the_node_table(tmp_path):
         dr.load_state(ck)
 
 
+def tear_writes(monkeypatch):
+    """Make the program's file writes stop after 100 characters with OSError."""
+    real_open = open
+
+    class Torn:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:100])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(builtins, "open", lambda *a, **k: Torn(real_open(*a, **k)))
+
+
 def test_checkpoint_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):
     ck = tmp_path / "checkpoint.json"
     cfg = dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60)
@@ -262,11 +284,7 @@ def test_checkpoint_write_failing_part_way_keeps_previous_file(tmp_path, monkeyp
     before = ck.read_bytes()
     state = dr.load_state(ck)
 
-    def broken_dump(obj, fh):
-        fh.write(json.dumps(obj)[:100])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(sg.json, "dump", broken_dump)
+    tear_writes(monkeypatch)
     state.iteration += 1
     with pytest.raises(OSError, match="disk full"):
         dr.save_state(state, ck)
@@ -274,6 +292,33 @@ def test_checkpoint_write_failing_part_way_keeps_previous_file(tmp_path, monkeyp
     assert ck.read_bytes() == before
     assert dr.load_state(ck).iteration == state.iteration - 1
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+
+def test_history_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "history.csv"
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=3, max_samples=60)
+    _, history = dr.run(cfg, RAT2)
+    dr.write_history_csv(history[:2], 2, path)
+    before = path.read_bytes()
+    tear_writes(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        dr.write_history_csv(history, 2, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
+
+
+def test_points_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):
+    # an evaluator polling for points.csv must never read a partial request
+    path = tmp_path / "points.csv"
+    tg.write_points_csv(path, np.zeros((2, 3)))
+    before = path.read_bytes()
+    tear_writes(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        tg.write_points_csv(path, np.ones((50, 3)))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["points.csv"]
 
 
 def test_mc_linf_error_contracts():
@@ -303,6 +348,31 @@ def test_mc_linf_error_contracts():
         {j: float(poly.evaluate(p[None, :])[0]) for j, p in zip(grid.indices, grid.points)},
     )
     assert dr.mc_linf_error(exact, poly, 200, seed=9) <= 1e-9
+
+
+def test_probe_points_evaluated_once_per_run():
+    sizes = []
+
+    class Counting:
+        dim = 2
+
+        def evaluate(self, pts):
+            sizes.append(len(pts))
+            return RAT2.evaluate(pts)
+
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=4, max_samples=60, probe_count=97)
+    interp, history = dr.run(cfg, Counting())
+    assert len(history) == 5
+    # every node sampled once, the probe points once
+    assert sum(sizes) == interp.node_count + 97 and sizes.count(97) == 1
+    assert history[-1].probe_error == dr.mc_linf_error(interp, RAT2, 97, cfg.probe_seed)
+    # step() keeps the memo on the state as run() does
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    sizes.clear()
+    for _ in range(3):
+        dr.step(state, Counting())
+    assert sizes.count(97) == 1
+    assert [r.probe_error for r in state.history] == [r.probe_error for r in history[:3]]
 
 
 def test_evaluation_failure_aborts_with_resumable_checkpoint(tmp_path):

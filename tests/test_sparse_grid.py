@@ -293,6 +293,64 @@ def test_fibre_surpluses_match_row_by_row_solve(theta, rule, seed):
     assert np.abs(got - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
 
+def dense_evaluate(interp, Y):
+    """Oracle: the dense product G[p, n] = prod_k h_{j_k}(y_k) over all grid
+    indices, then G @ surpluses, in chunks of at most 4M entries."""
+    idx = np.array(interp.grid.indices, dtype=np.int64)
+    nodes1d = [r1.family_nodes(interp.tensor_set.rule, int(m)) for m in idx.max(axis=0)]
+    out = np.empty(len(Y))
+    chunk = max(1, (1 << 22) // len(idx))
+    for start in range(0, len(Y), chunk):
+        Yc = Y[start:start + chunk]
+        G = np.ones((len(Yc), len(idx)))
+        for k in range(interp.dim):
+            G *= sg._newton_basis(nodes1d[k], Yc[:, k])[:, idx[:, k] - 1]
+        out[start:start + chunk] = G @ interp.surpluses
+    return out
+
+
+def assert_matches_dense(interp, Y):
+    got = sg.evaluate_batch(interp, Y)
+    assert got.shape == (len(Y),)
+    tol = 1e-12 * max(1.0, np.abs(interp.surpluses).sum())
+    assert np.abs(got - dense_evaluate(interp, Y)).max(initial=0.0) <= tol
+
+
+def trie_chunk(interp):
+    """Points per chunk of `evaluate_batch`: ~64k doubles over the distinct
+    prefixes (j_1..j_{d-1}) of the grid indices."""
+    return max(1, (1 << 16) // len({j[:-1] for j in interp.grid.indices}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=lower_sets(max_dim=5), rule=st.sampled_from(("leja", "clenshaw_curtis", "rleja_double2")),
+       seed=st.integers(0, 2**32 - 1), count=st.sampled_from(("one", "chunk-1", "chunk+1")))
+def test_trie_evaluation_matches_dense_product(theta, rule, seed, count):
+    rng = np.random.default_rng(seed)
+    ts = sg.TensorSet(theta, rule)
+    interp = sg.build_interpolant(ts, smooth_samples(rng, ts))
+    P = {"one": 1, "chunk-1": trie_chunk(interp) - 1, "chunk+1": trie_chunk(interp) + 1}[count]
+    assert_matches_dense(interp, rng.uniform(-1, 1, (P, theta.dim)))
+
+
+@pytest.mark.parametrize("members", [
+    [(0,), (1,), (2,), (3,)],                                          # d = 1
+    [(0, 0, 0)],                                                       # one node
+    [(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (2, 0, 0)],           # m_2 = 1
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0)],           # m_3 = 1
+])
+def test_trie_evaluation_edge_cases(members):
+    rng = np.random.default_rng(17)
+    ts = sg.TensorSet(IndexSet(len(members[0]), members), "leja")
+    interp = sg.build_interpolant(ts, smooth_samples(rng, ts))
+    d = ts.dim
+    for P in (0, 1, 5, trie_chunk(interp) + 1):
+        assert_matches_dense(interp, rng.uniform(-1, 1, (P, d)))
+    assert np.array_equal(sg.evaluate_batch(interp, interp.grid.points[:0]), np.zeros(0))
+    if len(interp.grid) == 1:
+        assert np.all(sg.evaluate_batch(interp, rng.uniform(-1, 1, (9, d))) == interp.samples[0])
+
+
 def test_full_tensor_norm_bound_sanity():
     # per-level bound is the log operator-norm estimate (2/pi) log(2^l) + 1;
     # level 0 is degenerate (norm of a single-node rule is exactly 1), so the
