@@ -19,7 +19,6 @@ from .fitting import (
     fit_curved,
     fit_surplus,
     isotropic_params,
-    normalize_alpha,
 )
 from .multiindex import (
     CurvedWeights,
@@ -49,11 +48,8 @@ from .sparse_grid import (
     Interpolant,
     TensorSet,
     build_interpolant,
-    combination_weights,
-    compute_surpluses,
     evaluate,
     evaluate_batch,
-    evaluate_combination,
     grid_nodes,
     grid_size,
     load_interpolant,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import rules1d
 from .driver import RunConfig, load_state, run, write_history_csv
-from .sparse_grid import evaluate_batch, load_interpolant, save_interpolant
+from .sparse_grid import _write_text_atomic, evaluate_batch, load_interpolant, save_interpolant
 from .targets import TargetSpec, builtin_target, external_target, read_labelled_points
 
 SCHEMES = ("isotropic", "dynamic_td", "dynamic_curved")
@@ -123,16 +123,13 @@ def _cmd_nodes(args) -> int:
     wd = Path(args.workdir)
     wd.mkdir(parents=True, exist_ok=True)
     levels_path = wd / f"{kind}_levels.csv"
-    with open(levels_path, "w", newline="") as fh:
-        fh.write("level,m_l,lambda_measured,lambda_model\n")
-        for l in range(levels + 1):
-            fh.write(f"{l},{rules1d.growth(kind, l)},"
-                     f"{seq.lambda_table[l]:.17g},{rules1d.lambda_model(kind, l):.17g}\n")
+    rows = "".join(f"{l},{rules1d.growth(kind, l)},"
+                   f"{seq.lambda_table[l]:.17g},{rules1d.lambda_model(kind, l):.17g}\n"
+                   for l in range(levels + 1))
+    _write_text_atomic("level,m_l,lambda_measured,lambda_model\n" + rows, levels_path)
     nodes_path = wd / f"{kind}_nodes.csv"
-    with open(nodes_path, "w", newline="") as fh:
-        fh.write("j,y_j\n")
-        for j, y in enumerate(seq.nodes, start=1):
-            fh.write(f"{j},{y:.17g}\n")
+    rows = "".join(f"{j},{y:.17g}\n" for j, y in enumerate(seq.nodes, start=1))
+    _write_text_atomic("j,y_j\n" + rows, nodes_path)
     print(f"wrote {levels_path} and {nodes_path}")
     return 0
 
@@ -168,10 +165,10 @@ def _cmd_evaluate(args) -> int:
     vals = evaluate_batch(interp, pts, allow_extrapolation=args.allow_extrapolation)
     out = Path(args.output) if args.output else Path(args.workdir) / "evaluations.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        fh.write("id," + ",".join(f"y_{k + 1}" for k in range(pts.shape[1])) + ",value\n")
-        for i, row, v in zip(ids, pts, vals):
-            fh.write(f"{i}," + ",".join(f"{x:.17g}" for x in row) + f",{v:.17g}\n")
+    header = "id," + ",".join(f"y_{k + 1}" for k in range(pts.shape[1])) + ",value\n"
+    rows = "".join(f"{i}," + ",".join(f"{x:.17g}" for x in row) + f",{v:.17g}\n"
+                   for i, row, v in zip(ids, pts, vals))
+    _write_text_atomic(header + rows, out)
     print(f"wrote {out}")
     return 0
 
@@ -212,10 +209,8 @@ def _cmd_compare(args) -> int:
     wd = Path(args.workdir)
     wd.mkdir(parents=True, exist_ok=True)
     out = wd / "compare.csv"
-    with open(out, "w", newline="") as fh:
-        fh.write("scheme,nodes,error\n")
-        for scheme, nodes, err in rows:
-            fh.write(f"{scheme},{nodes},{err:.17g}\n")
+    lines = "".join(f"{scheme},{nodes},{err:.17g}\n" for scheme, nodes, err in rows)
+    _write_text_atomic("scheme,nodes,error\n" + lines, out)
     print(f"wrote {out}")
     return 0
 

@@ -32,11 +32,13 @@ from .multiindex import (
 )
 from .spectral import legendre_coeffs
 from .sparse_grid import (
+    GridNodes,
     Interpolant,
     TensorSet,
+    _assemble,
     _write_text_atomic,
     block_size,
-    build_interpolant,
+    build_interpolant,  # noqa: F401 - perfbench's tracer tests patch it under this name
     evaluate_batch,
     grid_nodes,
     grid_size,
@@ -198,26 +200,26 @@ def next_level(
     return best, TensorSet(grown, rule)
 
 
-def _collect_samples(state: RunState, target: TargetSpec) -> dict[MultiIndex, float]:
-    """Evaluate the target at grid nodes not in the cache; return index-keyed map."""
-    grid = grid_nodes(state.theta)
-    keys = [tuple(p) for p in grid.points]
+def _collect_samples(state: RunState, target: TargetSpec, grid: GridNodes) -> np.ndarray:
+    """Evaluate the target at grid nodes not in the cache; return the samples
+    in grid row order."""
+    keys = list(map(tuple, grid.points.tolist()))
     missing_rows = [r for r, key in enumerate(keys) if key not in state.cache]
     if missing_rows:
         pts = grid.points[missing_rows]
         try:
             vals = target.evaluate(pts)
         except EvaluationError as err:
-            failed = [grid.indices[missing_rows[i]] for i in err.failed_ids] or \
-                     [grid.indices[r] for r in missing_rows]
+            rows = [missing_rows[i] for i in err.failed_ids] or missing_rows
+            first = tuple(grid.idx[rows[0]].tolist())
             raise EvaluationError(
-                f"target evaluation failed at {len(failed)} nodes "
-                f"(first: {failed[0]}); the run checkpoint is resumable",
+                f"target evaluation failed at {len(rows)} nodes "
+                f"(first: {first}); the run checkpoint is resumable",
                 err.failed_ids,
             ) from err
         for r, v in zip(missing_rows, vals):
             state.cache[keys[r]] = float(v)
-    return {j: state.cache[key] for j, key in zip(grid.indices, keys)}
+    return np.array([state.cache[key] for key in keys])
 
 
 def _fit_from(interp: Interpolant, config: RunConfig) -> FitParams:
@@ -261,8 +263,8 @@ def _build_phase(state: RunState, target: TargetSpec) -> None:
     config = state.config
     t0 = time.perf_counter()
     prev_nodes = state.history[-1].node_count if state.history else 0
-    samples = _collect_samples(state, target)
-    state.interpolant = build_interpolant(state.theta, samples)
+    grid = grid_nodes(state.theta)
+    state.interpolant = _assemble(state.theta, grid, _collect_samples(state, target, grid))
     fallback = state.fit if state.fit is not None else isotropic_params(config.d)
     if config.fit_enabled:
         try:
@@ -403,8 +405,8 @@ def load_state(path) -> RunState:
     if _built(state):
         # a pending (grown, unsampled) theta is built by the next run instead
         grid = grid_nodes(state.theta)
-        samples = {j: state.cache[tuple(p)] for j, p in zip(grid.indices, grid.points)}
-        state.interpolant = build_interpolant(state.theta, samples)
+        values = np.array([state.cache[key] for key in map(tuple, grid.points.tolist())])
+        state.interpolant = _assemble(state.theta, grid, values)
     return state
 
 

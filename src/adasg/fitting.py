@@ -62,15 +62,6 @@ def adhoc_correction(alpha) -> tuple[tuple[float, ...], frozenset[int]]:
     return tuple(floor if a <= 0.0 else a for a in alpha), corrected
 
 
-def normalize_alpha(alpha) -> tuple[float, ...]:
-    """Scale rates to mean one (reporting only; set membership is scale-bound)."""
-    alpha = [float(a) for a in alpha]
-    mean = sum(alpha) / len(alpha)
-    if not mean > 0.0:
-        raise ValueError("mean of alpha must be positive")
-    return tuple(a / mean for a in alpha)
-
-
 def fit_curved(
     coeffs: dict[MultiIndex, float],
     min_magnitude: float = DEFAULT_MIN_MAGNITUDE,

@@ -1,18 +1,17 @@
 """Sparse-grid interpolants: minimal tensor selection, node enumeration, and
-construction/evaluation in hierarchical-surplus and combination-weight form.
+construction/evaluation in hierarchical-surplus (Newton) form.
 
-The surplus (Newton) form is the production evaluation path; the
-combination-weight form is kept for cross-validation, since both must agree
-on lower tensor sets.  Every operator on the grid data acts on the lower set
-of grid indices one dimension at a time.  The transforms (samples to
-surpluses, surpluses to Legendre coefficients in `spectral`) apply one
-triangular 1-D matrix along every fibre; evaluation contracts the surpluses
-with the 1-D Newton basis over the prefix trie of the lex-sorted indices.
+The grid is enumerated here only, by `grid_nodes`, as an int array of 1-based
+grid indices in graded-lex order; every other operator reads that array.
+Every operator on the grid data acts on the lower set of grid indices one
+dimension at a time.  The transforms (samples to surpluses, surpluses to
+Legendre coefficients in `spectral`) apply one triangular 1-D matrix along
+every fibre; evaluation contracts the surpluses with the 1-D Newton basis
+over the prefix trie of the lex-sorted indices.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import warnings
@@ -25,7 +24,6 @@ from .multiindex import (
     CurvedWeights,
     IndexSet,
     MultiIndex,
-    graded_lex_key,
     is_lower,
     lambda_curved,
 )
@@ -95,39 +93,45 @@ def theta_curved(w: CurvedWeights, L: float, rule: str) -> TensorSet:
 
 @dataclass
 class GridNodes:
-    """1-based tensor point indices (graded-lex) and their coordinates."""
+    """1-based grid indices (N, d) in graded-lex order and their coordinates."""
 
-    indices: tuple[MultiIndex, ...]
+    idx: np.ndarray     # (N, d) int64
     points: np.ndarray  # (N, d)
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return len(self.idx)
 
-    def row_of(self) -> dict[MultiIndex, int]:
-        return {j: r for r, j in enumerate(self.indices)}
+    @property
+    def indices(self) -> tuple[MultiIndex, ...]:
+        """The grid indices as tuples, the keys of a sample map."""
+        return tuple(map(tuple, self.idx.tolist()))
 
 
 def grid_nodes(ts: TensorSet) -> GridNodes:
-    """Union of index boxes {1 <= j <= m(i)} over the tensor set, with coordinates."""
+    """Union of index boxes {1 <= j <= m(i)} over the tensor set, with coordinates.
+
+    Tensor level i adds the disjoint block m(i_k - 1) + 1 .. m(i_k) in every
+    dimension k; the blocks are expanded one dimension at a time.
+    """
     d = ts.dim
-    seen: set[MultiIndex] = set()
-    for i in ts.theta.members:
-        # disjoint new block per level: m(i_k - 1) + 1 .. m(i_k)
-        ranges = [
-            range(rules1d.growth(ts.rule, i[k] - 1) + 1, rules1d.growth(ts.rule, i[k]) + 1)
-            for k in range(d)
-        ]
-        seen.update(itertools.product(*ranges))
-    indices = tuple(sorted(seen, key=graded_lex_key))
-    if not indices:
-        return GridNodes(indices, np.zeros((0, d)))
-    mmax = [max(j[k] for j in indices) for k in range(d)]
-    nodes1d = [rules1d.family_nodes(ts.rule, m) for m in mmax]
-    pts = np.empty((len(indices), d))
-    for r, j in enumerate(indices):
-        for k in range(d):
-            pts[r, k] = nodes1d[k][j[k] - 1]
-    return GridNodes(indices, pts)
+    levels = np.array(ts.theta.members, dtype=np.int64).reshape(-1, d)
+    if len(levels) == 0:
+        return GridNodes(np.zeros((0, d), dtype=np.int64), np.zeros((0, d)))
+    # m[l + 1] = m(l), from m(-1) = 0
+    m = np.array([rules1d.growth(ts.rule, l) for l in range(-1, int(levels.max()) + 1)])
+    first, size = m[levels] + 1, m[levels + 1] - m[levels]
+    block = np.arange(len(levels))  # the level each partial row belongs to
+    idx = np.zeros((len(levels), 0), dtype=np.int64)
+    for k in range(d):
+        n = size[block, k]
+        parent = np.repeat(np.arange(len(block)), n)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(n) - n, n)
+        block = block[parent]
+        idx = np.column_stack((idx[parent], first[block, k] + offset))
+    # graded-lex order: by the index sum, then lexicographically
+    idx = idx[np.lexsort(tuple(idx.T[::-1]) + (idx.sum(axis=1),))]
+    x = rules1d.family_nodes(ts.rule, int(idx.max()))
+    return GridNodes(idx, x[idx - 1])
 
 
 def block_size(rule: str, i: MultiIndex) -> int:
@@ -143,30 +147,14 @@ def grid_size(ts: TensorSet) -> int:
     return sum(block_size(ts.rule, i) for i in ts.theta.members)
 
 
+def _degrees(grid: GridNodes) -> IndexSet:
+    """Degrees spanned on the grid: grid index j carries the degree j - 1."""
+    return IndexSet(grid.idx.shape[1], map(tuple, (grid.idx - 1).tolist()), lower_flag=True)
+
+
 def polynomial_range(ts: TensorSet) -> IndexSet:
     """Degrees spanned by the interpolant: grid indices shifted down by one."""
-    seen: set[MultiIndex] = set()
-    for i in ts.theta.members:
-        ranges = [
-            range(rules1d.growth(ts.rule, i[k] - 1), rules1d.growth(ts.rule, i[k]))
-            for k in range(ts.dim)
-        ]
-        seen.update(itertools.product(*ranges))
-    return IndexSet(ts.dim, seen, lower_flag=True)
-
-
-def combination_weights(ts: TensorSet) -> dict[MultiIndex, int]:
-    """Integer weights t_i = sum over e in {0,1}^d with i+e in theta of (-1)^|e|."""
-    theta = ts.theta
-    out = {}
-    for i in theta.members:
-        t = 0
-        for e in itertools.product((0, 1), repeat=ts.dim):
-            succ = tuple(i[k] + e[k] for k in range(ts.dim))
-            if succ in theta:
-                t += -1 if sum(e) % 2 else 1
-        out[i] = t
-    return out
+    return _degrees(grid_nodes(ts))
 
 
 def _newton_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -220,19 +208,12 @@ def _fibre_apply(idx: np.ndarray, data: np.ndarray, mats: list[np.ndarray],
     return out
 
 
-def compute_surpluses(ts: TensorSet, samples: dict[MultiIndex, float]) -> dict[MultiIndex, float]:
-    """Newton-basis surpluses from samples keyed by 1-based grid index."""
-    grid = grid_nodes(ts)
-    values = _aligned_values(grid, samples)
-    s = _solve_surpluses(ts.rule, grid, values)
-    return {j: float(s[r]) for r, j in enumerate(grid.indices)}
-
-
 def _aligned_values(grid: GridNodes, samples: dict[MultiIndex, float]) -> np.ndarray:
-    missing = [j for j in grid.indices if j not in samples]
+    keys = grid.indices
+    missing = [j for j in keys if j not in samples]
     if missing:
         raise ValueError(f"missing samples for {len(missing)} grid nodes, e.g. {missing[0]}")
-    return np.array([samples[j] for j in grid.indices], dtype=float)
+    return np.array([samples[j] for j in keys], dtype=float)
 
 
 def _solve_surpluses(rule: str, grid: GridNodes, values: np.ndarray) -> np.ndarray:
@@ -241,12 +222,11 @@ def _solve_surpluses(rule: str, grid: GridNodes, values: np.ndarray) -> np.ndarr
     Each dimension's Newton table T[i, j] = h_j(x_i) is unit lower triangular,
     so the solve is one forward substitution along every fibre.
     """
-    idx = np.array(grid.indices, dtype=np.int64)
-    mmax = idx.max(axis=0)
+    mmax = grid.idx.max(axis=0)
     x = rules1d.family_nodes(rule, int(mmax.max()))
     table = _newton_basis(x, x)  # nested nodes: each dimension's table is a corner
     mats = [table[:m, :m] for m in mmax]
-    return _fibre_apply(idx, values, mats, inverse=True)
+    return _fibre_apply(grid.idx, values, mats, inverse=True)
 
 
 @dataclass
@@ -255,8 +235,8 @@ class Interpolant:
 
     tensor_set: TensorSet
     grid: GridNodes
-    samples: np.ndarray      # aligned with grid.indices
-    surpluses: np.ndarray    # aligned with grid.indices
+    samples: np.ndarray      # aligned with grid.idx
+    surpluses: np.ndarray    # aligned with grid.idx
     range: IndexSet
 
     @property
@@ -267,23 +247,25 @@ class Interpolant:
     def node_count(self) -> int:
         return len(self.grid)
 
-    def sample_map(self) -> dict[MultiIndex, float]:
-        return {j: float(self.samples[r]) for r, j in enumerate(self.grid.indices)}
-
     def surplus_map(self) -> dict[MultiIndex, float]:
-        return {j: float(self.surpluses[r]) for r, j in enumerate(self.grid.indices)}
+        return dict(zip(self.grid.indices, self.surpluses.tolist()))
 
 
 def build_interpolant(ts: TensorSet, samples: dict[MultiIndex, float]) -> Interpolant:
     """Assemble the interpolant from samples keyed by 1-based grid index."""
     grid = grid_nodes(ts)
-    values = _aligned_values(grid, samples)
+    return _assemble(ts, grid, _aligned_values(grid, samples))
+
+
+def _assemble(ts: TensorSet, grid: GridNodes, values: np.ndarray) -> Interpolant:
+    """The interpolant on `grid = grid_nodes(ts)` from the samples in its row order."""
     s = _solve_surpluses(ts.rule, grid, values)
-    return Interpolant(ts, grid, values, s, polynomial_range(ts))
+    return Interpolant(ts, grid, values, s, _degrees(grid))
 
 
 def _check_domain(Y: np.ndarray, allow_extrapolation: bool):
-    if Y.size and (np.abs(Y) > 1.0).any():
+    # written so that NaN, which compares False, counts as outside
+    if Y.size and (~(np.abs(Y) <= 1.0)).any():
         if allow_extrapolation:
             warnings.warn("evaluating outside [-1,1]^d: Newton form extrapolates wildly",
                           stacklevel=3)
@@ -306,7 +288,7 @@ def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = Fals
     if Y.shape[1] != interp.dim:
         raise ValueError(f"points must have dimension {interp.dim}")
     _check_domain(Y, allow_extrapolation)
-    idx = np.array(interp.grid.indices, dtype=np.int64)
+    idx = interp.grid.idx
     if len(idx) == 0:
         return np.zeros(len(Y))
     d = interp.dim
@@ -345,38 +327,6 @@ def evaluate(interp: Interpolant, point, allow_extrapolation: bool = False) -> f
                                 allow_extrapolation)[0])
 
 
-def evaluate_combination(interp: Interpolant, points) -> np.ndarray:
-    """Combination-weight evaluation (cross-validation path)."""
-    Y = np.atleast_2d(np.asarray(points, dtype=float))
-    d = interp.dim
-    rule = interp.tensor_set.rule
-    sample_of = interp.sample_map()
-    out = np.zeros(len(Y))
-    for i, t in combination_weights(interp.tensor_set).items():
-        if t == 0:
-            continue
-        ms = [rules1d.growth(rule, i[k]) for k in range(d)]
-        # Lagrange basis per dimension on the full tensor level
-        psis = []
-        for k in range(d):
-            x = rules1d.family_nodes(rule, ms[k])
-            psi = np.empty((len(Y), ms[k]))
-            for j in range(ms[k]):
-                others = np.delete(x, j)
-                num = np.prod(Y[:, k, None] - others[None, :], axis=1)
-                den = np.prod(x[j] - others)
-                psi[:, j] = num / den
-            psis.append(psi)
-        F = np.empty(ms)
-        for jbox in itertools.product(*[range(1, m + 1) for m in ms]):
-            F[tuple(v - 1 for v in jbox)] = sample_of[jbox]
-        curr = np.einsum("pa,a...->p...", psis[0], F)
-        for k in range(1, d):
-            curr = np.einsum("pa,pa...->p...", psis[k], curr)
-        out += t * curr
-    return out
-
-
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -405,10 +355,10 @@ def save_interpolant(interp: Interpolant, path) -> None:
         "rule": interp.tensor_set.rule,
         "dim": interp.dim,
         "theta": [list(i) for i in interp.tensor_set.theta.members],
-        "grid_indices": [list(j) for j in interp.grid.indices],
-        "points": [[float(v) for v in row] for row in interp.grid.points],
-        "samples": [float(v) for v in interp.samples],
-        "surpluses": [float(v) for v in interp.surpluses],
+        "grid_indices": interp.grid.idx.tolist(),
+        "points": interp.grid.points.tolist(),
+        "samples": interp.samples.tolist(),
+        "surpluses": interp.surpluses.tolist(),
     }
     _write_text_atomic(json.dumps(obj), path)
 
@@ -420,8 +370,7 @@ def load_interpolant(path) -> Interpolant:
         raise ValueError(f"not a version-{_VERSION} {_FORMAT} file")
     ts = TensorSet(IndexSet(obj["dim"], [tuple(i) for i in obj["theta"]]), obj["rule"])
     grid = grid_nodes(ts)
-    stored = [tuple(j) for j in obj["grid_indices"]]
-    if list(grid.indices) != stored:
+    if grid.idx.tolist() != obj["grid_indices"]:
         raise ValueError("grid indices in file do not match the tensor set")
     # the grid is regenerated from the rule; a model saved on another node
     # table (e.g. an older greedy rule) would evaluate wrongly, so refuse it
@@ -432,4 +381,4 @@ def load_interpolant(path) -> Interpolant:
     surpluses = np.array(obj["surpluses"], dtype=float)
     if len(samples) != len(grid) or len(surpluses) != len(grid):
         raise ValueError("sample/surplus arrays do not match the grid")
-    return Interpolant(ts, grid, samples, surpluses, polynomial_range(ts))
+    return Interpolant(ts, grid, samples, surpluses, _degrees(grid))

@@ -79,20 +79,12 @@ def legendre_coeffs(interp: Interpolant, lam: IndexSet) -> LegendreExpansion:
             "range; their coefficients are zero by orthogonality",
             stacklevel=2,
         )
-    idx = np.array(interp.grid.indices, dtype=np.int64)
+    idx = interp.grid.idx
     mmax = idx.max(axis=0)
     # B[n, j] does not depend on m, so each dimension's matrix is a corner
     basis = _basis_change(interp.tensor_set.rule, int(mmax.max()))
     mats = [basis[:m, :m] for m in mmax]
     c = _fibre_apply(idx, interp.surpluses, mats)
     # grid index j carries the degree j - 1
-    of = {tuple(v - 1 for v in j): float(c[r]) for r, j in enumerate(interp.grid.indices)}
+    of = dict(zip(map(tuple, (idx - 1).tolist()), c.tolist()))
     return LegendreExpansion(lam, {nu: of.get(nu, 0.0) for nu in lam.members})
-
-
-def write_expansion_csv(exp: LegendreExpansion, path) -> None:
-    d = exp.lam.dim
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"nu_{k + 1}" for k in range(d)) + ",c_hat\n")
-        for nu in exp.lam.members:
-            fh.write(",".join(str(v) for v in nu) + f",{exp.coeffs[nu]:.17g}\n")

@@ -176,15 +176,12 @@ def read_labelled_points(path) -> tuple[list[str], np.ndarray]:
             if not line:
                 continue
             parts = line.split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"{path} line {n + 2}: {len(parts)} fields, "
+                                 f"the header has {len(header)}")
             ids.append(parts[0] if has_id else str(n))
             rows.append([float(v) for v in (parts[1:] if has_id else parts)])
     return ids, np.array(rows, dtype=float)
-
-
-def read_points_csv(path) -> tuple[list[int], np.ndarray]:
-    """A protocol `points.csv`: integer ids, as `write_points_csv` numbers them."""
-    ids, pts = read_labelled_points(path)
-    return [int(i) for i in ids], pts
 
 
 def read_values_csv(path) -> dict[int, float]:

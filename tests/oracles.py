@@ -1,0 +1,88 @@
+"""Reference implementations the tests compare the library against.
+
+None of these run in the library: each is a slower, independent route to a
+result the library computes another way.
+"""
+
+import itertools
+
+import numpy as np
+
+from adasg import rules1d
+from adasg.multiindex import graded_lex_key
+
+
+def enumerate_grid(ts):
+    """Grid indices (graded-lex tuples) and coordinates of a tensor set, by
+    taking the union of every level's index box with `itertools.product`."""
+    d = ts.dim
+    seen = set()
+    for i in ts.theta.members:
+        # disjoint new block per level: m(i_k - 1) + 1 .. m(i_k)
+        ranges = [
+            range(rules1d.growth(ts.rule, i[k] - 1) + 1, rules1d.growth(ts.rule, i[k]) + 1)
+            for k in range(d)
+        ]
+        seen.update(itertools.product(*ranges))
+    indices = tuple(sorted(seen, key=graded_lex_key))
+    if not indices:
+        return indices, np.zeros((0, d))
+    mmax = [max(j[k] for j in indices) for k in range(d)]
+    nodes1d = [rules1d.family_nodes(ts.rule, m) for m in mmax]
+    pts = np.empty((len(indices), d))
+    for r, j in enumerate(indices):
+        for k in range(d):
+            pts[r, k] = nodes1d[k][j[k] - 1]
+    return indices, pts
+
+
+def combination_weights(ts):
+    """Integer weights t_i = sum over e in {0,1}^d with i+e in theta of (-1)^|e|."""
+    theta = ts.theta
+    out = {}
+    for i in theta.members:
+        t = 0
+        for e in itertools.product((0, 1), repeat=ts.dim):
+            succ = tuple(i[k] + e[k] for k in range(ts.dim))
+            if succ in theta:
+                t += -1 if sum(e) % 2 else 1
+        out[i] = t
+    return out
+
+
+def sample_map(interp):
+    """The interpolant's samples keyed by 1-based grid index."""
+    return {j: float(interp.samples[r]) for r, j in enumerate(interp.grid.indices)}
+
+
+def evaluate_combination(interp, points):
+    """Combination-weight form: the sum over tensor levels i of t_i times the
+    full-tensor Lagrange interpolant on level i's box of samples."""
+    Y = np.atleast_2d(np.asarray(points, dtype=float))
+    d = interp.dim
+    rule = interp.tensor_set.rule
+    sample_of = sample_map(interp)
+    out = np.zeros(len(Y))
+    for i, t in combination_weights(interp.tensor_set).items():
+        if t == 0:
+            continue
+        ms = [rules1d.growth(rule, i[k]) for k in range(d)]
+        # Lagrange basis per dimension on the full tensor level
+        psis = []
+        for k in range(d):
+            x = rules1d.family_nodes(rule, ms[k])
+            psi = np.empty((len(Y), ms[k]))
+            for j in range(ms[k]):
+                others = np.delete(x, j)
+                num = np.prod(Y[:, k, None] - others[None, :], axis=1)
+                den = np.prod(x[j] - others)
+                psi[:, j] = num / den
+            psis.append(psi)
+        F = np.empty(ms)
+        for jbox in itertools.product(*[range(1, m + 1) for m in ms]):
+            F[tuple(v - 1 for v in jbox)] = sample_of[jbox]
+        curr = np.einsum("pa,a...->p...", psis[0], F)
+        for k in range(1, d):
+            curr = np.einsum("pa,pa...->p...", psis[k], curr)
+        out += t * curr
+    return out

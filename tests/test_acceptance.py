@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+import oracles
 from adasg import cli
 from adasg import driver as dr
 from adasg import fitting as ft
@@ -205,7 +206,7 @@ def test_criterion_6_form_equivalence():
         interp = sg.build_interpolant(ts, samples)
         pts = rng.uniform(-1, 1, (100, d))
         a = sg.evaluate_batch(interp, pts)
-        b = sg.evaluate_combination(interp, pts)
+        b = oracles.evaluate_combination(interp, pts)
         worst = max(worst, np.abs(a - b).max() / max(1.0, np.abs(a).max()))
     ok = worst <= 1e-10
     assert report(6, ok, f"20 tensor sets, surplus vs combination worst rel gap {worst:.2e}")

@@ -257,7 +257,8 @@ def test_load_state_refuses_cache_off_the_node_table(tmp_path):
 
 
 def tear_writes(monkeypatch):
-    """Make the program's file writes stop after 100 characters with OSError."""
+    """Make the program's file writes stop after 100 characters with OSError;
+    files opened for reading are left alone."""
     real_open = open
 
     class Torn:
@@ -274,7 +275,11 @@ def tear_writes(monkeypatch):
             self.fh.write(text[:100])
             raise OSError("disk full")
 
-    monkeypatch.setattr(builtins, "open", lambda *a, **k: Torn(real_open(*a, **k)))
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return Torn(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", torn_open)
 
 
 def test_checkpoint_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):

@@ -42,15 +42,6 @@ def test_adhoc_correction_requires_a_positive_entry():
         ft.adhoc_correction((-1.0, -0.1, 0.0))
 
 
-def test_normalize_alpha():
-    assert ft.normalize_alpha((2.0, 2.0)) == (1.0, 1.0)
-    assert ft.normalize_alpha((1.0, 3.0)) == (0.5, 1.5)
-    seven = ft.normalize_alpha((0.6, 0.8, 0.9, 1.1, 1.3, 1.5, 0.8))
-    assert abs(sum(seven) - 7.0) < 1e-12
-    with pytest.raises(ValueError):
-        ft.normalize_alpha((-1.0, 0.5))
-
-
 def test_exact_model_recovery_td3():
     lam = lambda_classic("total_degree", (1.0, 1.0), 3.0)
     alpha, beta, c0 = (0.7, 1.3), (-0.4, 0.6), 0.9

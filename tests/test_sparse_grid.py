@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from adasg import rules1d as r1
 from adasg import sparse_grid as sg
 from adasg.multiindex import CurvedWeights, IndexSet, lambda_classic, lambda_curved, margin
@@ -114,11 +115,11 @@ def test_nested_refinement_keeps_points():
 
 def test_combination_weights_examples():
     ts = sg.TensorSet(IndexSet(2, [(0, 0)]), "leja")
-    assert sg.combination_weights(ts) == {(0, 0): 1}
+    assert oracles.combination_weights(ts) == {(0, 0): 1}
     ts2 = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (0, 1)]), "leja")
-    assert sg.combination_weights(ts2) == {(0, 0): -1, (1, 0): 1, (0, 1): 1}
+    assert oracles.combination_weights(ts2) == {(0, 0): -1, (1, 0): 1, (0, 1): 1}
     ts3 = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (0, 1), (1, 1)]), "leja")
-    t3 = sg.combination_weights(ts3)
+    t3 = oracles.combination_weights(ts3)
     assert t3 == {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 1}
 
 
@@ -129,7 +130,7 @@ def test_combination_weights_defining_system_and_sum():
     for _ in range(12):
         d = int(rng.integers(1, 4))
         theta = random_lower_set(rng, d, int(rng.integers(1, 9)))
-        tw = sg.combination_weights(sg.TensorSet(theta, "leja"))
+        tw = oracles.combination_weights(sg.TensorSet(theta, "leja"))
         assert sum(tw.values()) == 1
         for i in theta.members:
             tot = sum(t for j, t in tw.items() if all(a >= b for a, b in zip(j, i)))
@@ -138,24 +139,24 @@ def test_combination_weights_defining_system_and_sum():
 
 def test_surpluses_examples():
     ts = sg.TensorSet(IndexSet(1, [(0,), (1,)]), "leja")
-    s = sg.compute_surpluses(ts, {(1,): 0.0, (2,): 1.0})
+    s = sg.build_interpolant(ts, {(1,): 0.0, (2,): 1.0}).surplus_map()
     assert abs(s[(1,)]) < 1e-15 and abs(s[(2,)] - 1.0) < 1e-15
 
     ts2 = sg.theta_opt(lambda_classic("total_degree", (1.0, 1.0), 2.0), "clenshaw_curtis")
     grid = sg.grid_nodes(ts2)
-    s2 = sg.compute_surpluses(ts2, {j: 4.25 for j in grid.indices})
+    s2 = sg.build_interpolant(ts2, {j: 4.25 for j in grid.indices}).surplus_map()
     assert abs(s2[(1, 1)] - 4.25) < 1e-15
     assert all(abs(v) < 1e-15 for j, v in s2.items() if j != (1, 1))
 
     ts0 = sg.theta_opt(IndexSet(2, [(0, 0)]), "leja")
-    s0 = sg.compute_surpluses(ts0, {(1, 1): -2.0})
+    s0 = sg.build_interpolant(ts0, {(1, 1): -2.0}).surplus_map()
     assert s0 == {(1, 1): -2.0}
 
 
 def test_surpluses_missing_sample_rejected():
     ts = sg.TensorSet(IndexSet(1, [(0,), (1,)]), "leja")
     with pytest.raises(ValueError):
-        sg.compute_surpluses(ts, {(1,): 0.0})
+        sg.build_interpolant(ts, {(1,): 0.0})
 
 
 def test_interpolation_property_at_grid_nodes():
@@ -228,7 +229,7 @@ def test_form_equivalence_surplus_vs_combination():
         interp = sg.build_interpolant(ts, smooth_samples(rng, ts))
         pts = rng.uniform(-1, 1, (100, d))
         a = sg.evaluate_batch(interp, pts)
-        b = sg.evaluate_combination(interp, pts)
+        b = oracles.evaluate_combination(interp, pts)
         assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
 
 
@@ -278,6 +279,33 @@ def lower_sets(draw, max_dim=4, max_size=6):
         cands = margin(s)
         s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]}, lower_flag=True)
     return s
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=lower_sets(), rule=st.sampled_from(
+    ("leja", "leja_odd", "clenshaw_curtis", "fejer2", "rleja", "rleja_double2", "rleja_double4")))
+def test_grid_nodes_match_itertools_enumeration(theta, rule):
+    ts = sg.TensorSet(theta, rule)
+    grid = sg.grid_nodes(ts)
+    indices, points = oracles.enumerate_grid(ts)
+    assert grid.idx.dtype == np.int64 and grid.idx.shape == (len(indices), theta.dim)
+    assert grid.indices == indices
+    assert grid.points.shape == points.shape and grid.points.tobytes() == points.tobytes()
+
+
+@pytest.mark.parametrize("dim, members", [
+    (2, []),                            # the empty tensor set
+    (1, [(0,)]),
+    (1, [(0,), (1,), (2,), (3,)]),
+])
+def test_grid_nodes_edge_cases(dim, members):
+    for rule in ("leja", "clenshaw_curtis"):
+        ts = sg.TensorSet(IndexSet(dim, members), rule)
+        grid = sg.grid_nodes(ts)
+        indices, points = oracles.enumerate_grid(ts)
+        assert grid.idx.shape == (len(indices), dim) and grid.points.shape == (len(indices), dim)
+        assert grid.indices == indices and grid.points.tobytes() == points.tobytes()
+        assert len(sg.polynomial_range(ts)) == len(indices)
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,6 +444,20 @@ def test_load_refuses_points_off_the_node_table(tmp_path):
         sg.load_interpolant(path)
 
 
+def test_load_refuses_reordered_grid_indices(tmp_path):
+    rng = np.random.default_rng(16)
+    ts = sg.TensorSet(random_lower_set(rng, 2, 5), "leja")
+    interp = sg.build_interpolant(ts, random_samples(rng, ts))
+    path = tmp_path / "model.json"
+    sg.save_interpolant(interp, path)
+    obj = json.loads(path.read_text())
+    rows = obj["grid_indices"]
+    rows[1], rows[2] = rows[2], rows[1]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="grid indices in file"):
+        sg.load_interpolant(path)
+
+
 def test_domain_check_and_extrapolation_flag():
     ts = sg.TensorSet(IndexSet(1, [(0,), (1,)]), "leja")
     interp = sg.build_interpolant(ts, {(1,): 0.0, (2,): 1.0})
@@ -424,3 +466,8 @@ def test_domain_check_and_extrapolation_flag():
     with pytest.warns(UserWarning):
         v = sg.evaluate(interp, [1.5], allow_extrapolation=True)
     assert abs(v - 1.5) < 1e-12
+    # NaN compares False with everything, so it must count as outside
+    with pytest.raises(sg.DomainError):
+        sg.evaluate_batch(interp, [[0.5], [np.nan]])
+    with pytest.warns(UserWarning):
+        sg.evaluate(interp, [np.nan], allow_extrapolation=True)

@@ -187,14 +187,3 @@ def test_modes_outside_the_range_are_zero():
         exp = sp.legendre_coeffs(interp, lam)
     assert exp.coeffs[(0, 1)] == 0.0 and exp.coeffs[(2, 0)] == 0.0
     assert abs(exp.coeffs[(1, 0)] - 1 / math.sqrt(3)) < 1e-14
-
-
-def test_expansion_csv(tmp_path):
-    lam = IndexSet(2, [(0, 0), (1, 0)])
-    exp = sp.LegendreExpansion(lam, {(0, 0): 1.5, (1, 0): -0.25})
-    path = tmp_path / "exp.csv"
-    sp.write_expansion_csv(exp, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "nu_1,nu_2,c_hat"
-    assert lines[1] == "0,0,1.5"
-    assert lines[2] == "1,0,-0.25"

@@ -8,6 +8,8 @@ import pytest
 from adasg import cli
 from adasg import sparse_grid as sg
 from adasg import targets as tg
+from adasg.multiindex import lambda_classic
+from test_driver import tear_writes
 
 STUB = textwrap.dedent("""
     import csv
@@ -115,8 +117,8 @@ def test_external_timeout(tmp_path):
 def test_points_csv_precision_round_trip(tmp_path):
     pts = np.array([[1 / 3, -2 / 7], [0.1, 1e-17]])
     tg.write_points_csv(tmp_path / "points.csv", pts)
-    ids, back = tg.read_points_csv(tmp_path / "points.csv")
-    assert ids == [0, 1]
+    ids, back = tg.read_labelled_points(tmp_path / "points.csv")
+    assert ids == ["0", "1"]
     assert np.array_equal(back, pts)
 
 
@@ -126,7 +128,12 @@ def test_points_labels_kept_as_written_or_numbered(tmp_path):
     assert ids == ["run-07", "b"] and pts.tolist() == [[0.5], [-0.25]]
     (tmp_path / "bare.csv").write_text("y_1,y_2\n0.5,0\n-1,1\n")
     assert tg.read_labelled_points(tmp_path / "bare.csv")[0] == ["0", "1"]
-    assert tg.read_points_csv(tmp_path / "bare.csv")[0] == [0, 1]
+
+
+def test_points_ragged_row_names_its_line(tmp_path):
+    (tmp_path / "ragged.csv").write_text("id,y_1,y_2\na,0.5,0\n\nb,0.25\n")
+    with pytest.raises(ValueError, match="ragged.csv line 4: 2 fields, the header has 3"):
+        tg.read_labelled_points(tmp_path / "ragged.csv")
 
 
 def test_config_parsing(tmp_path):
@@ -207,6 +214,41 @@ def test_cli_run_and_evaluate_and_rerun_byte_identical(tmp_path):
     vals = sg.evaluate_batch(interp, pts)
     got = [float(line.split(",")[-1]) for line in lines[1:]]
     assert np.array_equal(np.array(got), vals)
+
+
+def saved_model(path):
+    """A d=2 Leja interpolant of a rational function, saved to `path`."""
+    ts = sg.theta_opt(lambda_classic("total_degree", (1.0, 1.0), 3.0), "leja")
+    grid = sg.grid_nodes(ts)
+    t = tg.builtin_target("rational", 2, c0=3.0, c=(1.0, 0.5))
+    sg.save_interpolant(sg.build_interpolant(ts, dict(zip(grid.indices, t.evaluate(grid.points)))),
+                        path)
+
+
+def test_cli_evaluate_refuses_nan_coordinates(tmp_path, capsys):
+    saved_model(tmp_path / "model.json")
+    (tmp_path / "pts.csv").write_text("id,y_1,y_2\na,0.1,0.2\nb,0.1,nan\n")
+    rc = cli.main(["evaluate", "--model", str(tmp_path / "model.json"),
+                   "--points", str(tmp_path / "pts.csv"), "--workdir", str(tmp_path)])
+    assert rc == 1
+    assert "outside [-1,1]^d" in capsys.readouterr().err
+    assert not (tmp_path / "evaluations.csv").exists()
+
+
+def test_cli_evaluate_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch, capsys):
+    saved_model(tmp_path / "model.json")
+    tg.write_points_csv(tmp_path / "pts.csv", np.linspace(-1, 1, 40).reshape(20, 2))
+    args = ["evaluate", "--model", str(tmp_path / "model.json"),
+            "--points", str(tmp_path / "pts.csv"), "--workdir", str(tmp_path)]
+    assert cli.main(args) == 0
+    before = (tmp_path / "evaluations.csv").read_bytes()
+    tear_writes(monkeypatch)
+    assert cli.main(args) == 1
+    monkeypatch.undo()
+    assert "disk full" in capsys.readouterr().err
+    assert (tmp_path / "evaluations.csv").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "evaluations.csv", "model.json", "pts.csv"]
 
 
 def test_cli_run_resumes_from_checkpoint(tmp_path):
