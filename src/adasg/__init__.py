@@ -58,7 +58,7 @@ from .sparse_grid import (
     theta_curved,
     theta_opt,
 )
-from .spectral import LegendreExpansion, legendre_1d, legendre_coeffs
+from .spectral import LegendreExpansion, grid_coeffs, legendre_1d, legendre_coeffs
 from .targets import (
     EvaluationError,
     TargetSpec,

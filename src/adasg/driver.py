@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import rules1d
-from .fitting import FitParams, UnfittableError, fit_curved, fit_surplus, isotropic_params
+from .fitting import FitParams, UnfittableError, fit_curved, isotropic_params
 from .multiindex import (
     CurvedWeights,
     IndexSet,
@@ -30,7 +30,7 @@ from .multiindex import (
     lambda_curved,
     margin,
 )
-from .spectral import legendre_coeffs
+from .spectral import grid_coeffs
 from .sparse_grid import (
     GridNodes,
     Interpolant,
@@ -214,7 +214,7 @@ def _collect_samples(state: RunState, target: TargetSpec, grid: GridNodes) -> np
             first = tuple(grid.idx[rows[0]].tolist())
             raise EvaluationError(
                 f"target evaluation failed at {len(rows)} nodes "
-                f"(first: {first}); the run checkpoint is resumable",
+                f"(first: {first}): {err}; the run checkpoint is resumable",
                 err.failed_ids,
             ) from err
         for r, v in zip(missing_rows, vals):
@@ -223,11 +223,12 @@ def _collect_samples(state: RunState, target: TargetSpec, grid: GridNodes) -> np
 
 
 def _fit_from(interp: Interpolant, config: RunConfig) -> FitParams:
-    if config.fit_source == "surplus":
-        return fit_surplus(interp.surplus_map(), config.rule,
-                           config.min_magnitude, config.fit_beta)
-    coeffs = legendre_coeffs(interp, interp.range).coeffs
-    return fit_curved(coeffs, config.min_magnitude, config.fit_beta)
+    """Fit the decay to the surpluses or the Legendre coefficients, each keyed
+    by degree: grid index j carries the degree j - 1 (for surpluses only on
+    the unit-growth rules `RunConfig` admits)."""
+    values = interp.surpluses if config.fit_source == "surplus" else grid_coeffs(interp)
+    degrees = map(tuple, (interp.grid.idx - 1).tolist())
+    return fit_curved(dict(zip(degrees, values.tolist())), config.min_magnitude, config.fit_beta)
 
 
 def _probe_points(d: int, count: int, seed: int) -> np.ndarray:
@@ -314,8 +315,11 @@ def run(
     """Iterate until the iteration or sample budget is exhausted.
 
     A fresh run starts from the configured initial set; passing `state`
-    resumes.  When a checkpoint path is given the state is saved after every
-    completed phase and before any abort, so failed runs are resumable.
+    resumes.  When a checkpoint path is given the state is saved once per
+    iteration, after each build, and before an abort on an `EvaluationError`,
+    so failed runs are resumable.  The grow step is not saved: it depends
+    only on the tensor set, the fit and the config the saved state holds, so
+    a resumed run recomputes it bit for bit.
     """
     if target.dim != config.d:
         raise ValueError("target dimension does not match config")
@@ -337,8 +341,6 @@ def run(
             _grow_phase(state)
         except BudgetExhausted:
             break
-        if checkpoint_path is not None:
-            save_state(state, checkpoint_path)
     assert state.interpolant is not None
     return state.interpolant, state.history
 

@@ -161,20 +161,6 @@ def lebesgue_growth_model(kind: str) -> tuple[float, float]:
 # closed-form node sequences
 
 
-def _cc_node(j: int) -> float:
-    if j == 1:
-        return 0.0
-    if j == 2:
-        return 1.0
-    if j == 3:
-        return -1.0
-    return math.cos(2.0 ** (-math.ceil(math.log2(j - 1))) * (2 * j - 3) * math.pi)
-
-
-def _fejer2_node(j: int) -> float:
-    return math.cos(2.0 ** (-math.ceil(math.log2(j + 1))) * (2 * j + 1) * math.pi)
-
-
 def _rleja_thetas(n: int) -> list[float]:
     th = [0.0, math.pi, math.pi / 2.0]
     for j in range(4, n + 1):
@@ -191,32 +177,23 @@ def closed_form_node(kind: str, j: int) -> float:
         raise ValueError(f"{kind!r} has no closed-form nodes")
     if j < 1:
         raise ValueError("node index is 1-based")
-    if kind == "clenshaw_curtis":
-        return _cc_node(j)
-    if kind == "fejer2":
-        return _fejer2_node(j)
-    if kind == "rleja":
-        return math.cos(_rleja_thetas(j)[j - 1])
-    # centered R-Leja sequence, shared by the double-2/double-4/odd variants
-    if j == 1:
-        return 0.0
-    if j == 2:
-        return 1.0
-    if j == 3:
-        return -1.0
-    return math.cos(_rleja_thetas(j)[j - 1])
+    return float(_closed_form_nodes(_FAMILY[kind], j)[j - 1])
 
 
 def _closed_form_nodes(family: str, n: int) -> np.ndarray:
-    if family == "cc":
-        return np.array([_cc_node(j) for j in range(1, n + 1)])
     if family == "fejer2":
-        return np.array([_fejer2_node(j) for j in range(1, n + 1)])
-    th = _rleja_thetas(max(n, 3))
-    if family == "rleja":
-        return np.array([math.cos(th[j]) for j in range(n)])
-    vals = [0.0, 1.0, -1.0] + [math.cos(th[j]) for j in range(3, n)]
-    return np.array(vals[:n])
+        return np.array([math.cos(2.0 ** (-math.ceil(math.log2(j + 1))) * (2 * j + 1) * math.pi)
+                         for j in range(1, n + 1)])
+    # Clenshaw-Curtis and the centred R-Leja sequence start 0, 1, -1
+    if family == "cc":
+        rest = [math.cos(2.0 ** (-math.ceil(math.log2(j - 1))) * (2 * j - 3) * math.pi)
+                for j in range(4, n + 1)]
+    else:
+        th = _rleja_thetas(max(n, 3))
+        if family == "rleja":
+            return np.array([math.cos(th[j]) for j in range(n)])
+        rest = [math.cos(th[j]) for j in range(3, n)]
+    return np.array(([0.0, 1.0, -1.0] + rest)[:n])
 
 
 # ---------------------------------------------------------------------------

@@ -64,26 +64,13 @@ def theta_opt(lam: IndexSet, rule: str) -> TensorSet:
         is_lower(lam)
     if not lam.lower_flag:
         raise ValueError("polynomial index set must be downward closed")
-    top = max(lam.max_degrees())
-    level_of = {0: 0}  # degree m(i-1) -> level i, with m(-1) = 0
-    l = 0
-    while True:
-        m = rules1d.growth(rule, l)
-        if m > top:
-            break
-        level_of[m] = l + 1
-        l += 1
-    members = []
-    for nu in lam.members:
-        levels = []
-        for v in nu:
-            li = level_of.get(v)
-            if li is None:
-                break
-            levels.append(li)
-        else:
-            members.append(tuple(levels))
-    return TensorSet(IndexSet(lam.dim, members, lower_flag=True), rule)
+    nus = np.array(lam.members, dtype=np.int64)
+    # m(top) > top, so the table covers every degree; position i holds
+    # m(i - 1), the degree at which level i enters
+    m = _growth_table(rule, int(nus.max()))
+    levels = np.searchsorted(m, nus)
+    keep = (m[levels] == nus).all(axis=1)
+    return TensorSet(IndexSet(lam.dim, map(tuple, levels[keep].tolist()), lower_flag=True), rule)
 
 
 def theta_curved(w: CurvedWeights, L: float, rule: str) -> TensorSet:
@@ -107,6 +94,17 @@ class GridNodes:
         return tuple(map(tuple, self.idx.tolist()))
 
 
+def _growth_table(rule: str, top: int) -> np.ndarray:
+    """m[l + 1] = m(l) for the levels l = -1..top (m(-1) = 0), cut after the
+    first entry above 2^62, which no grid or degree reaches."""
+    m = [0]
+    for l in range(top + 1):
+        m.append(rules1d.growth(rule, l))
+        if m[-1] > 1 << 62:
+            break
+    return np.array(m, dtype=np.int64)
+
+
 def grid_nodes(ts: TensorSet) -> GridNodes:
     """Union of index boxes {1 <= j <= m(i)} over the tensor set, with coordinates.
 
@@ -117,8 +115,7 @@ def grid_nodes(ts: TensorSet) -> GridNodes:
     levels = np.array(ts.theta.members, dtype=np.int64).reshape(-1, d)
     if len(levels) == 0:
         return GridNodes(np.zeros((0, d), dtype=np.int64), np.zeros((0, d)))
-    # m[l + 1] = m(l), from m(-1) = 0
-    m = np.array([rules1d.growth(ts.rule, l) for l in range(-1, int(levels.max()) + 1)])
+    m = _growth_table(ts.rule, int(levels.max()))
     first, size = m[levels] + 1, m[levels + 1] - m[levels]
     block = np.arange(len(levels))  # the level each partial row belongs to
     idx = np.zeros((len(levels), 0), dtype=np.int64)
@@ -143,8 +140,11 @@ def block_size(rule: str, i: MultiIndex) -> int:
 
 
 def grid_size(ts: TensorSet) -> int:
-    """Node count via the disjoint-block formula, without enumerating points."""
-    return sum(block_size(ts.rule, i) for i in ts.theta.members)
+    """Node count via the disjoint-block formula, without enumerating points:
+    the sum over levels i of prod_k m(i_k) - m(i_k - 1)."""
+    levels = np.array(ts.theta.members, dtype=np.int64).reshape(-1, ts.dim)
+    m = _growth_table(ts.rule, int(levels.max(initial=0)))
+    return int((m[levels + 1] - m[levels]).prod(axis=1).sum())
 
 
 def _degrees(grid: GridNodes) -> IndexSet:
@@ -237,7 +237,11 @@ class Interpolant:
     grid: GridNodes
     samples: np.ndarray      # aligned with grid.idx
     surpluses: np.ndarray    # aligned with grid.idx
-    range: IndexSet
+
+    @property
+    def range(self) -> IndexSet:
+        """The degrees the interpolant spans, derived from the grid on each call."""
+        return _degrees(self.grid)
 
     @property
     def dim(self) -> int:
@@ -260,7 +264,7 @@ def build_interpolant(ts: TensorSet, samples: dict[MultiIndex, float]) -> Interp
 def _assemble(ts: TensorSet, grid: GridNodes, values: np.ndarray) -> Interpolant:
     """The interpolant on `grid = grid_nodes(ts)` from the samples in its row order."""
     s = _solve_surpluses(ts.rule, grid, values)
-    return Interpolant(ts, grid, values, s, _degrees(grid))
+    return Interpolant(ts, grid, values, s)
 
 
 def _check_domain(Y: np.ndarray, allow_extrapolation: bool):
@@ -381,4 +385,4 @@ def load_interpolant(path) -> Interpolant:
     surpluses = np.array(obj["surpluses"], dtype=float)
     if len(samples) != len(grid) or len(surpluses) != len(grid):
         raise ValueError("sample/surplus arrays do not match the grid")
-    return Interpolant(ts, grid, samples, surpluses, _degrees(grid))
+    return Interpolant(ts, grid, samples, surpluses)

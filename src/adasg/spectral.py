@@ -49,9 +49,6 @@ class LegendreExpansion:
     lam: IndexSet
     coeffs: dict[MultiIndex, float]
 
-    def coeff_array(self) -> np.ndarray:
-        return np.array([self.coeffs[nu] for nu in self.lam.members])
-
 
 def _basis_change(rule: str, m: int) -> np.ndarray:
     """B[n, j] = <P_n, h_j> for the first m Newton basis polynomials of `rule`.
@@ -65,26 +62,31 @@ def _basis_change(rule: str, m: int) -> np.ndarray:
     return np.triu((_legendre_matrix(m - 1, y) * (w / 2.0)[None, :]) @ _newton_basis(nodes, y))
 
 
+def grid_coeffs(interp: Interpolant) -> np.ndarray:
+    """Legendre coefficients of the interpolant, aligned with the rows of
+    `interp.grid.idx`: grid index j carries the degree j - 1.
+
+    Computed from the surpluses alone, never from the underlying target.
+    """
+    idx = interp.grid.idx
+    mmax = idx.max(axis=0)
+    # B[n, j] does not depend on m, so each dimension's matrix is a corner
+    basis = _basis_change(interp.tensor_set.rule, int(mmax.max()))
+    return _fibre_apply(idx, interp.surpluses, [basis[:m, :m] for m in mmax])
+
+
 def legendre_coeffs(interp: Interpolant, lam: IndexSet) -> LegendreExpansion:
     """Expansion coefficients of the interpolant over `lam`.
 
-    Computed from the surpluses alone, never from the underlying target.  The
-    interpolant spans exactly the degrees in `interp.range`, so modes of
-    `lam` outside it have coefficient 0.0.
+    The interpolant spans exactly the degrees of its grid (`interp.range`),
+    so modes of `lam` outside it have coefficient 0.0.
     """
-    outside = [nu for nu in lam.members if nu not in interp.range]
+    of = dict(zip(map(tuple, (interp.grid.idx - 1).tolist()), grid_coeffs(interp).tolist()))
+    outside = [nu for nu in lam.members if nu not in of]
     if outside:
         warnings.warn(
             f"{len(outside)} requested modes lie outside the interpolant's "
             "range; their coefficients are zero by orthogonality",
             stacklevel=2,
         )
-    idx = interp.grid.idx
-    mmax = idx.max(axis=0)
-    # B[n, j] does not depend on m, so each dimension's matrix is a corner
-    basis = _basis_change(interp.tensor_set.rule, int(mmax.max()))
-    mats = [basis[:m, :m] for m in mmax]
-    c = _fibre_apply(idx, interp.surpluses, mats)
-    # grid index j carries the degree j - 1
-    of = dict(zip(map(tuple, (idx - 1).tolist()), c.tolist()))
     return LegendreExpansion(lam, {nu: of.get(nu, 0.0) for nu in lam.members})

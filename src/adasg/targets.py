@@ -184,18 +184,30 @@ def read_labelled_points(path) -> tuple[list[str], np.ndarray]:
     return ids, np.array(rows, dtype=float)
 
 
-def read_values_csv(path) -> dict[int, float]:
+def read_values_csv(path, count: int) -> dict[int, float]:
+    """The evaluator's answers `id,f` to a request for the ids 0..count-1.
+
+    A malformed line, an id answered twice and an id never requested are
+    evaluator faults: each raises `EvaluationError` naming the file and line.
+    """
     out = {}
     with open(path) as fh:
         header = fh.readline().strip()
         if header.split(",") != ["id", "f"]:
-            raise ValueError(f"bad values header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
+            raise EvaluationError(f"{path}: bad values header {header!r}")
+        for n, line in enumerate(fh, start=2):
+            if not line.strip():
                 continue
-            i, v = line.split(",")
-            out[int(i)] = float(v)
+            try:
+                i, v = line.split(",")
+                i, v = int(i), float(v)
+            except ValueError:
+                raise EvaluationError(f"{path} line {n}: expected 'id,f', "
+                                      f"got {line.strip()!r}") from None
+            if i in out or not 0 <= i < count:
+                why = "answered twice" if i in out else f"not requested (ids 0..{count - 1})"
+                raise EvaluationError(f"{path} line {n}: id {i} {why}")
+            out[i] = v
     return out
 
 
@@ -230,7 +242,7 @@ def external_evaluate(workdir, points, command: str | None = None,
         if time.monotonic() > deadline:
             raise EvaluationError(f"timed out after {timeout}s waiting for {done_path}")
         time.sleep(poll_interval)
-    got = read_values_csv(values_path)
+    got = read_values_csv(values_path, len(pts))
     missing = [i for i in range(len(pts)) if i not in got]
     if missing:
         raise EvaluationError(f"evaluator left {len(missing)} ids unanswered", missing)

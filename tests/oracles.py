@@ -86,3 +86,16 @@ def evaluate_combination(interp, points):
             curr = np.einsum("pa,pa...->p...", psis[k], curr)
         out += t * curr
     return out
+
+
+def theta_opt_levels(lam, rule):
+    """The tensor levels of the minimal set for `lam`, by a dict from each
+    degree m(l - 1) to its level l, walking the growth function level by level."""
+    top = max(lam.max_degrees())
+    level_of = {0: 0}  # m(-1) = 0
+    l = 0
+    while rules1d.growth(rule, l) <= top:
+        level_of[rules1d.growth(rule, l)] = l + 1
+        l += 1
+    return {tuple(level_of[v] for v in nu) for nu in lam.members
+            if all(v in level_of for v in nu)}

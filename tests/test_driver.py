@@ -197,6 +197,65 @@ def test_checkpoint_resume_bitwise(tmp_path):
     assert np.array_equal(sg.evaluate_batch(interp_a, pts), sg.evaluate_batch(interp_b, pts))
 
 
+class Crash(Exception):
+    """Stands for the process dying at a chosen point of the loop."""
+
+
+def test_resume_after_a_crash_between_grow_and_build(tmp_path, monkeypatch):
+    cfg = dr.RunConfig(rule="leja", d=2, fit_source="legendre", batch=2, max_iterations=9,
+                       max_samples=120, probe_count=100, probe_seed=11)
+    clean = tmp_path / "clean.json"
+    _, hist_clean = dr.run(cfg, RAT2, checkpoint_path=clean)
+    ck = tmp_path / "ck.json"
+    grow = dr._grow_phase
+    calls = {"n": 0}
+
+    def grow_then_crash(state):
+        grow(state)
+        calls["n"] += 1
+        if calls["n"] == 4:
+            raise Crash
+
+    monkeypatch.setattr(dr, "_grow_phase", grow_then_crash)
+    with pytest.raises(Crash):
+        dr.run(cfg, RAT2, checkpoint_path=ck)
+    monkeypatch.undo()
+    state = dr.load_state(ck)
+    assert state.iteration == 3 and state.history[-1].iteration == 3  # the grow is redone
+    _, hist_resumed = dr.run(cfg, RAT2, checkpoint_path=ck, state=state)
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    dr.write_history_csv(hist_clean, 2, pa)
+    dr.write_history_csv(hist_resumed, 2, pb)
+    assert pa.read_bytes() == pb.read_bytes()
+    assert ck.read_bytes() == clean.read_bytes()
+
+
+def test_checkpoint_saved_once_per_build_and_on_abort(tmp_path, monkeypatch):
+    saves = []
+    save = dr.save_state
+    monkeypatch.setattr(dr, "save_state", lambda state, path: (saves.append(state.iteration),
+                                                               save(state, path)))
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=6, max_samples=150)
+    _, hist = dr.run(cfg, RAT2, checkpoint_path=tmp_path / "a.json")
+    assert saves == [r.iteration for r in hist] == list(range(7))
+
+    calls = {"n": 0}
+
+    class FlakyTarget:
+        dim = 2
+
+        def evaluate(self, pts):
+            calls["n"] += 1
+            if calls["n"] > 2:
+                raise tg.EvaluationError("solver died", [0])
+            return RAT2.evaluate(pts)
+
+    saves.clear()
+    with pytest.raises(tg.EvaluationError):
+        dr.run(cfg, FlakyTarget(), checkpoint_path=tmp_path / "b.json")
+    assert saves == [0, 1, 2]  # two builds, then the abort at iteration 2
+
+
 # checkpoint.json as the format's hand-written field lists wrote it
 CHECKPOINT_BYTES = (
     '{"format": "adasg-checkpoint", "version": 1, "config": {"rule": "leja", "d": 3, '

@@ -45,6 +45,12 @@ def test_rleja_closed_form_nodes():
     assert np.allclose(got, want, atol=1e-15)
 
 
+def test_closed_form_node_reads_the_family_sequence():
+    for kind in r1.CLOSED_FORM_KINDS:
+        for j in range(1, 300):
+            assert r1.closed_form_node(kind, j) == r1.family_nodes(kind, j)[j - 1], (kind, j)
+
+
 def test_centered_rleja_seed():
     got = [r1.closed_form_node("rleja_odd", j) for j in range(1, 4)]
     assert got == [0.0, 1.0, -1.0]

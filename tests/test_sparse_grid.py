@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 import oracles
 from adasg import rules1d as r1
 from adasg import sparse_grid as sg
-from adasg.multiindex import CurvedWeights, IndexSet, lambda_classic, lambda_curved, margin
+from adasg.multiindex import (
+    CurvedWeights,
+    IndexSet,
+    graded_lex_key,
+    lambda_classic,
+    lambda_curved,
+    margin,
+)
 
 
 def random_lower_set(rng, d, n):
@@ -291,6 +298,38 @@ def test_grid_nodes_match_itertools_enumeration(theta, rule):
     assert grid.idx.dtype == np.int64 and grid.idx.shape == (len(indices), theta.dim)
     assert grid.indices == indices
     assert grid.points.shape == points.shape and grid.points.tobytes() == points.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(lam=lower_sets(max_dim=3, max_size=12), rule=st.sampled_from(r1.RULE_KINDS))
+def test_theta_opt_matches_level_walk(lam, rule):
+    # lam is drawn as a lower set of degrees here
+    ts = sg.theta_opt(lam, rule)
+    assert set(ts.theta.members) == oracles.theta_opt_levels(lam, rule)
+    assert ts.theta.members == tuple(sorted(ts.theta.members, key=graded_lex_key))
+    # the per-level walk grid_size replaced
+    assert sg.grid_size(ts) == sum(sg.block_size(rule, i) for i in ts.theta.members)
+
+
+def test_theta_opt_high_degrees_of_fast_growth_rules():
+    # m(199) overflows int64 for these rules; the table stops long before
+    lam = IndexSet(2, [(v, 0) for v in range(200)] + [(0, 1)])
+    for rule in ("clenshaw_curtis", "fejer2", "rleja_double4"):
+        ts = sg.theta_opt(lam, rule)
+        assert set(ts.theta.members) == oracles.theta_opt_levels(lam, rule)
+
+
+def test_range_is_derived_from_the_grid(tmp_path):
+    rng = np.random.default_rng(17)
+    for rule in ("leja", "clenshaw_curtis", "rleja_double2"):
+        ts = sg.TensorSet(random_lower_set(rng, 3, 6), rule)
+        interp = sg.build_interpolant(ts, random_samples(rng, ts))
+        assert interp.range == sg.polynomial_range(ts)
+        path = tmp_path / f"{rule}.json"
+        sg.save_interpolant(interp, path)
+        assert sg.load_interpolant(path).range == sg.polynomial_range(ts)
+    with pytest.raises(AttributeError):
+        interp.range = sg.polynomial_range(ts)
 
 
 @pytest.mark.parametrize("dim, members", [

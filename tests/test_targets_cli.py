@@ -108,6 +108,42 @@ def test_external_missing_ids_abort(tmp_path):
         ext.evaluate(np.array([[0.0, 0.0], [0.5, 0.5]]))
 
 
+def test_external_malformed_answer_aborts_run_with_checkpoint(tmp_path):
+    from adasg import driver as dr
+
+    write_stub(tmp_path / "stub.py", STUB.replace('fh.write("id,f\\n")',
+                                                  'fh.write("id,f\\n0;1.5\\n")'))
+    ext = tg.external_target(2, tmp_path, command=f"{sys.executable} stub.py", timeout=60)
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=3, max_samples=50)
+    ck = tmp_path / "checkpoint.json"
+    with pytest.raises(tg.EvaluationError, match=r"values.csv line 2: expected 'id,f'"):
+        dr.run(cfg, ext, checkpoint_path=ck)
+    assert dr.load_state(ck).cache == {}
+    (tmp_path / "values.csv").write_text("id,value\n0,1.5\n")
+    with pytest.raises(tg.EvaluationError, match="bad values header"):
+        tg.read_values_csv(tmp_path / "values.csv", 1)
+
+
+def test_external_duplicate_answer_aborts(tmp_path):
+    body = STUB.replace('open("done", "w").close()',
+                        'fh2 = open("values.csv", "a"); fh2.write("0,7.0\\n"); fh2.close()\n'
+                        'open("done", "w").close()')
+    write_stub(tmp_path / "stub.py", body)
+    ext = tg.external_target(2, tmp_path, command=f"{sys.executable} stub.py", timeout=60)
+    with pytest.raises(tg.EvaluationError, match=r"values.csv line 4: id 0 answered twice"):
+        ext.evaluate(np.array([[0.0, 0.0], [0.5, 0.5]]))
+
+
+def test_external_unrequested_id_aborts(tmp_path):
+    body = STUB.replace('open("done", "w").close()',
+                        'fh2 = open("values.csv", "a"); fh2.write("2,7.0\\n"); fh2.close()\n'
+                        'open("done", "w").close()')
+    write_stub(tmp_path / "stub.py", body)
+    ext = tg.external_target(2, tmp_path, command=f"{sys.executable} stub.py", timeout=60)
+    with pytest.raises(tg.EvaluationError, match=r"values.csv line 4: id 2 not requested"):
+        ext.evaluate(np.array([[0.0, 0.0], [0.5, 0.5]]))
+
+
 def test_external_timeout(tmp_path):
     ext = tg.external_target(2, tmp_path, command=None, timeout=0.3)
     with pytest.raises(tg.EvaluationError):
