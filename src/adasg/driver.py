@@ -8,14 +8,20 @@ what an uninterrupted one had), and grows the tensor set on tensor levels:
 a heap over the margin of the current set, keyed by the curved weight at
 which each level enters, admits levels in order of that weight until the
 batch rule or the sample budget stops it.
+
+The checkpoint is saved once per iteration and costs the new work only: a
+save encodes the head, the fit and the cache entries and history rows added
+since the last save, and joins them with the JSON text kept on the state.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import time
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
@@ -36,8 +42,8 @@ from .sparse_grid import (
     Interpolant,
     TensorSet,
     _assemble,
+    _growth_table,
     _write_text_atomic,
-    block_size,
     build_interpolant,  # noqa: F401 - perfbench's tracer tests patch it under this name
     evaluate_batch,
     grid_nodes,
@@ -85,6 +91,8 @@ class RunConfig:
             raise ValueError("batch must be 'minimal' or a positive integer")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
+        if self.probe_count is not None and self.probe_count < 1:
+            raise ValueError("probe_count must be None (no probe) or a positive integer")
 
 
 @dataclass
@@ -106,6 +114,38 @@ class Record:
 
 
 @dataclass
+class _Fragments:
+    """The checkpoint's cache entries and history rows as JSON text, each
+    encoded once; `save_state` joins them.
+
+    Cache entries and history rows are written once: a save encodes the
+    cache keys added since the last save (the tail of the dict's insertion
+    order) and the appended rows.  A replaced or shrunk cache or history
+    is encoded again from scratch.
+    """
+
+    cache: dict | None = None          # the cache the entries were encoded from
+    keys: list = field(default_factory=list)          # its keys, sorted
+    entries: list[str] = field(default_factory=list)  # [key, value] text, in key order
+    history: list | None = None        # the history the rows were encoded from
+    rows: list[str] = field(default_factory=list)
+
+    def sync(self, cache: dict, history: list) -> None:
+        if cache is not self.cache or len(cache) < len(self.keys):
+            items = sorted(cache.items())
+            self.cache, self.keys = cache, [k for k, _ in items]
+            self.entries = [json.dumps([list(k), v]) for k, v in items]
+        for key in islice(reversed(cache), len(cache) - len(self.keys)):
+            at = bisect.bisect(self.keys, key)
+            self.keys.insert(at, key)
+            self.entries.insert(at, json.dumps([list(key), cache[key]]))
+        if history is not self.history or len(history) < len(self.rows):
+            self.history, self.rows = history, []
+        self.rows += [json.dumps(_to_dict(r, skip=("wall_time",)))
+                      for r in history[len(self.rows):]]
+
+
+@dataclass
 class RunState:
     """Mutable state of an adaptive run between iterations."""
 
@@ -120,6 +160,9 @@ class RunState:
     # probe evaluates the target once per run; never serialized
     probe: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
+    # the checkpoint's cache and history text, extended by each save; never serialized
+    fragments: _Fragments = field(
+        default_factory=_Fragments, init=False, repr=False, compare=False)
 
     @property
     def samples_used(self) -> int:
@@ -161,11 +204,13 @@ def next_level(
     batch rule are checked after each round.
     """
     rule, d = ts.rule, ts.dim
+    # m[l + 1] = m(l), extended as the levels rise
+    m = _growth_table(rule, max(ts.theta.max_degrees()) + 1).tolist()
 
     def weight(i: MultiIndex) -> float:
         w = 0.0  # summed left to right, as lambda_curved sums membership
         for k, ik in enumerate(i):
-            w += curved_tail_min(fit.alpha[k], fit.beta[k], rules1d.growth(rule, ik - 1))
+            w += curved_tail_min(fit.alpha[k], fit.beta[k], m[ik])
         return w
 
     members = set(ts.theta.members)
@@ -181,11 +226,16 @@ def next_level(
             _, i = heapq.heappop(heap)
             members.add(i)
             added.append(i)
-            nodes += block_size(rule, i)
+            size = 1
+            for ik in i:
+                size *= m[ik + 1] - m[ik]
+            nodes += size
             for k in range(d):
                 succ = i[:k] + (i[k] + 1,) + i[k + 1:]
                 if all(succ[:j] + (succ[j] - 1,) + succ[j + 1:] in members
                        for j in range(d) if succ[j] > 0):
+                    if succ[k] + 2 > len(m):  # its block needs m(succ_k)
+                        m = _growth_table(rule, 2 * succ[k]).tolist()
                     heapq.heappush(heap, (weight(succ), succ))
         if sample_budget is not None and nodes > sample_budget:
             if best is None:
@@ -196,7 +246,8 @@ def next_level(
         best, kept = L, len(added)
         if batch == "minimal" or nodes - base >= int(batch):
             break
-    grown = IndexSet(d, ts.theta.members + tuple(added[:kept]), lower_flag=True)
+    # the old members are valid and in order: only the admitted levels are sorted in
+    grown = ts.theta._grown(added[:kept], lower_flag=True)
     return best, TensorSet(grown, rule)
 
 
@@ -379,17 +430,23 @@ def _from_dict(cls, obj: dict):
 
 
 def save_state(state: RunState, path) -> None:
-    obj = {
+    """Write the state as one JSON object: the cache sorted by key, the
+    history without wall times.  Only the head, the fit and what is new
+    since the last save are encoded; the rest is joined from the text kept
+    on the state, so the file has the bytes of one `json.dumps` call."""
+    frag = state.fragments
+    frag.sync(state.cache, state.history)
+    head = json.dumps({
         "format": _STATE_FORMAT,
         "version": _STATE_VERSION,
         "config": _to_dict(state.config),
         "iteration": state.iteration,
         "theta": [list(i) for i in state.theta.theta.members],
-        "cache": [[list(k), v] for k, v in sorted(state.cache.items())],
-        "fit": None if state.fit is None else _to_dict(state.fit),
-        "history": [_to_dict(r, skip=("wall_time",)) for r in state.history],
-    }
-    _write_text_atomic(json.dumps(obj), path)
+    })
+    fit = json.dumps(None if state.fit is None else _to_dict(state.fit))
+    text = "".join((head[:-1], ', "cache": [', ", ".join(frag.entries), '], "fit": ', fit,
+                    ', "history": [', ", ".join(frag.rows), "]}"))
+    _write_text_atomic(text, path)
 
 
 def load_state(path) -> RunState:

@@ -7,6 +7,7 @@ output files and least-squares assembly are reproducible.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -71,6 +72,20 @@ class IndexSet:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return IndexSet(self.dim, self._member_set | other._member_set)
+
+    def _grown(self, added: Sequence[MultiIndex], lower_flag: bool | None) -> "IndexSet":
+        """This set together with `added`: valid multi-indices of this
+        dimension that are not members.  Only `added` is sorted; each is
+        inserted by bisection into the members, which are in order already."""
+        members = list(self.members)
+        for nu in sorted(added, key=graded_lex_key):
+            members.insert(bisect.bisect(members, graded_lex_key(nu), key=graded_lex_key), nu)
+        out = IndexSet.__new__(IndexSet)
+        out.dim = self.dim
+        out.members = tuple(members)
+        out._member_set = self._member_set.union(added)
+        out.lower_flag = lower_flag
+        return out
 
     def max_degrees(self) -> MultiIndex:
         """Componentwise maximum over members; zeros for the empty set."""

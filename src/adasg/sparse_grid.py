@@ -12,6 +12,7 @@ over the prefix trie of the lex-sorted indices.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import warnings
@@ -27,6 +28,12 @@ from .multiindex import (
     is_lower,
     lambda_curved,
 )
+
+
+# 1-D matrices (m x m doubles) kept per (rule, m) by each matrix cache: a run
+# reuses one m until its grid reaches further, so a few entries serve it and
+# the memory stays a few matrices of the largest m
+_MATRIX_CACHE_SIZE = 4
 
 
 class DomainError(ValueError):
@@ -216,6 +223,15 @@ def _aligned_values(grid: GridNodes, samples: dict[MultiIndex, float]) -> np.nda
     return np.array([samples[j] for j in keys], dtype=float)
 
 
+@functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
+def _newton_table(rule: str, m: int) -> np.ndarray:
+    """T[i, j] = h_j(x_i) on the first m nodes of `rule`, built once and read-only."""
+    x = rules1d.family_nodes(rule, m)
+    table = _newton_basis(x, x)
+    table.flags.writeable = False
+    return table
+
+
 def _solve_surpluses(rule: str, grid: GridNodes, values: np.ndarray) -> np.ndarray:
     """Surpluses s with values = (tensor of Newton tables) s on the grid.
 
@@ -223,8 +239,7 @@ def _solve_surpluses(rule: str, grid: GridNodes, values: np.ndarray) -> np.ndarr
     so the solve is one forward substitution along every fibre.
     """
     mmax = grid.idx.max(axis=0)
-    x = rules1d.family_nodes(rule, int(mmax.max()))
-    table = _newton_basis(x, x)  # nested nodes: each dimension's table is a corner
+    table = _newton_table(rule, int(mmax.max()))  # nested nodes: each dimension's is a corner
     mats = [table[:m, :m] for m in mmax]
     return _fibre_apply(grid.idx, values, mats, inverse=True)
 

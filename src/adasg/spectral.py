@@ -10,6 +10,7 @@ that integrates its products exactly.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import rules1d
 from .multiindex import IndexSet, MultiIndex
-from .sparse_grid import Interpolant, _fibre_apply, _newton_basis
+from .sparse_grid import _MATRIX_CACHE_SIZE, Interpolant, _fibre_apply, _newton_basis
 
 
 def legendre_1d(nu: int, y):
@@ -50,16 +51,21 @@ class LegendreExpansion:
     coeffs: dict[MultiIndex, float]
 
 
+@functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
 def _basis_change(rule: str, m: int) -> np.ndarray:
-    """B[n, j] = <P_n, h_j> for the first m Newton basis polynomials of `rule`.
+    """B[n, j] = <P_n, h_j> for the first m Newton basis polynomials of `rule`,
+    built once per (rule, m) and read-only.
 
     An m-point Gauss rule integrates these degree <= 2m - 2 products exactly.
     B is upper triangular because P_n is orthogonal to every degree below n;
-    `triu` drops the rounding noise there.
+    `triu` drops the rounding noise there.  The Gauss rule changes with m,
+    and with it the rounding, so each m keeps its own matrix.
     """
     y, w = np.polynomial.legendre.leggauss(m)
     nodes = rules1d.family_nodes(rule, m)
-    return np.triu((_legendre_matrix(m - 1, y) * (w / 2.0)[None, :]) @ _newton_basis(nodes, y))
+    basis = np.triu((_legendre_matrix(m - 1, y) * (w / 2.0)[None, :]) @ _newton_basis(nodes, y))
+    basis.flags.writeable = False
+    return basis
 
 
 def grid_coeffs(interp: Interpolant) -> np.ndarray:

@@ -99,3 +99,20 @@ def theta_opt_levels(lam, rule):
         l += 1
     return {tuple(level_of[v] for v in nu) for nu in lam.members
             if all(v in level_of for v in nu)}
+
+
+def checkpoint_object(state):
+    """The whole checkpoint of a run state as one JSON-ready object, built
+    from scratch: `json.dumps` of it is the file `save_state` writes."""
+    from adasg import driver
+
+    return {
+        "format": driver._STATE_FORMAT,
+        "version": driver._STATE_VERSION,
+        "config": driver._to_dict(state.config),
+        "iteration": state.iteration,
+        "theta": [list(i) for i in state.theta.theta.members],
+        "cache": [[list(k), v] for k, v in sorted(state.cache.items())],
+        "fit": None if state.fit is None else driver._to_dict(state.fit),
+        "history": [driver._to_dict(r, skip=("wall_time",)) for r in state.history],
+    }

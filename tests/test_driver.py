@@ -1,17 +1,22 @@
 import builtins
 import dataclasses
 import json
+import tempfile
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from adasg import driver as dr
+from adasg import rules1d
 from adasg import sparse_grid as sg
 from adasg import targets as tg
 from adasg.fitting import FitParams, isotropic_params
-from adasg.multiindex import CurvedWeights, IndexSet, margin
+from adasg.multiindex import CurvedWeights, IndexSet, is_lower, margin
 
 
 RAT2 = tg.builtin_target("rational", 2, c0=2.0, c=[1.0, 0.5])
@@ -100,6 +105,32 @@ def test_next_level_matches_the_curved_tensor_set(theta, rule, data, batch, budg
     assert len(grown.theta) > len(theta)
     if budget is not None:
         assert sg.grid_size(grown) <= budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=lower_sets(), rule=st.sampled_from(("leja", "clenshaw_curtis", "rleja_double2")),
+       data=st.data(), batch=st.one_of(st.just("minimal"), st.integers(1, 40)))
+def test_next_level_grown_set_equals_a_validated_one(theta, rule, data, batch):
+    d = theta.dim
+    alpha = tuple(data.draw(st.lists(st.floats(0.5, 3.0), min_size=d, max_size=d)))
+    beta = tuple(data.draw(st.lists(st.floats(-2.5, 1.5), min_size=d, max_size=d)))
+    _, grown = dr.next_level(FitParams(alpha, beta, 0.0), sg.TensorSet(theta, rule), batch)
+    validated = IndexSet(d, grown.theta.members)
+    assert grown.theta.members == validated.members
+    assert grown.theta.issubset(validated) and validated.issubset(grown.theta)
+    assert grown.theta.lower_flag and is_lower(validated)
+
+
+@pytest.mark.parametrize("rule", ["leja", "clenshaw_curtis"])
+def test_next_level_climbs_past_its_first_growth_table(rule):
+    # from one level, 60 new nodes in one dimension take the levels well
+    # past the table next_level starts with
+    ts = sg.TensorSet(IndexSet(1, [(0,)]), rule)
+    fit = isotropic_params(1)
+    L, grown = dr.next_level(fit, ts, 60)
+    expected = ts.theta.union(sg.theta_curved(CurvedWeights(fit.alpha, fit.beta), L, rule).theta)
+    assert grown.theta == expected
+    assert sg.grid_size(grown) - 1 >= 60
 
 
 def test_run_constant_target_falls_back_isotropic():
@@ -315,6 +346,55 @@ def test_load_state_refuses_cache_off_the_node_table(tmp_path):
         dr.load_state(ck)
 
 
+# every coordinate pair of a 6 x 6 Leja grid: nodes of the rule, so a saved
+# state with any of them in its cache loads again
+LEJA_KEYS = [(x, y) for x in rules1d.family_nodes("leja", 6).tolist()
+             for y in rules1d.family_nodes("leja", 6).tolist()]
+LEJA_TENSOR_6 = sg.TensorSet(IndexSet(2, [(i, j) for i in range(6) for j in range(6)]), "leja")
+floats = st.floats(allow_nan=True, allow_infinity=True)
+records = st.builds(
+    dr.Record, st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6),
+    st.tuples(floats, floats), st.tuples(floats, floats), floats, floats,
+    st.integers(0, 10**6), st.sampled_from(((), (0,), (0, 1))), st.sampled_from(((), (1,))),
+    st.none() | floats, wall_time=floats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.permutations(LEJA_KEYS), data=st.data())
+def test_saved_text_equals_the_whole_object_encoding(order, data):
+    """Cache keys arrive in any order, rows are appended, the state is
+    reloaded, its cache or history replaced or cut: every save writes the
+    bytes of one `json.dumps` of the whole state."""
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=3, max_samples=90, probe_count=5)
+    fit = FitParams((1.5, 2.5), (-0.25, 0.0), 0.375, frozenset({1}), frozenset(), 0.5, 9)
+    # an iteration no record has: the state is pending, so loading builds nothing
+    state = dr.RunState(cfg, LEJA_TENSOR_6, iteration=10**7,
+                        fit=data.draw(st.sampled_from((None, fit))))
+    keys = iter(order)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        for action in data.draw(st.lists(st.sampled_from(
+                ("add", "rows", "load", "replace", "shrink")), min_size=1, max_size=8)):
+            if action == "add":
+                for key in islice(keys, data.draw(st.integers(0, 12))):
+                    state.cache[key] = data.draw(floats)
+            elif action == "rows":
+                state.history += data.draw(st.lists(records, max_size=4))
+            elif action == "load" and path.exists():
+                state = dr.load_state(path)
+            elif action == "replace":
+                old = data.draw(st.permutations(list(state.cache)))
+                state.cache = {k: data.draw(floats)
+                               for k in old[:data.draw(st.integers(0, len(old)))]}
+                state.history = data.draw(st.lists(records, max_size=4))
+            elif action == "shrink":
+                for key in data.draw(st.lists(st.sampled_from(LEJA_KEYS), max_size=6)):
+                    state.cache.pop(key, None)
+                del state.history[data.draw(st.integers(0, len(state.history))):]
+            dr.save_state(state, path)
+            assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
+
+
 def tear_writes(monkeypatch):
     """Make the program's file writes stop after 100 characters with OSError;
     files opened for reading are left alone."""
@@ -437,6 +517,25 @@ def test_probe_points_evaluated_once_per_run():
         dr.step(state, Counting())
     assert sizes.count(97) == 1
     assert [r.probe_error for r in state.history] == [r.probe_error for r in history[:3]]
+
+
+def test_probe_count_below_one_is_refused_before_any_sample():
+    # a refused probe count used to surface only after the first grid was
+    # sampled, with no checkpoint saved: an external solver's work was lost
+    points = []
+
+    class Counting:
+        dim = 2
+
+        def evaluate(self, pts):
+            points.append(len(pts))
+            return RAT2.evaluate(pts)
+
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="probe_count"):
+            dr.run(dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60,
+                                probe_count=count), Counting())
+    assert points == []
 
 
 def test_evaluation_failure_aborts_with_resumable_checkpoint(tmp_path):

@@ -187,3 +187,17 @@ def test_modes_outside_the_range_are_zero():
         exp = sp.legendre_coeffs(interp, lam)
     assert exp.coeffs[(0, 1)] == 0.0 and exp.coeffs[(2, 0)] == 0.0
     assert abs(exp.coeffs[(1, 0)] - 1 / math.sqrt(3)) < 1e-14
+
+
+@pytest.mark.parametrize("rule", ["leja", "clenshaw_curtis", "rleja_double2"])
+def test_cached_1d_matrices_are_read_only_and_equal_a_fresh_build(rule):
+    for m in (1, 5, 17):
+        for cached, build in ((sp._basis_change, sp._basis_change.__wrapped__),
+                              (sg._newton_table, sg._newton_table.__wrapped__)):
+            mat = cached(rule, m)
+            assert cached(rule, m) is mat
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+            fresh = build(rule, m)
+            assert fresh.shape == (m, m) and fresh.tobytes() == mat.tobytes()
