@@ -1,13 +1,19 @@
 """The adaptive refinement loop: build interpolant, extract coefficients, fit
 decay parameters, grow the tensor set, repeat.
 
-Each iteration samples the target only at new grid nodes (the coordinate
-cache guarantees nested rules never re-evaluate), rebuilds the surpluses from
-scratch (a few 1-D passes over the grid, so a resumed run rebuilds exactly
-what an uninterrupted one had), and grows the tensor set on tensor levels:
-a heap over the margin of the current set, keyed by the curved weight at
-which each level enters, admits levels in order of that weight until the
-batch rule or the sample budget stops it.
+The run keeps its grid between iterations (`_RunGrid`, never serialized):
+the grid indices, points and samples, the surplus solve's per-pass values
+and the margin of the tensor set.  Each iteration adds only the blocks of
+the tensor levels the last grow step admitted: it samples the target at
+their nodes (the coordinate cache guarantees nested rules never
+re-evaluate), solves their surpluses against the kept passes, and updates
+the margin from the admitted levels.  Old surpluses do not change when a
+lower set grows, and the new rows go through the operations of a solve of
+the whole grid, so a resumed run, which builds its grid from scratch, has
+the bits an uninterrupted one has.  The tensor set grows on tensor levels:
+a heap over the margin, keyed by the curved weight at which each level
+enters, admits levels in order of that weight until the batch rule or the
+sample budget stops it.
 
 The checkpoint is saved once per iteration and costs the new work only: a
 save encodes the head, the fit and the cache entries and history rows added
@@ -26,11 +32,12 @@ from itertools import islice
 import numpy as np
 
 from . import rules1d
-from .fitting import FitParams, UnfittableError, fit_curved, isotropic_params
+from .fitting import FitParams, UnfittableError, _fit_rows, isotropic_params
 from .multiindex import (
     CurvedWeights,
     IndexSet,
     MultiIndex,
+    _grown_margin,
     curved_tail_min,
     lambda_classic,
     lambda_curved,
@@ -41,12 +48,12 @@ from .sparse_grid import (
     GridNodes,
     Interpolant,
     TensorSet,
-    _assemble,
+    _extend_grid,
     _growth_table,
+    _solve_rows,
     _write_text_atomic,
     build_interpolant,  # noqa: F401 - perfbench's tracer tests patch it under this name
     evaluate_batch,
-    grid_nodes,
     grid_size,
     theta_opt,
 )
@@ -146,6 +153,26 @@ class _Fragments:
 
 
 @dataclass
+class _RunGrid:
+    """The grid of `theta`, kept between iterations and extended by the
+    levels each grow step admits; never serialized.
+
+    `passes` holds the surplus solve's values per pass (`_solve_rows`): row
+    0 the samples, row d the surpluses.  The samples were read from `cache`;
+    `step` is the tensor set the last grow step made from `theta`, with the
+    levels it admitted.  A state whose tensor set or cache was replaced
+    since is built from scratch.
+    """
+
+    theta: TensorSet | None = None
+    cache: dict | None = None
+    grid: GridNodes | None = None
+    passes: np.ndarray | None = None
+    margin: set[MultiIndex] = field(default_factory=set)   # the margin of theta
+    step: tuple[TensorSet, list[MultiIndex]] | None = None
+
+
+@dataclass
 class RunState:
     """Mutable state of an adaptive run between iterations."""
 
@@ -163,6 +190,8 @@ class RunState:
     # the checkpoint's cache and history text, extended by each save; never serialized
     fragments: _Fragments = field(
         default_factory=_Fragments, init=False, repr=False, compare=False)
+    # the grid of the last build, extended by the next; never serialized
+    grid: _RunGrid = field(default_factory=_RunGrid, init=False, repr=False, compare=False)
 
     @property
     def samples_used(self) -> int:
@@ -192,7 +221,26 @@ def next_level(
     sample_budget: int | None = None,
 ) -> tuple[float, TensorSet]:
     """Smallest level L whose curved tensor set grows ts (or adds >= batch
-    nodes), and the grown set: ts together with theta_curved(L).
+    nodes), and the grown set: ts together with theta_curved(L)."""
+    best, added = _grow(fit, ts, set(margin(ts.theta)), grid_size(ts), batch, sample_budget)
+    return best, _grown(ts, added)
+
+
+def _grown(ts: TensorSet, added: list[MultiIndex]) -> TensorSet:
+    # the old members are valid and in order: only the admitted levels are sorted in
+    return TensorSet(ts.theta._grown(added, lower_flag=True), ts.rule)
+
+
+def _grow(
+    fit: FitParams,
+    ts: TensorSet,
+    front: set[MultiIndex],
+    nodes: int,
+    batch: int | str,
+    sample_budget: int | None,
+) -> tuple[float, list[MultiIndex]]:
+    """The grow step on `ts`, whose margin is `front` and grid has `nodes`
+    nodes: the level L `next_level` returns and the tensor levels admitted.
 
     Tensor level i enters at W(i) = sum_k min_{t >= m(i_k - 1)}
     (alpha_k t + beta_k log(t + 1)), the least curved weight of a degree its
@@ -204,19 +252,27 @@ def next_level(
     batch rule are checked after each round.
     """
     rule, d = ts.rule, ts.dim
-    # m[l + 1] = m(l), extended as the levels rise
-    m = _growth_table(rule, max(ts.theta.max_degrees()) + 1).tolist()
+    m: list[int] = []   # m[l + 1] = m(l)
+    tails: list[list[float]] = [[] for _ in range(d)]  # tails[k][l]: W's term at level l
+
+    def extend(top: int) -> None:
+        nonlocal m
+        m = _growth_table(rule, top + 1).tolist()
+        for k, tail in enumerate(tails):
+            tail += [curved_tail_min(fit.alpha[k], fit.beta[k], v) for v in m[len(tail):-1]]
 
     def weight(i: MultiIndex) -> float:
         w = 0.0  # summed left to right, as lambda_curved sums membership
         for k, ik in enumerate(i):
-            w += curved_tail_min(fit.alpha[k], fit.beta[k], m[ik])
+            w += tails[k][ik]
         return w
 
-    members = set(ts.theta.members)
-    heap = [(weight(i), i) for i in margin(ts.theta)]
+    extend(max(map(max, front)))
+    members = ts.theta._member_set
+    admitted: set[MultiIndex] = set()
+    heap = [(weight(i), i) for i in front]
     heapq.heapify(heap)
-    base = nodes = grid_size(ts)
+    base = nodes
     added: list[MultiIndex] = []
     best: float | None = None
     kept = 0  # levels added up to the last round within the budget
@@ -224,7 +280,7 @@ def next_level(
         L = heap[0][0]
         while heap[0][0] <= L:
             _, i = heapq.heappop(heap)
-            members.add(i)
+            admitted.add(i)
             added.append(i)
             size = 1
             for ik in i:
@@ -232,10 +288,11 @@ def next_level(
             nodes += size
             for k in range(d):
                 succ = i[:k] + (i[k] + 1,) + i[k + 1:]
-                if all(succ[:j] + (succ[j] - 1,) + succ[j + 1:] in members
-                       for j in range(d) if succ[j] > 0):
+                if all(p in members or p in admitted
+                       for p in (succ[:j] + (succ[j] - 1,) + succ[j + 1:]
+                                 for j in range(d) if succ[j] > 0)):
                     if succ[k] + 2 > len(m):  # its block needs m(succ_k)
-                        m = _growth_table(rule, 2 * succ[k]).tolist()
+                        extend(2 * succ[k])
                     heapq.heappush(heap, (weight(succ), succ))
         if sample_budget is not None and nodes > sample_budget:
             if best is None:
@@ -246,16 +303,17 @@ def next_level(
         best, kept = L, len(added)
         if batch == "minimal" or nodes - base >= int(batch):
             break
-    # the old members are valid and in order: only the admitted levels are sorted in
-    grown = ts.theta._grown(added[:kept], lower_flag=True)
-    return best, TensorSet(grown, rule)
+    return best, added[:kept]
 
 
-def _collect_samples(state: RunState, target: TargetSpec, grid: GridNodes) -> np.ndarray:
-    """Evaluate the target at grid nodes not in the cache; return the samples
-    in grid row order."""
+def _collect_samples(state: RunState, target: TargetSpec | None, grid: GridNodes) -> np.ndarray:
+    """The samples at the grid's nodes, in row order: the target is evaluated
+    at the nodes not in the cache, and the cache extended.  Without a target
+    every node must be cached."""
     keys = list(map(tuple, grid.points.tolist()))
     missing_rows = [r for r, key in enumerate(keys) if key not in state.cache]
+    if missing_rows and target is None:
+        raise ValueError(f"the cache lacks samples at {len(missing_rows)} grid nodes")
     if missing_rows:
         pts = grid.points[missing_rows]
         try:
@@ -273,13 +331,41 @@ def _collect_samples(state: RunState, target: TargetSpec, grid: GridNodes) -> np
     return np.array([state.cache[key] for key in keys])
 
 
+def _build_grid(state: RunState, target: TargetSpec | None) -> None:
+    """Bring the run grid to `state.theta` and set `state.interpolant`.
+
+    After a grow step only the blocks of the admitted levels are added:
+    their nodes are sampled and their surpluses solved against the kept
+    passes.  Otherwise, after a load or a replaced tensor set or cache, the
+    grid is built from scratch, every row new.
+    """
+    ts, run = state.theta, state.grid
+    if run.step is not None and run.step[0] is ts and run.cache is state.cache:
+        levels = run.step[1]
+    else:
+        d = ts.dim
+        run = _RunGrid(grid=GridNodes.empty(d), passes=np.zeros((d + 1, 0)), margin={(0,) * d})
+        levels = ts.theta.members
+    grid, new = _extend_grid(run.grid, ts.rule, levels)
+    samples = _collect_samples(state, target, GridNodes(grid.idx[new], grid.points[new]))
+    passes = np.zeros((ts.dim + 1, len(grid)))
+    passes[:, ~new] = run.passes
+    passes[0, new] = samples
+    _solve_rows(ts.rule, grid.idx, passes, new)
+    for kept in (grid.idx, grid.points, passes):
+        kept.flags.writeable = False  # the interpolant handed out shares them
+    front = _grown_margin(run.margin, ts.theta, levels)
+    state.grid = _RunGrid(ts, state.cache, grid, passes, front)
+    state.interpolant = Interpolant(ts, grid, passes[0], passes[-1])
+
+
 def _fit_from(interp: Interpolant, config: RunConfig) -> FitParams:
     """Fit the decay to the surpluses or the Legendre coefficients, each keyed
     by degree: grid index j carries the degree j - 1 (for surpluses only on
-    the unit-growth rules `RunConfig` admits)."""
+    the unit-growth rules `RunConfig` admits).  The grid rows are in
+    graded-lex order, the order of the fit's rows."""
     values = interp.surpluses if config.fit_source == "surplus" else grid_coeffs(interp)
-    degrees = map(tuple, (interp.grid.idx - 1).tolist())
-    return fit_curved(dict(zip(degrees, values.tolist())), config.min_magnitude, config.fit_beta)
+    return _fit_rows(interp.grid.idx - 1, values, config.min_magnitude, config.fit_beta)
 
 
 def _probe_points(d: int, count: int, seed: int) -> np.ndarray:
@@ -315,8 +401,7 @@ def _build_phase(state: RunState, target: TargetSpec) -> None:
     config = state.config
     t0 = time.perf_counter()
     prev_nodes = state.history[-1].node_count if state.history else 0
-    grid = grid_nodes(state.theta)
-    state.interpolant = _assemble(state.theta, grid, _collect_samples(state, target, grid))
+    _build_grid(state, target)
     fallback = state.fit if state.fit is not None else isotropic_params(config.d)
     if config.fit_enabled:
         try:
@@ -344,9 +429,14 @@ def _build_phase(state: RunState, target: TargetSpec) -> None:
 
 def _grow_phase(state: RunState) -> None:
     """Grow the tensor set to the next level of the fitted curved weights."""
-    config = state.config
-    _, state.theta = next_level(state.fit, state.theta, config.batch,
-                                sample_budget=config.max_samples)
+    config, ts, run = state.config, state.theta, state.grid
+    if run.theta is ts:
+        front, nodes = run.margin, len(run.grid)
+    else:
+        front, nodes = set(margin(ts.theta)), grid_size(ts)
+    _, added = _grow(state.fit, ts, front, nodes, config.batch, config.max_samples)
+    state.theta = _grown(ts, added)
+    run.step = (state.theta, added) if run.theta is ts else None
     state.iteration += 1
 
 
@@ -463,9 +553,7 @@ def load_state(path) -> RunState:
     state.history = [_from_dict(Record, r) for r in obj["history"]]
     if _built(state):
         # a pending (grown, unsampled) theta is built by the next run instead
-        grid = grid_nodes(state.theta)
-        values = np.array([state.cache[key] for key in map(tuple, grid.points.tolist())])
-        state.interpolant = _assemble(state.theta, grid, values)
+        _build_grid(state, None)
     return state
 
 

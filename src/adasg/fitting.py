@@ -71,27 +71,43 @@ def fit_curved(
 
     `min_magnitude` drops coefficients relative to the largest magnitude
     (their logs are dominated by round-off).  With `include_beta` false the
-    log columns are masked and beta is pinned to zero.
+    log columns are masked and beta is pinned to zero.  The rows of the
+    regression are the coefficients in graded-lex order of their degrees.
     """
     if not coeffs:
         raise UnfittableError("no coefficients")
     items = sorted(coeffs.items(), key=lambda kv: graded_lex_key(kv[0]))
-    d = len(items[0][0])
-    cmax = max(abs(c) for _, c in items)
+    degrees = np.array([nu for nu, _ in items], dtype=np.int64)
+    return _fit_rows(degrees, np.array([c for _, c in items], dtype=float),
+                     min_magnitude, include_beta)
+
+
+def _fit_rows(degrees: np.ndarray, values: np.ndarray, min_magnitude: float,
+              include_beta: bool) -> FitParams:
+    """`fit_curved` on coefficient `values` whose degrees are the rows of
+    `degrees` (N, d), already in graded-lex order."""
+    if len(values) == 0:
+        raise UnfittableError("no coefficients")
+    d = degrees.shape[1]
+    mags = np.abs(values)
+    # the largest magnitude as `max` over the rows in order finds it: a NaN
+    # counts only in the first row
+    cmax = float(mags[0] if np.isnan(mags[0]) else np.nanmax(mags))
     if cmax == 0.0 or not math.isfinite(cmax):
         raise UnfittableError("all coefficients are zero or non-finite")
-    cut = min_magnitude * cmax
-    rows = [(nu, abs(c)) for nu, c in items if abs(c) > cut and abs(c) >= 1e-300]
-    if len(rows) < 2 * d + 1:
-        raise UnfittableError(f"only {len(rows)} usable coefficients")
-    nus = np.array([nu for nu, _ in rows], dtype=float)
-    b = -np.log(np.array([c for _, c in rows]))
+    keep = (mags > min_magnitude * cmax) & (mags >= 1e-300)
+    n_used = int(keep.sum())
+    if n_used < 2 * d + 1:
+        raise UnfittableError(f"only {n_used} usable coefficients")
+    used = degrees[keep]
+    nus = used.astype(float)
+    b = -np.log(mags[keep])
     min_distinct = 3 if include_beta else 2
-    included = [k for k in range(d) if len(set(nus[:, k])) >= min_distinct]
+    included = [k for k in range(d) if len(set(used[:, k].tolist())) >= min_distinct]
     excluded = frozenset(range(d)) - frozenset(included)
     if not included:
         raise UnfittableError("every dimension is rank-deficient")
-    cols = [np.ones(len(rows))]
+    cols = [np.ones(n_used)]
     cols += [nus[:, k] for k in included]
     if include_beta:
         cols += [np.log(nus[:, k] + 1.0) for k in included]
@@ -115,7 +131,7 @@ def fit_curved(
         beta[k] = 0.0
     residual = float(np.linalg.norm(A @ x - b))
     return FitParams(tuple(alpha), tuple(beta), c_const, corrected, excluded,
-                     residual, len(rows))
+                     residual, n_used)
 
 
 def fit_surplus(

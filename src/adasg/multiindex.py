@@ -142,24 +142,25 @@ def lower_completion(s: IndexSet) -> IndexSet:
 
 def margin(s: IndexSet) -> list[MultiIndex]:
     """Indices outside a lower set whose predecessors all belong to it."""
-    if len(s) == 0:
-        return [(0,) * s.dim]
-    out = set()
-    for nu in s.members:
+    return sorted(_grown_margin({(0,) * s.dim}, s, s.members), key=graded_lex_key)
+
+
+def _grown_margin(front: set[MultiIndex], s: IndexSet, added) -> set[MultiIndex]:
+    """The margin of the lower set `s` from `front`, the margin of `s`
+    without the members `added`: each added index leaves the margin, and
+    each of its successors whose predecessors are all in `s` enters it.
+    O(len(added) d^2) set operations; `front` is not modified."""
+    front = set(front)
+    members = s._member_set
+    for nu in added:
+        front.discard(nu)
         for k in range(s.dim):
             succ = nu[:k] + (nu[k] + 1,) + nu[k + 1:]
-            if succ in s._member_set or succ in out:
-                continue
-            ok = True
-            for j in range(s.dim):
-                if succ[j] > 0:
-                    pred = succ[:j] + (succ[j] - 1,) + succ[j + 1:]
-                    if pred not in s:
-                        ok = False
-                        break
-            if ok:
-                out.add(succ)
-    return sorted(out, key=graded_lex_key)
+            if succ not in members and all(
+                    succ[:j] + (succ[j] - 1,) + succ[j + 1:] in members
+                    for j in range(s.dim) if succ[j] > 0):
+                front.add(succ)
+    return front
 
 
 def curved_weight_1d(alpha_k: float, beta_k: float, t: int) -> float:
@@ -304,10 +305,11 @@ def lambda_classic(kind: str, alpha: Sequence[float], L: float) -> IndexSet:
 
 
 def write_index_set_csv(s: IndexSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"nu_{k + 1}" for k in range(s.dim)) + "\n")
-        for nu in s.members:
-            fh.write(",".join(str(v) for v in nu) + "\n")
+    from .sparse_grid import _write_text_atomic  # sparse_grid imports this module
+
+    lines = [",".join(f"nu_{k + 1}" for k in range(s.dim))]
+    lines += [",".join(str(v) for v in nu) for nu in s.members]
+    _write_text_atomic("\n".join(lines) + "\n", path)
 
 
 def read_index_set_csv(path) -> IndexSet:

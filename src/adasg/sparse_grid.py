@@ -1,13 +1,15 @@
 """Sparse-grid interpolants: minimal tensor selection, node enumeration, and
 construction/evaluation in hierarchical-surplus (Newton) form.
 
-The grid is enumerated here only, by `grid_nodes`, as an int array of 1-based
-grid indices in graded-lex order; every other operator reads that array.
-Every operator on the grid data acts on the lower set of grid indices one
-dimension at a time.  The transforms (samples to surpluses, surpluses to
-Legendre coefficients in `spectral`) apply one triangular 1-D matrix along
-every fibre; evaluation contracts the surpluses with the 1-D Newton basis
-over the prefix trie of the lex-sorted indices.
+The grid is enumerated here only, as an int array of 1-based grid indices in
+graded-lex order: `grid_nodes` expands the blocks of every tensor level, and
+`_extend_grid` merges the blocks of new levels into a grid (the adaptive loop
+keeps its grid and extends it).  Every other operator reads that array, and
+acts on the lower set of grid indices one dimension at a time.  The
+transforms (samples to surpluses, `_solve_rows`, for the new rows of a grid;
+surpluses to Legendre coefficients in `spectral`) apply one triangular 1-D
+matrix along every fibre; evaluation contracts the surpluses with the 1-D
+Newton basis over the prefix trie of the lex-sorted indices.
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ class GridNodes:
     def __len__(self) -> int:
         return len(self.idx)
 
+    @classmethod
+    def empty(cls, d: int) -> "GridNodes":
+        return cls(np.zeros((0, d), dtype=np.int64), np.zeros((0, d)))
+
     @property
     def indices(self) -> tuple[MultiIndex, ...]:
         """The grid indices as tuples, the keys of a sample map."""
@@ -113,37 +119,37 @@ def _growth_table(rule: str, top: int) -> np.ndarray:
 
 
 def grid_nodes(ts: TensorSet) -> GridNodes:
-    """Union of index boxes {1 <= j <= m(i)} over the tensor set, with coordinates.
+    """Union of index boxes {1 <= j <= m(i)} over the tensor set, with coordinates."""
+    return _extend_grid(GridNodes.empty(ts.dim), ts.rule, ts.theta.members)[0]
+
+
+def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndarray]:
+    """`grid` together with the blocks of the tensor levels `levels`, and the
+    mask of the rows those blocks add.
 
     Tensor level i adds the disjoint block m(i_k - 1) + 1 .. m(i_k) in every
-    dimension k; the blocks are expanded one dimension at a time.
+    dimension k.  Each block's rows are numbered 0..size-1 and the number is
+    read as mixed-radix digits, one per dimension; the rows are then merged
+    into graded-lex order: by the index sum, then lexicographically.  The
+    rows of `grid` keep their relative order.
     """
-    d = ts.dim
-    levels = np.array(ts.theta.members, dtype=np.int64).reshape(-1, d)
+    d = grid.idx.shape[1]
+    levels = np.array(levels, dtype=np.int64).reshape(-1, d)
     if len(levels) == 0:
-        return GridNodes(np.zeros((0, d), dtype=np.int64), np.zeros((0, d)))
-    m = _growth_table(ts.rule, int(levels.max()))
+        return grid, np.zeros(len(grid), dtype=bool)
+    m = _growth_table(rule, int(levels.max()))
     first, size = m[levels] + 1, m[levels + 1] - m[levels]
-    block = np.arange(len(levels))  # the level each partial row belongs to
-    idx = np.zeros((len(levels), 0), dtype=np.int64)
-    for k in range(d):
-        n = size[block, k]
-        parent = np.repeat(np.arange(len(block)), n)
-        offset = np.arange(len(parent)) - np.repeat(np.cumsum(n) - n, n)
-        block = block[parent]
-        idx = np.column_stack((idx[parent], first[block, k] + offset))
-    # graded-lex order: by the index sum, then lexicographically
-    idx = idx[np.lexsort(tuple(idx.T[::-1]) + (idx.sum(axis=1),))]
-    x = rules1d.family_nodes(ts.rule, int(idx.max()))
-    return GridNodes(idx, x[idx - 1])
-
-
-def block_size(rule: str, i: MultiIndex) -> int:
-    """Nodes in the disjoint block tensor level i adds: prod_k m(i_k) - m(i_k - 1)."""
-    prod = 1
-    for ik in i:
-        prod *= rules1d.growth(rule, ik) - rules1d.growth(rule, ik - 1)
-    return prod
+    # place values: the product of the block's sizes in the later dimensions
+    place = np.cumprod(size[:, ::-1], axis=1)[:, ::-1] // size
+    count = place[:, 0] * size[:, 0]
+    block = np.repeat(np.arange(len(levels)), count)  # the level each row belongs to
+    number = np.arange(len(block)) - np.repeat(np.cumsum(count) - count, count)
+    added = first[block] + number[:, None] // place[block] % size[block]
+    idx = np.concatenate((grid.idx, added))
+    order = np.lexsort(tuple(idx.T[::-1]) + (idx.sum(axis=1),))
+    x = rules1d.family_nodes(rule, int(added.max()))
+    points = np.concatenate((grid.points, x[added - 1]))[order]
+    return GridNodes(idx[order], points), order >= len(grid)
 
 
 def grid_size(ts: TensorSet) -> int:
@@ -179,17 +185,14 @@ def _newton_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return products(y) / np.diag(products(x))[None, :]
 
 
-def _fibre_apply(idx: np.ndarray, data: np.ndarray, mats: list[np.ndarray],
-                 inverse: bool = False) -> np.ndarray:
+def _fibre_apply(idx: np.ndarray, data: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     """Apply mats[k] along every dimension-k fibre of a lower grid-index set.
 
     `idx` holds 1-based grid indices (N, d) and `data` one value per row.  On
     a lower set every fibre is a prefix 1..l, and the rows a triangular matrix
     couples stay inside the set, so for triangular mats the d one-dimensional
-    passes equal the tensor-product operator restricted to the set.  With
-    `inverse`, each mats[k] is unit lower triangular and its inverse is
-    applied by forward substitution, which stays accurate where an explicit
-    inverse does not (Clenshaw-Curtis tables from 65 nodes on).
+    passes equal the tensor-product operator restricted to the set.  The
+    inverse direction, samples to surpluses, is `_solve_rows`.
     """
     out = np.array(data, dtype=float)
     n = len(idx)
@@ -199,19 +202,13 @@ def _fibre_apply(idx: np.ndarray, data: np.ndarray, mats: list[np.ndarray],
         order = np.lexsort((idx[:, k],) + tuple(np.delete(idx, k, axis=1).T))
         c = idx[order, k]
         start = np.arange(n) - (c - 1)
-        if inverse:
-            # once every member at q is final, eliminate it from those above
-            for q in range(1, len(mat)):
-                at = np.flatnonzero(c > q)
-                out[order[at]] -= mat[c[at] - 1, q - 1] * out[order[start[at] + q - 1]]
-        else:
-            fibre = np.cumsum(c == 1) - 1
-            length = np.bincount(fibre, minlength=1)[fibre]
-            acc = np.zeros_like(out)
-            for q in range(1, len(mat) + 1):
-                at = np.flatnonzero(length >= q)
-                acc[order[at]] += mat[c[at] - 1, q - 1] * out[order[start[at] + q - 1]]
-            out = acc
+        fibre = np.cumsum(c == 1) - 1
+        length = np.bincount(fibre, minlength=1)[fibre]
+        acc = np.zeros_like(out)
+        for q in range(1, len(mat) + 1):
+            at = np.flatnonzero(length >= q)
+            acc[order[at]] += mat[c[at] - 1, q - 1] * out[order[start[at] + q - 1]]
+        out = acc
     return out
 
 
@@ -232,16 +229,51 @@ def _newton_table(rule: str, m: int) -> np.ndarray:
     return table
 
 
-def _solve_surpluses(rule: str, grid: GridNodes, values: np.ndarray) -> np.ndarray:
-    """Surpluses s with values = (tensor of Newton tables) s on the grid.
+def _solve_rows(rule: str, idx: np.ndarray, passes: np.ndarray, new: np.ndarray) -> None:
+    """Surpluses of the rows `new` (a mask) of a lower grid-index set, in place.
 
-    Each dimension's Newton table T[i, j] = h_j(x_i) is unit lower triangular,
-    so the solve is one forward substitution along every fibre.
+    passes[0] holds the samples and passes[k + 1] the values after the
+    solve's pass along dimension k, so passes[d] holds the surpluses.  Each
+    dimension's Newton table T[i, j] = h_j(x_i) is unit lower triangular and
+    is inverted by forward substitution along every fibre: the member at c
+    takes T[c - 1, q - 1] times the member at q off its value, for q = 1..c-1
+    in turn.  A row's values depend only on the rows below it, which a lower
+    set keeps, so the rows outside `new` keep theirs, and a build from
+    scratch marks every row new.
     """
-    mmax = grid.idx.max(axis=0)
-    table = _newton_table(rule, int(mmax.max()))  # nested nodes: each dimension's is a corner
-    mats = [table[:m, :m] for m in mmax]
-    return _fibre_apply(grid.idx, values, mats, inverse=True)
+    d = idx.shape[1]
+    rows = np.flatnonzero(new)
+    if len(rows) == 0:
+        return
+    table = _newton_table(rule, int(idx.max()))  # nested nodes: one table serves every dimension
+    for k in range(d):
+        out = passes[k + 1]
+        out[rows] = passes[k, rows]
+        if idx[rows, k].max() == 1:
+            continue  # no new row has a member below it along dimension k
+        # sort by the other coordinates, then by coordinate k: each fibre is
+        # a contiguous run with coordinate k = 1..l, the member at q sitting
+        # c - q places before the one at c
+        order = np.lexsort((idx[:, k],) + tuple(idx[:, j] for j in range(d) if j != k))
+        pos = np.flatnonzero(new[order])  # the new rows' positions in that order
+        c = idx[order[pos], k]
+        below = pos - c  # the member at q sits at below + q
+        # the new members of a fibre are its top run, each waiting for those
+        # under it: its wave is its place in that run
+        seq = np.arange(len(pos))
+        first = np.ones(len(pos), dtype=bool)
+        np.not_equal(below[1:], below[:-1], out=first[1:])
+        wave = seq - np.maximum.accumulate(seq * first)
+        for w in range(wave.max() + 1):
+            at = pos[wave == w]
+            cw = idx[order[at], k][:, None]
+            q = np.arange(1, cw.max())
+            live = q < cw
+            member = np.where(live, at[:, None] - cw + q, at[:, None])
+            terms = table[cw - 1, q - 1] * out[order[member]]
+            terms[~live] = 0.0  # x - 0.0 == x: the shorter rows end their sums unchanged
+            # subtract.reduce folds left to right: the q-th term goes off after the (q-1)-th
+            out[order[at]] = np.subtract.reduce(np.column_stack((out[order[at]], terms)), axis=1)
 
 
 @dataclass
@@ -273,13 +305,10 @@ class Interpolant:
 def build_interpolant(ts: TensorSet, samples: dict[MultiIndex, float]) -> Interpolant:
     """Assemble the interpolant from samples keyed by 1-based grid index."""
     grid = grid_nodes(ts)
-    return _assemble(ts, grid, _aligned_values(grid, samples))
-
-
-def _assemble(ts: TensorSet, grid: GridNodes, values: np.ndarray) -> Interpolant:
-    """The interpolant on `grid = grid_nodes(ts)` from the samples in its row order."""
-    s = _solve_surpluses(ts.rule, grid, values)
-    return Interpolant(ts, grid, values, s)
+    passes = np.zeros((ts.dim + 1, len(grid)))
+    passes[0] = _aligned_values(grid, samples)
+    _solve_rows(ts.rule, grid.idx, passes, np.ones(len(grid), dtype=bool))
+    return Interpolant(ts, grid, passes[0], passes[-1])
 
 
 def _check_domain(Y: np.ndarray, allow_extrapolation: bool):

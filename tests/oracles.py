@@ -5,6 +5,7 @@ result the library computes another way.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -99,6 +100,85 @@ def theta_opt_levels(lam, rule):
         l += 1
     return {tuple(level_of[v] for v in nu) for nu in lam.members
             if all(v in level_of for v in nu)}
+
+
+def block_size(rule, i):
+    """Nodes in the disjoint block tensor level i adds: prod_k m(i_k) - m(i_k - 1)."""
+    prod = 1
+    for ik in i:
+        prod *= rules1d.growth(rule, ik) - rules1d.growth(rule, ik - 1)
+    return prod
+
+
+def fibre_solve(rule, idx, values):
+    """Surpluses of the whole grid: forward substitution with each
+    dimension's Newton table along every fibre, one dimension after the
+    other, each pass over every row."""
+    from adasg import sparse_grid
+
+    out = np.array(values, dtype=float)
+    n = len(idx)
+    if n == 0:
+        return out
+    table = sparse_grid._newton_table(rule, int(idx.max()))
+    for k, m in enumerate(idx.max(axis=0)):
+        mat = table[:m, :m]
+        order = np.lexsort((idx[:, k],) + tuple(np.delete(idx, k, axis=1).T))
+        c = idx[order, k]
+        start = np.arange(n) - (c - 1)
+        # once every member at q is final, eliminate it from those above
+        for q in range(1, len(mat)):
+            at = np.flatnonzero(c > q)
+            out[order[at]] -= mat[c[at] - 1, q - 1] * out[order[start[at] + q - 1]]
+    return out
+
+
+def fit_curved(coeffs, min_magnitude=1e-14, include_beta=True):
+    """The curved-decay regression over a coefficient dict, row by row in
+    Python: the rows sorted by `graded_lex_key`, the magnitudes filtered and
+    the design assembled from lists."""
+    from adasg.fitting import FitParams, UnfittableError, adhoc_correction
+
+    if not coeffs:
+        raise UnfittableError("no coefficients")
+    items = sorted(coeffs.items(), key=lambda kv: graded_lex_key(kv[0]))
+    d = len(items[0][0])
+    cmax = max(abs(c) for _, c in items)
+    if cmax == 0.0 or not math.isfinite(cmax):
+        raise UnfittableError("all coefficients are zero or non-finite")
+    cut = min_magnitude * cmax
+    rows = [(nu, abs(c)) for nu, c in items if abs(c) > cut and abs(c) >= 1e-300]
+    if len(rows) < 2 * d + 1:
+        raise UnfittableError(f"only {len(rows)} usable coefficients")
+    nus = np.array([nu for nu, _ in rows], dtype=float)
+    b = -np.log(np.array([c for _, c in rows]))
+    min_distinct = 3 if include_beta else 2
+    included = [k for k in range(d) if len(set(nus[:, k])) >= min_distinct]
+    excluded = frozenset(range(d)) - frozenset(included)
+    if not included:
+        raise UnfittableError("every dimension is rank-deficient")
+    cols = [np.ones(len(rows))]
+    cols += [nus[:, k] for k in included]
+    if include_beta:
+        cols += [np.log(nus[:, k] + 1.0) for k in included]
+    A = np.stack(cols, axis=1)
+    if np.linalg.matrix_rank(A) < A.shape[1]:
+        raise UnfittableError("design matrix is rank-deficient")
+    x, *_ = np.linalg.lstsq(A, b, rcond=None)
+    alpha_in, corrected_pos = adhoc_correction(x[1:1 + len(included)])
+    beta_in = x[1 + len(included):] if include_beta else np.zeros(len(included))
+    alpha = [0.0] * d
+    beta = [0.0] * d
+    for pos, k in enumerate(included):
+        alpha[k] = alpha_in[pos]
+        beta[k] = float(beta_in[pos])
+    fill = max(alpha[k] for k in included)
+    for k in excluded:
+        alpha[k] = fill
+        beta[k] = 0.0
+    return FitParams(tuple(alpha), tuple(beta), float(x[0]),
+                     frozenset(included[pos] for pos in corrected_pos), excluded,
+                     float(np.linalg.norm(A @ x - b)), len(rows))
 
 
 def checkpoint_object(state):

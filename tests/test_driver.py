@@ -133,6 +133,84 @@ def test_next_level_climbs_past_its_first_growth_table(rule):
     assert sg.grid_size(grown) - 1 >= 60
 
 
+def check_run_grid(state):
+    """The kept grid of a built state against the from-scratch routes."""
+    run, ts = state.grid, state.theta
+    assert run.theta is ts and run.cache is state.cache
+    grid = sg.grid_nodes(ts)
+    assert run.grid.idx.tobytes() == grid.idx.tobytes()
+    assert run.grid.points.tobytes() == grid.points.tobytes()
+    samples = np.array([state.cache[key] for key in map(tuple, grid.points.tolist())])
+    assert state.interpolant.samples.tobytes() == samples.tobytes()
+    ref = oracles.fibre_solve(ts.rule, grid.idx, samples)
+    assert state.interpolant.surpluses.tobytes() == ref.tobytes()
+    assert sorted(run.margin) == sorted(margin(ts.theta))
+
+
+# fast-growth rules stay at <= 63 nodes per dimension under a 60-node budget
+@settings(max_examples=40, deadline=None)
+@given(rule=st.sampled_from(("leja", "clenshaw_curtis", "rleja_double2", "fejer2", "leja_odd")),
+       d=st.integers(1, 4), batch=st.one_of(st.just("minimal"), st.integers(1, 10)),
+       budget=st.integers(10, 60), fit_source=st.sampled_from(("legendre", "surplus")))
+def test_kept_grid_equals_the_from_scratch_build_every_iteration(rule, d, batch, budget,
+                                                                   fit_source):
+    if fit_source == "surplus" and not rules1d.unit_growth(rule):
+        fit_source = "legendre"
+    cfg = dr.RunConfig(rule=rule, d=d, fit_source=fit_source, batch=batch, max_iterations=12,
+                       max_samples=budget, initial_level=1.0)
+    target = tg.builtin_target("rational", d, c0=2.0 + d, c=[1.0 / (k + 1) for k in range(d)])
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    for _ in range(cfg.max_iterations):
+        dr._build_phase(state, target)
+        check_run_grid(state)
+        try:
+            dr._grow_phase(state)
+        except dr.BudgetExhausted:
+            break
+
+
+def test_replaced_tensor_set_or_cache_is_built_from_scratch():
+    cfg = dr.RunConfig(rule="leja", d=2, batch=3, max_iterations=8, max_samples=80)
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    for _ in range(3):
+        dr.step(state, RAT2)
+    # a tensor set from outside the grow step: the kept grid does not cover it
+    state.theta = sg.TensorSet(IndexSet(2, [(i, j) for i in range(4) for j in range(3)]), "leja")
+    dr._build_phase(state, RAT2)
+    check_run_grid(state)
+    dr._grow_phase(state)
+    # a replaced cache: every node is read from it again
+    state.cache = {key: 2.0 * v for key, v in state.cache.items()}
+    dr._build_phase(state, RAT2)
+    check_run_grid(state)
+    dr._grow_phase(state)
+    dr._build_phase(state, RAT2)
+    check_run_grid(state)
+
+
+def test_loaded_state_keeps_growing_from_the_grid_it_built(tmp_path):
+    cfg = dr.RunConfig(rule="clenshaw_curtis", d=2, batch=4, max_iterations=5, max_samples=60)
+    dr.run(cfg, RAT2, checkpoint_path=tmp_path / "ck.json")
+    state = dr.load_state(tmp_path / "ck.json")
+    check_run_grid(state)
+    dr._grow_phase(state)
+    assert state.grid.step[0] is state.theta
+    dr._build_phase(state, RAT2)
+    check_run_grid(state)
+
+
+def test_interpolant_of_a_run_cannot_write_into_the_kept_grid():
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=3, max_samples=60)
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    dr.step(state, RAT2)
+    interp = state.interpolant
+    for array in (interp.samples, interp.surpluses, interp.grid.idx, interp.grid.points):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    dr._build_phase(state, RAT2)
+    check_run_grid(state)
+
+
 def test_run_constant_target_falls_back_isotropic():
     const = tg.builtin_target("expsum", 2, c=[0.0, 0.0])
     cfg = dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=100,

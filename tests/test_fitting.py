@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from adasg import fitting as ft
+from adasg.multiindex import graded_lex_key
 from adasg.multiindex import lambda_classic
 
 
@@ -145,3 +149,44 @@ def test_surplus_fit_sign_check_on_entire_function():
 def test_isotropic_fallback_params():
     fp = ft.isotropic_params(3)
     assert fp.alpha == (1.0, 1.0, 1.0) and fp.beta == (0.0, 0.0, 0.0)
+
+
+def fit_bits(fit):
+    """A fit, or the message of the refusal, with every float as its bits."""
+    if isinstance(fit, ft.UnfittableError):
+        return str(fit)
+    return (np.array(fit.alpha).tobytes(), np.array(fit.beta).tobytes(),
+            np.float64(fit.c_const).tobytes(), fit.corrected_dims, fit.excluded_dims,
+            np.float64(fit.residual).tobytes(), fit.n_used)
+
+
+def outcome(fit, *args):
+    try:
+        return fit_bits(fit(*args))
+    except ft.UnfittableError as err:
+        return fit_bits(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 4), data=st.data(), min_magnitude=st.sampled_from((1e-14, 1e-6)),
+       include_beta=st.booleans())
+def test_array_fit_equals_the_dict_fit_bitwise(d, data, min_magnitude, include_beta):
+    """Magnitudes from the decay model with noise, a few of them replaced by
+    zero, a denormal-range value, inf or NaN; either path fits or refuses
+    alike."""
+    degrees = data.draw(st.lists(st.tuples(*[st.integers(0, 6)] * d), unique=True,
+                                  min_size=2 * d + 2, max_size=40))
+    alpha = data.draw(st.lists(st.floats(-0.5, 3.0), min_size=d, max_size=d))
+    beta = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
+    noise = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(degrees), max_size=len(degrees)))
+    coeffs = {nu: math.exp(e - sum(a * v + b * math.log(v + 1) for a, b, v in zip(alpha, beta, nu)))
+              for nu, e in zip(degrees, noise)}
+    specials = st.sampled_from((0.0, 5e-301, 1e-30, -1.0, math.inf, math.nan))
+    for nu, c in data.draw(st.lists(st.tuples(st.sampled_from(degrees), specials), max_size=3)):
+        coeffs[nu] = c
+    ref = outcome(oracles.fit_curved, coeffs, min_magnitude, include_beta)
+    assert outcome(ft.fit_curved, coeffs, min_magnitude, include_beta) == ref
+    rows = sorted(coeffs, key=graded_lex_key)
+    array = np.array(rows, dtype=np.int64).reshape(-1, d)
+    values = np.array([coeffs[nu] for nu in rows])
+    assert outcome(ft._fit_rows, array, values, min_magnitude, include_beta) == ref

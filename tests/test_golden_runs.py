@@ -1,0 +1,62 @@
+"""Output bytes of two CLI runs, pinned to the files the loop wrote before it
+kept its grid between iterations (when every iteration rebuilt the grid,
+the surpluses and the margin from scratch).
+
+The first config is the benchmark's `d3_leja_ckpt` run: 137 one-node
+iterations.  The second grows a d=4 Clenshaw-Curtis grid by at least six
+nodes per iteration, so blocks of several rows, and fibres with several new
+members, are solved at once.
+"""
+
+import hashlib
+import textwrap
+
+import pytest
+
+from adasg import cli
+
+RUNS = {
+    "d3_leja_ckpt": ("""
+        rule = leja
+        d = 3
+        fit_source = legendre
+        batch = minimal
+        target = rational
+        target_c0 = 3
+        target_c = 1,0.5,0.25
+        probe_count = 1000
+        probe_seed = 20240101
+        max_iterations = 1000
+        max_samples = 150
+    """, {
+        "history.csv": "38e50ae20fe84195b7fa07f5c15871ffa20b1947f3720310ad0d5ff641d08613",
+        "checkpoint.json": "0b7a8d3474053262c206a58c2529abd6ff79a57a81b7011bebf2635ae90bbb93",
+        "interpolant.json": "2bfa3d65c54dd18673e0d37f007ee1682b4b97b38cf6100438eb4b4046a514d9",
+    }),
+    "cc_batch6": ("""
+        rule = clenshaw_curtis
+        d = 4
+        batch = 6
+        max_iterations = 1000
+        max_samples = 300
+        target = rational
+        target_c0 = 4
+        target_c = 1,0.6,0.3,0.1
+        probe_count = 1000
+        probe_seed = 7
+    """, {
+        "history.csv": "53098582cffc02475ad702ad869280c8f38e75d59777f8847afef1815f15a050",
+        "checkpoint.json": "3f790e5e9154e315a516265ba63798bc5748228e5f11d6fe6380abc2caa98752",
+        "interpolant.json": "53957c8a59a90309ecb2bf544b7fa2fd0fe25848aa1726f0d64c3ba9ac85325c",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_run_writes_the_pinned_bytes(name, tmp_path):
+    config, digests = RUNS[name]
+    (tmp_path / "run.cfg").write_text(textwrap.dedent(config))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(tmp_path / "run.cfg"), "--workdir", str(out)]) == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
+    assert got == digests

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasg.multiindex import (
     CurvedWeights,
@@ -15,6 +17,7 @@ from adasg.multiindex import (
     read_index_set_csv,
     write_index_set_csv,
 )
+from test_driver import tear_writes
 
 
 def brute_is_lower(members):
@@ -221,3 +224,54 @@ def test_csv_round_trip(tmp_path):
     write_index_set_csv(s, path)
     assert path.read_text().splitlines()[0] == "nu_1,nu_2"
     assert read_index_set_csv(path) == s
+
+
+def test_csv_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "set.csv"
+    small = lambda_classic("total_degree", (1.0, 1.0), 1.0)
+    write_index_set_csv(small, path)
+    before = path.read_bytes()
+    tear_writes(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        write_index_set_csv(lambda_classic("total_degree", (1.0, 1.0), 20.0), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["set.csv"]
+
+
+index_sets = st.integers(1, 4).flatmap(lambda d: st.builds(
+    lambda members: (d, members),
+    st.lists(st.tuples(*[st.integers(0, 4)] * d), max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_sets)
+def test_lower_completion_invariants(drawn):
+    d, members = drawn
+    s = IndexSet(d, set(members))
+    done = lower_completion(s)
+    assert set(done.members) == brute_completion(members)  # the union of boxes below s
+    assert s.issubset(done) and done.lower_flag and brute_is_lower(done.members or [(0,) * d])
+    assert lower_completion(done) == done
+    # the smallest lower superset: every member lies below a member of s
+    assert all(any(all(a <= b for a, b in zip(nu, top)) for top in members) for nu in done)
+
+
+def brute_margin(s):
+    """Every index of a box one past the set whose predecessors all belong to it."""
+    top = [max((nu[k] for nu in s.members), default=-1) + 2 for k in range(s.dim)]
+    return {nu for nu in itertools.product(*map(range, top)) if nu not in s
+            and all(nu[:k] + (nu[k] - 1,) + nu[k + 1:] in s for k in range(s.dim) if nu[k])}
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_sets)
+def test_margin_invariants(drawn):
+    d, members = drawn
+    s = lower_completion(IndexSet(d, set(members)))
+    front = margin(s)
+    assert front == sorted(front, key=lambda nu: (sum(nu), nu)) and len(set(front)) == len(front)
+    assert set(front) == brute_margin(s)
+    for nu in front:
+        # adding a margin member keeps the set lower
+        assert brute_is_lower(set(s.members) | {nu})

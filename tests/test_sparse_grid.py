@@ -308,7 +308,7 @@ def test_theta_opt_matches_level_walk(lam, rule):
     assert set(ts.theta.members) == oracles.theta_opt_levels(lam, rule)
     assert ts.theta.members == tuple(sorted(ts.theta.members, key=graded_lex_key))
     # the per-level walk grid_size replaced
-    assert sg.grid_size(ts) == sum(sg.block_size(rule, i) for i in ts.theta.members)
+    assert sg.grid_size(ts) == sum(oracles.block_size(rule, i) for i in ts.theta.members)
 
 
 def test_theta_opt_high_degrees_of_fast_growth_rules():
@@ -455,6 +455,50 @@ def test_minimality_small_oracle():
             ts = sg.TensorSet(theta, rule)
             if lam.issubset(sg.polynomial_range(ts)):
                 assert opt.theta.issubset(theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=lower_sets(max_dim=3, max_size=10), rule=st.sampled_from(
+    ("leja", "clenshaw_curtis", "fejer2", "rleja_double2", "leja_odd", "rleja")))
+def test_theta_opt_is_minimal(lam, rule):
+    # lam is drawn as a lower set of degrees here
+    opt = sg.theta_opt(lam, rule)
+    assert lam.issubset(sg.polynomial_range(opt))
+    members = set(opt.theta.members)
+    for i in members:
+        if any(i[:k] + (i[k] + 1,) + i[k + 1:] in members for k in range(lam.dim)):
+            continue
+        # a maximal level: without it the set stays lower but no longer covers lam
+        rest = sg.TensorSet(IndexSet(lam.dim, members - {i}, lower_flag=True), rule)
+        assert not lam.issubset(sg.polynomial_range(rest))
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=lower_sets(max_size=8), rule=st.sampled_from(
+    ("leja", "clenshaw_curtis", "fejer2", "rleja_double2", "leja_odd")),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_new_rows_solve_equals_the_whole_grid_solve_bitwise(theta, rule, data, seed):
+    """Grow a lower set level by level; after each step solve only the rows
+    the new levels add, against the passes kept from before."""
+    ts = sg.TensorSet(theta, rule)
+    full = sg.grid_nodes(ts)
+    values = dict(zip(full.indices, np.random.default_rng(seed).uniform(-1, 1, len(full))))
+    grid = sg.GridNodes.empty(theta.dim)
+    passes = np.zeros((theta.dim + 1, 0))
+    members = list(theta.members)  # graded-lex: every prefix is lower
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(members)), max_size=3)))
+    for done, cut in zip([0] + cuts, cuts + [len(members)]):
+        grid, new = sg._extend_grid(grid, rule, members[done:cut])
+        part = sg.TensorSet(IndexSet(theta.dim, members[:cut], lower_flag=True), rule)
+        assert grid.idx.tobytes() == sg.grid_nodes(part).idx.tobytes()
+        kept = passes
+        passes = np.zeros((theta.dim + 1, len(grid)))
+        passes[:, ~new] = kept
+        passes[0, new] = [values[j] for j in map(tuple, grid.idx[new].tolist())]
+        sg._solve_rows(rule, grid.idx, passes, new)
+        ref = oracles.fibre_solve(rule, grid.idx, passes[0])
+        assert passes[-1].tobytes() == ref.tobytes()
+    assert grid.points.tobytes() == full.points.tobytes()
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):

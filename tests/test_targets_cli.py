@@ -1,9 +1,15 @@
+import contextlib
+import io
 import math
 import sys
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasg import cli
 from adasg import sparse_grid as sg
@@ -308,6 +314,40 @@ def test_cli_run_resumes_from_checkpoint(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "long.cfg"), "--workdir", str(fresh)]) == 0
     assert (wd / "history.csv").read_bytes() == (fresh / "history.csv").read_bytes()
     assert (wd / "interpolant.json").read_bytes() == (fresh / "interpolant.json").read_bytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(rule=st.sampled_from(("leja", "clenshaw_curtis", "rleja_double2", "fejer2")),
+       batch=st.sampled_from(("minimal", "3")), stop=st.integers(0, 12))
+def test_cli_resume_from_a_mid_run_checkpoint_writes_the_same_bytes(rule, batch, stop):
+    base = textwrap.dedent(f"""
+        rule = {rule}
+        d = 3
+        batch = {batch}
+        max_samples = 60
+        probe_count = 50
+        probe_seed = 5
+        target = rational
+        target_c0 = 3
+        target_c = 1,0.5,0.25
+    """)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "short.cfg").write_text(base + f"max_iterations = {stop}\n")
+        (tmp / "long.cfg").write_text(base + "max_iterations = 30\n")
+        rows = []
+        for args in (("short.cfg", "resumed"), ("long.cfg", "resumed"), ("long.cfg", "fresh")):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["run", "--config", str(tmp / args[0]),
+                                 "--workdir", str(tmp / args[1])]) == 0
+            rows.append(len((tmp / args[1] / "history.csv").read_text().splitlines()))
+        names = ["history.csv", "interpolant.json"]
+        if rows[1] > rows[0]:
+            # the checkpoint holds the config of the last build: a resumed run
+            # that builds nothing new keeps the short run's
+            names.append("checkpoint.json")
+        for name in names:
+            assert (tmp / "resumed" / name).read_bytes() == (tmp / "fresh" / name).read_bytes()
 
 
 def test_cli_run_checkpoint_guards_rule_change(tmp_path):
