@@ -8,14 +8,13 @@ output files and least-squares assembly are reproducible.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 MultiIndex = tuple[int, ...]
-
-CLASSIC_KINDS = ("tensor", "total_degree", "hyperbolic", "smolyak")
-
 
 def graded_lex_key(nu: MultiIndex):
     return (sum(nu), nu)
@@ -186,25 +185,31 @@ def curved_tail_min(alpha_k: float, beta_k: float, start: int) -> float:
     return min(curved_weight_1d(alpha_k, beta_k, t) for t in (lo, hi))
 
 
-def _enumerate_additive(
-    d: int,
+def _sublevel_set(
     g: Sequence[Callable[[int], float]],
     dip_ends: Sequence[int],
     L: float,
+    combine: Callable[[float, float], float] = operator.add,
+    start: float = 0.0,
 ) -> list[MultiIndex]:
-    """Members of {nu : sum_k g[k](nu_k) <= L} for per-coordinate weights that are
-    non-decreasing beyond dip_ends[k]."""
+    """Members of {nu : combine(...combine(start, g[0](nu_0))..., g[d-1](nu_{d-1})) <= L}.
+
+    The membership value is folded left to right, one coordinate at a
+    time, by `combine` (+, max or *), which must be non-decreasing in each
+    argument; each g[k] is non-decreasing beyond dip_ends[k].
+    """
+    d = len(g)
     # least contribution of each coordinate; a prefix is pruned when even
-    # these minima push it past L.  They are added left to right, in the
-    # order of the membership sum, so by monotone rounding the bound never
-    # exceeds a member's sum and no member is pruned.
+    # these minima push it past L.  They are combined left to right, in the
+    # order of the membership fold, so by monotone rounding the bound never
+    # exceeds a member's value and no member is pruned.
     lows = [min(g[k](t) for t in range(dip_ends[k] + 1)) for k in range(d)]
     out: list[MultiIndex] = []
     prefix = [0] * d
 
     def bound(k: int, w: float) -> float:
         for low in lows[k + 1:]:
-            w += low
+            w = combine(w, low)
         return w
 
     def scan(k: int, partial: float):
@@ -216,7 +221,7 @@ def _enumerate_additive(
         dip = dip_ends[k]
         t = 0
         while True:
-            w = partial + gk(t)
+            w = combine(partial, gk(t))
             if bound(k, w) <= L:
                 prefix[k] = t
                 scan(k + 1, w)
@@ -225,7 +230,7 @@ def _enumerate_additive(
             t += 1
         prefix[k] = 0
 
-    scan(0, 0.0)
+    scan(0, start)
     return out
 
 
@@ -242,66 +247,35 @@ def lambda_curved(w: CurvedWeights, L: float) -> IndexSet:
     scan runs past the dip so no member is missed.
     """
     _check_alpha(w.alpha)
-    d = w.dim
-    g = [
-        (lambda t, a=w.alpha[k], b=w.beta[k]: a * t + b * math.log(t + 1))
-        for k in range(d)
-    ]
-    dips = [_dip_end(w.alpha[k], w.beta[k]) for k in range(d)]
-    raw = _enumerate_additive(d, g, dips, float(L))
-    return lower_completion(IndexSet(d, raw))
+    g = [functools.partial(curved_weight_1d, a, b) for a, b in zip(w.alpha, w.beta)]
+    dips = [_dip_end(a, b) for a, b in zip(w.alpha, w.beta)]
+    return lower_completion(IndexSet(w.dim, _sublevel_set(g, dips, float(L))))
+
+
+# per kind: the weight of coordinate k at degree t, and the fold of the
+# weights with its start value; membership is the folded value <= L
+_CLASSIC = {
+    "tensor": (lambda a, t: a * t, max, 0.0),
+    "total_degree": (lambda a, t: a * t, operator.add, 0.0),
+    "hyperbolic": (lambda a, t: (t + 1) ** a, operator.mul, 1.0),
+    "smolyak": (lambda a, t: a * math.log2(t + 1), operator.add, 0.0),
+}
+CLASSIC_KINDS = tuple(_CLASSIC)
 
 
 def lambda_classic(kind: str, alpha: Sequence[float], L: float) -> IndexSet:
-    """Classic anisotropic spaces: tensor, total_degree, hyperbolic, smolyak."""
+    """Classic anisotropic spaces, each the sublevel set of a weight folded
+    over the coordinates: max_k alpha_k nu_k (tensor), sum_k alpha_k nu_k
+    (total_degree), prod_k (nu_k + 1)^alpha_k (hyperbolic) and
+    sum_k alpha_k log2(nu_k + 1) (smolyak)."""
     alpha = tuple(float(a) for a in alpha)
     _check_alpha(alpha)
-    d = len(alpha)
-    L = float(L)
-    if kind == "tensor":
-        # max_k alpha_k nu_k <= L: a box
-        caps = []
-        for a in alpha:
-            t = 0
-            while a * (t + 1) <= L:
-                t += 1
-            caps.append(t)
-        if L < 0.0:
-            return IndexSet(d, [], lower_flag=True)
-        members = [()]
-        for cap in caps:
-            members = [nu + (t,) for nu in members for t in range(cap + 1)]
-        return IndexSet(d, members, lower_flag=True)
-    if kind == "total_degree":
-        g = [(lambda t, a=a: a * t) for a in alpha]
-        raw = _enumerate_additive(d, g, [0] * d, L)
-        return IndexSet(d, raw, lower_flag=True)
-    if kind == "smolyak":
-        g = [(lambda t, a=a: a * math.log2(t + 1)) for a in alpha]
-        raw = _enumerate_additive(d, g, [0] * d, L)
-        return IndexSet(d, raw, lower_flag=True)
-    if kind == "hyperbolic":
-        # prod_k (nu_k+1)^alpha_k <= L, evaluated literally
-        out: list[MultiIndex] = []
-        prefix = [0] * d
-
-        def scan(k: int, partial: float):
-            if k == d:
-                out.append(tuple(prefix))
-                return
-            t = 0
-            while True:
-                w = partial * (t + 1) ** alpha[k]
-                if w > L:
-                    break
-                prefix[k] = t
-                scan(k + 1, w)
-                t += 1
-            prefix[k] = 0
-
-        scan(0, 1.0)
-        return IndexSet(d, out, lower_flag=True)
-    raise ValueError(f"unknown classic kind {kind!r}; expected one of {CLASSIC_KINDS}")
+    if kind not in _CLASSIC:
+        raise ValueError(f"unknown classic kind {kind!r}; expected one of {CLASSIC_KINDS}")
+    weight, combine, start = _CLASSIC[kind]
+    g = [functools.partial(weight, a) for a in alpha]
+    raw = _sublevel_set(g, [0] * len(alpha), float(L), combine, start)
+    return IndexSet(len(alpha), raw, lower_flag=True)
 
 
 def write_index_set_csv(s: IndexSet, path) -> None:

@@ -15,34 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-RULE_KINDS = (
-    "clenshaw_curtis",
-    "fejer2",
-    "rleja",
-    "rleja_double2",
-    "rleja_double4",
-    "rleja_odd",
-    "leja",
-    "leja_odd",
-    "max_lebesgue",
-    "max_lebesgue_odd",
-    "min_lebesgue",
-    "min_lebesgue_odd",
-    "min_delta",
-    "min_delta_odd",
-)
-
-CLOSED_FORM_KINDS = (
-    "clenshaw_curtis",
-    "fejer2",
-    "rleja",
-    "rleja_double2",
-    "rleja_double4",
-    "rleja_odd",
-)
-
-GREEDY_FAMILIES = ("leja", "max_lebesgue", "min_lebesgue", "min_delta")
-
 # node-generating family per kind; odd variants share their family's sequence
 _FAMILY = {
     "clenshaw_curtis": "cc",
@@ -59,6 +31,25 @@ _FAMILY = {
     "min_lebesgue_odd": "min_lebesgue",
     "min_delta": "min_delta",
     "min_delta_odd": "min_delta",
+}
+
+_CLOSED_FORM_FAMILIES = ("cc", "fejer2", "rleja", "centered_rleja")
+GREEDY_FAMILIES = ("leja", "max_lebesgue", "min_lebesgue", "min_delta")
+
+RULE_KINDS = tuple(_FAMILY)
+CLOSED_FORM_KINDS = tuple(k for k, f in _FAMILY.items() if f in _CLOSED_FORM_FAMILIES)
+
+# (C, gamma) of each family's operator-norm model lambda(l) <= C (l+1)^gamma;
+# an odd variant (m(l) = 2l + 1) doubles C
+_GROWTH_MODEL = {
+    "cc": (2.0 * math.log(2.0) / math.pi * 2.0, 1.0),
+    "fejer2": (2.0 * math.log(2.0) / math.pi * 2.0, 1.0),
+    "rleja": (1.5, 1.0),
+    "centered_rleja": (1.5, 1.0),
+    "leja": (3.0, 0.5),
+    "max_lebesgue": (4.0, 0.5),
+    "min_lebesgue": (4.0, 0.5),
+    "min_delta": (3.0, 0.5),
 }
 
 DEFAULT_CANDIDATE_COUNT = 2**17 + 1
@@ -101,8 +92,7 @@ def growth(kind: str, l: int) -> int:
             return 2 * l + 1
         quarter = (l - 2) // 4
         return round(2 ** (2 + quarter) * (1 + (l - 2) / 4 - quarter)) + 1
-    if kind in ("rleja_odd", "leja_odd", "max_lebesgue_odd",
-                "min_lebesgue_odd", "min_delta_odd"):
+    if kind.endswith("_odd"):
         return 2 * l + 1
     # rleja, leja, max_lebesgue, min_lebesgue, min_delta
     return l + 1
@@ -122,39 +112,15 @@ def lambda_model(kind: str, l: int) -> float:
         return (2.0 / math.pi) * math.log(2.0**l + 1.0)
     if kind == "fejer2":
         return (2.0 / math.pi) * math.log(2.0 ** (l + 1) - 1.0)
-    if kind in ("rleja", "rleja_double2", "rleja_double4"):
-        return 1.5 * (l + 1)
-    if kind == "rleja_odd":
-        return 3.0 * (l + 1)
-    if kind == "leja":
-        return 3.0 * math.sqrt(l + 1.0)
-    if kind == "leja_odd":
-        return 6.0 * math.sqrt(l + 1.0)
-    if kind in ("max_lebesgue", "min_lebesgue"):
-        return 4.0 * math.sqrt(l + 1.0)
-    if kind in ("max_lebesgue_odd", "min_lebesgue_odd"):
-        return 8.0 * math.sqrt(l + 1.0)
-    if kind == "min_delta":
-        return 3.0 * math.sqrt(l + 1.0)
-    return 6.0 * math.sqrt(l + 1.0)  # min_delta_odd
+    c, gamma = lebesgue_growth_model(kind)
+    return c * math.sqrt(l + 1.0) if gamma == 0.5 else c * (l + 1)
 
 
 def lebesgue_growth_model(kind: str) -> tuple[float, float]:
     """(C_gamma, gamma) with lambda_model(kind, l) <= C_gamma * (l+1)^gamma."""
     _check_kind(kind)
-    if kind in ("clenshaw_curtis", "fejer2"):
-        return (2.0 * math.log(2.0) / math.pi * 2.0, 1.0)
-    if kind in ("rleja", "rleja_double2", "rleja_double4"):
-        return (1.5, 1.0)
-    if kind == "rleja_odd":
-        return (3.0, 1.0)
-    if kind in ("leja", "min_delta"):
-        return (3.0, 0.5)
-    if kind in ("leja_odd", "min_delta_odd"):
-        return (6.0, 0.5)
-    if kind in ("max_lebesgue", "min_lebesgue"):
-        return (4.0, 0.5)
-    return (8.0, 0.5)
+    c, gamma = _GROWTH_MODEL[_FAMILY[kind]]
+    return (2.0 * c if kind.endswith("_odd") else c, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +427,7 @@ def family_nodes(kind: str, n: int) -> np.ndarray:
     family = _FAMILY[kind]
     cached = _SEQ_CACHE.get(family)
     if cached is None or len(cached) < n:
-        if family in ("cc", "fejer2", "rleja", "centered_rleja"):
+        if family in _CLOSED_FORM_FAMILIES:
             # over-generate closed forms so repeated growth stays cheap
             cached = _closed_form_nodes(family, max(n, 65))
         else:

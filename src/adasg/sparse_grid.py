@@ -185,6 +185,14 @@ def _newton_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return products(y) / np.diag(products(x))[None, :]
 
 
+def _fibre_order(idx: np.ndarray, k: int) -> np.ndarray:
+    """Row order of a lower grid-index set in which each dimension-k fibre is
+    a contiguous run with coordinate k = 1..l: sorted by the other
+    coordinates, then by coordinate k.  The member at q sits c - q places
+    before the one at c."""
+    return np.lexsort((idx[:, k],) + tuple(np.delete(idx, k, axis=1).T))
+
+
 def _fibre_apply(idx: np.ndarray, data: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     """Apply mats[k] along every dimension-k fibre of a lower grid-index set.
 
@@ -197,9 +205,7 @@ def _fibre_apply(idx: np.ndarray, data: np.ndarray, mats: list[np.ndarray]) -> n
     out = np.array(data, dtype=float)
     n = len(idx)
     for k, mat in enumerate(mats):
-        # sort by the other coordinates, then by coordinate k: each fibre is
-        # a contiguous run with coordinate k = 1..l
-        order = np.lexsort((idx[:, k],) + tuple(np.delete(idx, k, axis=1).T))
+        order = _fibre_order(idx, k)
         c = idx[order, k]
         start = np.arange(n) - (c - 1)
         fibre = np.cumsum(c == 1) - 1
@@ -237,41 +243,27 @@ def _solve_rows(rule: str, idx: np.ndarray, passes: np.ndarray, new: np.ndarray)
     dimension's Newton table T[i, j] = h_j(x_i) is unit lower triangular and
     is inverted by forward substitution along every fibre: the member at c
     takes T[c - 1, q - 1] times the member at q off its value, for q = 1..c-1
-    in turn.  A row's values depend only on the rows below it, which a lower
-    set keeps, so the rows outside `new` keep theirs, and a build from
-    scratch marks every row new.
+    in turn.  The new rows are solved one coordinate value c at a time, from
+    the bottom, so the members below each are solved before it.  A row's
+    values depend only on the rows below it, which a lower set keeps, so the
+    rows outside `new` keep theirs, and a build from scratch marks every row
+    new.
     """
-    d = idx.shape[1]
     rows = np.flatnonzero(new)
     if len(rows) == 0:
         return
     table = _newton_table(rule, int(idx.max()))  # nested nodes: one table serves every dimension
-    for k in range(d):
+    for k in range(idx.shape[1]):
         out = passes[k + 1]
         out[rows] = passes[k, rows]
         if idx[rows, k].max() == 1:
             continue  # no new row has a member below it along dimension k
-        # sort by the other coordinates, then by coordinate k: each fibre is
-        # a contiguous run with coordinate k = 1..l, the member at q sitting
-        # c - q places before the one at c
-        order = np.lexsort((idx[:, k],) + tuple(idx[:, j] for j in range(d) if j != k))
+        order = _fibre_order(idx, k)
         pos = np.flatnonzero(new[order])  # the new rows' positions in that order
         c = idx[order[pos], k]
-        below = pos - c  # the member at q sits at below + q
-        # the new members of a fibre are its top run, each waiting for those
-        # under it: its wave is its place in that run
-        seq = np.arange(len(pos))
-        first = np.ones(len(pos), dtype=bool)
-        np.not_equal(below[1:], below[:-1], out=first[1:])
-        wave = seq - np.maximum.accumulate(seq * first)
-        for w in range(wave.max() + 1):
-            at = pos[wave == w]
-            cw = idx[order[at], k][:, None]
-            q = np.arange(1, cw.max())
-            live = q < cw
-            member = np.where(live, at[:, None] - cw + q, at[:, None])
-            terms = table[cw - 1, q - 1] * out[order[member]]
-            terms[~live] = 0.0  # x - 0.0 == x: the shorter rows end their sums unchanged
+        for v in np.flatnonzero(np.bincount(c)[2:]) + 2:
+            at = pos[c == v]
+            terms = table[v - 1, :v - 1] * out[order[at[:, None] - v + np.arange(1, v)]]
             # subtract.reduce folds left to right: the q-th term goes off after the (q-1)-th
             out[order[at]] = np.subtract.reduce(np.column_stack((out[order[at]], terms)), axis=1)
 

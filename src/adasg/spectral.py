@@ -26,10 +26,7 @@ def legendre_1d(nu: int, y):
     if nu < 0:
         raise ValueError("degree must be >= 0")
     y = np.asarray(y, dtype=float)
-    pm, p = np.zeros_like(y), np.ones_like(y)
-    for j in range(nu):
-        pm, p = p, ((2 * j + 1) * y * p - j * pm) / (j + 1)
-    return p * np.sqrt(2 * nu + 1)
+    return _legendre_matrix(nu, y.ravel())[nu].reshape(y.shape)[()]
 
 
 def _legendre_matrix(degrees: int, y: np.ndarray) -> np.ndarray:

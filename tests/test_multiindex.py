@@ -192,14 +192,26 @@ def test_lambda_classic_oracle():
         "hyperbolic": lambda a, nu, L: math.prod((nu[k] + 1) ** a[k] for k in range(len(nu))) <= L,
         "smolyak": lambda a, nu, L: sum(a[k] * math.log2(nu[k] + 1) for k in range(len(nu))) <= L,
     }
-    for kind, member in defs.items():
+    cases = [
+        ("tensor", (1.0, 0.5), -0.5),       # L < 0: empty
+        ("tensor", (0.75, 1.5), 3.0),       # L = 4 * 0.75 = 2 * 1.5 exactly
+        ("tensor", (0.1, 0.3), 0.3),        # 0.3 <= 0.3 but 3 * 0.1 > 0.3 in floats
+        ("hyperbolic", (1.0, 0.5), 0.5),    # L < 1: empty
+        ("hyperbolic", (1.2, 0.7), 1.0),    # L = 1: the origin only
+        ("tensor", (0.5,), 2.0),
+        ("total_degree", (0.3,), 0.9),
+        ("hyperbolic", (2.0,), 9.0),
+        ("smolyak", (1.0,), 3.0),
+    ]
+    for kind in defs:
         for _ in range(6):
             d = int(rng.integers(1, 3))
-            alpha = tuple(rng.uniform(0.5, 1.5, d))
-            L = float(rng.uniform(0.5, 4.0))
-            got = set(lambda_classic(kind, alpha, L).members)
-            ref = {nu for nu in itertools.product(range(30), repeat=d) if member(alpha, nu, L)}
-            assert got == ref, (kind, alpha, L)
+            cases.append((kind, tuple(rng.uniform(0.5, 1.5, d)), float(rng.uniform(0.5, 4.0))))
+    for kind, alpha, L in cases:
+        d = len(alpha)
+        got = set(lambda_classic(kind, alpha, L).members)
+        ref = {nu for nu in itertools.product(range(30), repeat=d) if defs[kind](alpha, nu, L)}
+        assert got == ref, (kind, alpha, L)
 
 
 def test_margin_of_lower_set():

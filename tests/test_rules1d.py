@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +183,24 @@ def test_lambda_model_values():
     assert r1.lambda_model("rleja", 0) == 1.5
     assert r1.lambda_model("max_lebesgue_odd", 0) == 8.0
     assert abs(r1.lambda_model("clenshaw_curtis", 2) - (2 / math.pi) * math.log(5)) < 1e-15
+
+
+def test_rule_tables_are_pinned():
+    """growth, lambda_model and lebesgue_growth_model of every kind, in
+    RULE_KINDS order, equal the tables in rule_tables.json bit for bit (the
+    floats as repr strings), and lambda_model stays within its documented
+    bound C (l+1)^gamma.  The file was written before the per-kind tables
+    were merged into one table per family."""
+    pinned = json.loads((Path(__file__).parent / "rule_tables.json").read_text())
+    assert list(r1.CLOSED_FORM_KINDS) == pinned["closed_form_kinds"]
+    assert list(r1.RULE_KINDS) == list(pinned["kinds"])
+    for kind, row in pinned["kinds"].items():
+        assert [r1.growth(kind, l) for l in range(12)] == row["growth"], kind
+        model = [r1.lambda_model(kind, l) for l in range(41)]
+        assert list(map(repr, model)) == row["lambda_model"], kind
+        c, g = r1.lebesgue_growth_model(kind)
+        assert [repr(c), repr(g)] == row["lebesgue_growth_model"], kind
+        assert all(v <= c * (l + 1) ** g + 1e-12 for l, v in enumerate(model)), kind
 
 
 def test_node_sequence_record():

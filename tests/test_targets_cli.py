@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adasg import cli
@@ -319,6 +319,7 @@ def test_cli_run_resumes_from_checkpoint(tmp_path):
 @settings(max_examples=15, deadline=None)
 @given(rule=st.sampled_from(("leja", "clenshaw_curtis", "rleja_double2", "fejer2")),
        batch=st.sampled_from(("minimal", "3")), stop=st.integers(0, 12))
+@example(rule="fejer2", batch="minimal", stop=6)  # the resumed run builds nothing new
 def test_cli_resume_from_a_mid_run_checkpoint_writes_the_same_bytes(rule, batch, stop):
     base = textwrap.dedent(f"""
         rule = {rule}
@@ -335,18 +336,11 @@ def test_cli_resume_from_a_mid_run_checkpoint_writes_the_same_bytes(rule, batch,
         tmp = Path(tmp)
         (tmp / "short.cfg").write_text(base + f"max_iterations = {stop}\n")
         (tmp / "long.cfg").write_text(base + "max_iterations = 30\n")
-        rows = []
         for args in (("short.cfg", "resumed"), ("long.cfg", "resumed"), ("long.cfg", "fresh")):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["run", "--config", str(tmp / args[0]),
                                  "--workdir", str(tmp / args[1])]) == 0
-            rows.append(len((tmp / args[1] / "history.csv").read_text().splitlines()))
-        names = ["history.csv", "interpolant.json"]
-        if rows[1] > rows[0]:
-            # the checkpoint holds the config of the last build: a resumed run
-            # that builds nothing new keeps the short run's
-            names.append("checkpoint.json")
-        for name in names:
+        for name in ("history.csv", "interpolant.json", "checkpoint.json"):
             assert (tmp / "resumed" / name).read_bytes() == (tmp / "fresh" / name).read_bytes()
 
 
