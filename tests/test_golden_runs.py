@@ -5,7 +5,9 @@ the surpluses and the margin from scratch).
 The first config is the benchmark's `d3_leja_ckpt` run: 137 one-node
 iterations.  The second grows a d=4 Clenshaw-Curtis grid by at least six
 nodes per iteration, so blocks of several rows, and fibres with several new
-members, are solved at once.
+members, are solved at once.  The later entries pin a surplus fit on Leja
+nodes, a fit with beta pinned to zero, and an `adasg compare` run, whose
+isotropic scheme runs with fitting off.
 """
 
 import hashlib
@@ -49,7 +51,54 @@ RUNS = {
         "checkpoint.json": "3f790e5e9154e315a516265ba63798bc5748228e5f11d6fe6380abc2caa98752",
         "interpolant.json": "53957c8a59a90309ecb2bf544b7fa2fd0fe25848aa1726f0d64c3ba9ac85325c",
     }),
+    "leja_surplus": ("""
+        rule = leja
+        d = 3
+        fit_source = surplus
+        batch = minimal
+        max_iterations = 1000
+        max_samples = 120
+        target = rational
+        target_c0 = 3
+        target_c = 1,0.5,0.25
+        probe_count = 1000
+        probe_seed = 11
+    """, {
+        "history.csv": "d74bea80c6d0d94184ad15379fe4aef16346d2ee2963516238c9176040d3ee29",
+        "checkpoint.json": "3d238b9a3932b3328bdd3a8eb01f3692b217cf0aa8dce017b641e01abd1f0ebe",
+        "interpolant.json": "969b4dd816edb7903f2c3b607d0245da693a8a26d043653d7c290343bdf636e0",
+    }),
+    "leja_no_beta": ("""
+        rule = leja
+        d = 3
+        fit_beta = false
+        batch = 3
+        max_iterations = 1000
+        max_samples = 150
+        target = rational
+        target_c0 = 3
+        target_c = 1,0.5,0.25
+        probe_count = 1000
+        probe_seed = 13
+    """, {
+        "history.csv": "e833f0cc0d650bd424a53d7b5127c69084e82e0bc6c1f0f10f1a65ea6b7ed39a",
+        "checkpoint.json": "44316e8ec075407d3f48a33a740afd18fe5b51b862aaf3dfb97e079ad8784a0a",
+        "interpolant.json": "972f88ee89d0bed3a7d3f05dcdba0de6b5b1309eb602ee2bb8de1f92c649b52c",
+    }),
 }
+
+COMPARE = ("""
+    rule = leja
+    d = 3
+    batch = 2
+    max_iterations = 40
+    max_samples = 100
+    target = rational
+    target_c0 = 3
+    target_c = 1,0.5,0.25
+    probe_count = 500
+    probe_seed = 17
+""", "4f5737839750726866b4fe6d62db8f9f4a870bbf64a89832b723bf5c00a25420")
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -60,3 +109,11 @@ def test_cli_run_writes_the_pinned_bytes(name, tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "run.cfg"), "--workdir", str(out)]) == 0
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
     assert got == digests
+
+
+def test_cli_compare_writes_the_pinned_bytes(tmp_path):
+    config, digest = COMPARE
+    (tmp_path / "run.cfg").write_text(textwrap.dedent(config))
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(tmp_path / "run.cfg"), "--workdir", str(out)]) == 0
+    assert hashlib.sha256((out / "compare.csv").read_bytes()).hexdigest() == digest
