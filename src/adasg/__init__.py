@@ -6,8 +6,6 @@ from .driver import (
     RunConfig,
     RunState,
     load_state,
-    mc_linf_error,
-    next_level,
     run,
     save_state,
     step,
@@ -17,7 +15,6 @@ from .fitting import (
     UnfittableError,
     adhoc_correction,
     fit_curved,
-    fit_surplus,
     isotropic_params,
 )
 from .multiindex import (
@@ -29,13 +26,10 @@ from .multiindex import (
     lambda_curved,
     lower_completion,
     margin,
-    read_index_set_csv,
-    write_index_set_csv,
 )
 from .rules1d import (
     NodeSequence,
     RULE_KINDS,
-    closed_form_node,
     greedy_sequence,
     growth,
     lambda_model,
@@ -48,17 +42,14 @@ from .sparse_grid import (
     Interpolant,
     TensorSet,
     build_interpolant,
-    evaluate,
     evaluate_batch,
     grid_nodes,
     grid_size,
     load_interpolant,
-    polynomial_range,
     save_interpolant,
-    theta_curved,
     theta_opt,
 )
-from .spectral import LegendreExpansion, grid_coeffs, legendre_1d, legendre_coeffs
+from .spectral import grid_coeffs, legendre_1d
 from .targets import (
     EvaluationError,
     TargetSpec,

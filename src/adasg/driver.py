@@ -41,7 +41,6 @@ from .multiindex import (
     curved_tail_min,
     lambda_classic,
     lambda_curved,
-    margin,
 )
 from .spectral import grid_coeffs
 from .sparse_grid import (
@@ -54,7 +53,7 @@ from .sparse_grid import (
     _write_text_atomic,
     build_interpolant,  # noqa: F401 - perfbench's tracer tests patch it under this name
     evaluate_batch,
-    grid_size,
+    grid_size,  # noqa: F401 - perfbench's tracer tests read it under this name
     theta_opt,
 )
 from .targets import EvaluationError, TargetSpec
@@ -214,18 +213,6 @@ def initial_tensor_set(config: RunConfig) -> TensorSet:
     return theta_opt(lam, config.rule)
 
 
-def next_level(
-    fit: FitParams,
-    ts: TensorSet,
-    batch: int | str = "minimal",
-    sample_budget: int | None = None,
-) -> tuple[float, TensorSet]:
-    """Smallest level L whose curved tensor set grows ts (or adds >= batch
-    nodes), and the grown set: ts together with theta_curved(L)."""
-    best, added = _grow(fit, ts, set(margin(ts.theta)), grid_size(ts), batch, sample_budget)
-    return best, _grown(ts, added)
-
-
 def _grown(ts: TensorSet, added: list[MultiIndex]) -> TensorSet:
     # the old members are valid and in order: only the admitted levels are sorted in
     return TensorSet(ts.theta._grown(added, lower_flag=True), ts.rule)
@@ -240,11 +227,13 @@ def _grow(
     sample_budget: int | None,
 ) -> tuple[float, list[MultiIndex]]:
     """The grow step on `ts`, whose margin is `front` and grid has `nodes`
-    nodes: the level L `next_level` returns and the tensor levels admitted.
+    nodes: the smallest level L whose curved tensor set
+    theta_opt(lambda_curved(w, L)) grows `ts` (or adds >= batch nodes), and
+    the tensor levels admitted.
 
     Tensor level i enters at W(i) = sum_k min_{t >= m(i_k - 1)}
     (alpha_k t + beta_k log(t + 1)), the least curved weight of a degree its
-    interpolant adds.  W is non-decreasing in i, so theta_curved(L) is
+    interpolant adds.  W is non-decreasing in i, so that tensor set is
     {i : W(i) <= L} and grows through the margin, as the active set of
     Gerstner & Griebel (Computing 2003): each round pops the smallest weight
     L, admits every level with W <= L, and pushes each successor whose
@@ -368,24 +357,14 @@ def _fit_from(interp: Interpolant, config: RunConfig) -> FitParams:
     return _fit_rows(interp.grid.idx - 1, values, config.min_magnitude, config.fit_beta)
 
 
-def _probe_points(d: int, count: int, seed: int) -> np.ndarray:
-    if count < 1:
-        raise ValueError("need at least one probe point")
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, d))
-
-
-def mc_linf_error(interp: Interpolant, target: TargetSpec, count: int, seed: int) -> float:
-    """Max abs deviation on `count` uniform random points of the hypercube."""
-    pts = _probe_points(interp.dim, count, seed)
-    return float(np.abs(evaluate_batch(interp, pts) - target.evaluate(pts)).max())
-
-
 def _probe_error(state: RunState, target: TargetSpec) -> float:
-    """`mc_linf_error` of the current interpolant, with the target's values
-    at the probe points taken once per run and kept on the state."""
-    key = (state.config.probe_count, state.config.probe_seed)
+    """Max abs deviation of the current interpolant from the target on
+    `probe_count` uniform random points of the hypercube, drawn from
+    `probe_seed`; the target's values there are taken once per run and kept
+    on the state."""
+    count, seed = key = (state.config.probe_count, state.config.probe_seed)
     if key not in state.probe:
-        pts = _probe_points(state.config.d, *key)
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, state.config.d))
         state.probe = {key: (pts, target.evaluate(pts))}
     pts, values = state.probe[key]
     return float(np.abs(evaluate_batch(state.interpolant, pts) - values).max())
@@ -428,15 +407,15 @@ def _build_phase(state: RunState, target: TargetSpec) -> None:
 
 
 def _grow_phase(state: RunState) -> None:
-    """Grow the tensor set to the next level of the fitted curved weights."""
+    """Grow the tensor set to the next level of the fitted curved weights,
+    from the margin and node count of the kept grid.  A tensor set replaced
+    since the last build is built first, from the samples in the cache."""
+    if state.grid.theta is not state.theta:
+        _build_grid(state, None)
     config, ts, run = state.config, state.theta, state.grid
-    if run.theta is ts:
-        front, nodes = run.margin, len(run.grid)
-    else:
-        front, nodes = set(margin(ts.theta)), grid_size(ts)
-    _, added = _grow(state.fit, ts, front, nodes, config.batch, config.max_samples)
+    _, added = _grow(state.fit, ts, run.margin, len(run.grid), config.batch, config.max_samples)
     state.theta = _grown(ts, added)
-    run.step = (state.theta, added) if run.theta is ts else None
+    run.step = (state.theta, added)
     state.iteration += 1
 
 

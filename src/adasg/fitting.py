@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rules1d
 from .multiindex import MultiIndex, graded_lex_key
 
 DEFAULT_MIN_MAGNITUDE = 1e-14
@@ -133,19 +132,3 @@ def _fit_rows(degrees: np.ndarray, values: np.ndarray, min_magnitude: float,
     return FitParams(tuple(alpha), tuple(beta), c_const, corrected, excluded,
                      residual, n_used)
 
-
-def fit_surplus(
-    surpluses: dict[MultiIndex, float],
-    rule: str,
-    min_magnitude: float = DEFAULT_MIN_MAGNITUDE,
-    include_beta: bool = True,
-) -> FitParams:
-    """Same regression with hierarchical surpluses as the response.
-
-    Only valid for unit-growth rules (one new node per level), where the
-    1-based node index minus one is the polynomial degree.
-    """
-    if not rules1d.unit_growth(rule):
-        raise ValueError(f"surplus fitting requires a unit-growth rule, not {rule!r}")
-    shifted = {tuple(v - 1 for v in j): s for j, s in surpluses.items()}
-    return fit_curved(shifted, min_magnitude, include_beta)

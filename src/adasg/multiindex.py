@@ -67,11 +67,6 @@ class IndexSet:
     def issubset(self, other: "IndexSet") -> bool:
         return self._member_set <= other._member_set
 
-    def union(self, other: "IndexSet") -> "IndexSet":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return IndexSet(self.dim, self._member_set | other._member_set)
-
     def _grown(self, added: Sequence[MultiIndex], lower_flag: bool | None) -> "IndexSet":
         """This set together with `added`: valid multi-indices of this
         dimension that are not members.  Only `added` is sorted; each is
@@ -196,8 +191,12 @@ def _sublevel_set(
 
     The membership value is folded left to right, one coordinate at a
     time, by `combine` (+, max or *), which must be non-decreasing in each
-    argument; each g[k] is non-decreasing beyond dip_ends[k].
+    argument; each g[k] is non-decreasing beyond dip_ends[k].  A level that
+    is not finite is refused: at inf the scan never ends, and at NaN no
+    index is a member.
     """
+    if not math.isfinite(L):
+        raise ValueError(f"level must be finite, got {L}")
     d = len(g)
     # least contribution of each coordinate; a prefix is pruned when even
     # these minima push it past L.  They are combined left to right, in the
@@ -277,24 +276,3 @@ def lambda_classic(kind: str, alpha: Sequence[float], L: float) -> IndexSet:
     raw = _sublevel_set(g, [0] * len(alpha), float(L), combine, start)
     return IndexSet(len(alpha), raw, lower_flag=True)
 
-
-def write_index_set_csv(s: IndexSet, path) -> None:
-    from .sparse_grid import _write_text_atomic  # sparse_grid imports this module
-
-    lines = [",".join(f"nu_{k + 1}" for k in range(s.dim))]
-    lines += [",".join(str(v) for v in nu) for nu in s.members]
-    _write_text_atomic("\n".join(lines) + "\n", path)
-
-
-def read_index_set_csv(path) -> IndexSet:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if cols != [f"nu_{k + 1}" for k in range(len(cols))]:
-            raise ValueError(f"bad index-set header: {header!r}")
-        members = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                members.append(tuple(int(v) for v in line.split(",")))
-    return IndexSet(len(cols), members)

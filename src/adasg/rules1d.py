@@ -137,15 +137,6 @@ def _rleja_thetas(n: int) -> list[float]:
     return th[:n]
 
 
-def closed_form_node(kind: str, j: int) -> float:
-    """The j-th node (1-based) for the closed-form kinds."""
-    if kind not in CLOSED_FORM_KINDS:
-        raise ValueError(f"{kind!r} has no closed-form nodes")
-    if j < 1:
-        raise ValueError("node index is 1-based")
-    return float(_closed_form_nodes(_FAMILY[kind], j)[j - 1])
-
-
 def _closed_form_nodes(family: str, n: int) -> np.ndarray:
     if family == "fejer2":
         return np.array([math.cos(2.0 ** (-math.ceil(math.log2(j + 1))) * (2 * j + 1) * math.pi)

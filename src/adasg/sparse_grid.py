@@ -24,11 +24,9 @@ import numpy as np
 
 from . import rules1d
 from .multiindex import (
-    CurvedWeights,
     IndexSet,
     MultiIndex,
     is_lower,
-    lambda_curved,
 )
 
 
@@ -80,11 +78,6 @@ def theta_opt(lam: IndexSet, rule: str) -> TensorSet:
     levels = np.searchsorted(m, nus)
     keep = (m[levels] == nus).all(axis=1)
     return TensorSet(IndexSet(lam.dim, map(tuple, levels[keep].tolist()), lower_flag=True), rule)
-
-
-def theta_curved(w: CurvedWeights, L: float, rule: str) -> TensorSet:
-    """Optimal tensor set for the curved space with weights w at level L."""
-    return theta_opt(lambda_curved(w, L), rule)
 
 
 @dataclass
@@ -163,11 +156,6 @@ def grid_size(ts: TensorSet) -> int:
 def _degrees(grid: GridNodes) -> IndexSet:
     """Degrees spanned on the grid: grid index j carries the degree j - 1."""
     return IndexSet(grid.idx.shape[1], map(tuple, (grid.idx - 1).tolist()), lower_flag=True)
-
-
-def polynomial_range(ts: TensorSet) -> IndexSet:
-    """Degrees spanned by the interpolant: grid indices shifted down by one."""
-    return _degrees(grid_nodes(ts))
 
 
 def _newton_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -290,9 +278,6 @@ class Interpolant:
     def node_count(self) -> int:
         return len(self.grid)
 
-    def surplus_map(self) -> dict[MultiIndex, float]:
-        return dict(zip(self.grid.indices, self.surpluses.tolist()))
-
 
 def build_interpolant(ts: TensorSet, samples: dict[MultiIndex, float]) -> Interpolant:
     """Assemble the interpolant from samples keyed by 1-based grid index."""
@@ -359,12 +344,6 @@ def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = Fals
             c = c[parent] * H[j, k]
         out[start:start + chunk] = np.einsum("gp,gp->p", c, S @ H[:S.shape[1], -1])
     return out
-
-
-def evaluate(interp: Interpolant, point, allow_extrapolation: bool = False) -> float:
-    """Surplus-form evaluation at a single point in [-1,1]^d."""
-    return float(evaluate_batch(interp, np.asarray(point, dtype=float)[None, :],
-                                allow_extrapolation)[0])
 
 
 # ---------------------------------------------------------------------------

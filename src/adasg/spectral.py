@@ -11,13 +11,10 @@ that integrates its products exactly.
 from __future__ import annotations
 
 import functools
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import rules1d
-from .multiindex import IndexSet, MultiIndex
 from .sparse_grid import _MATRIX_CACHE_SIZE, Interpolant, _fibre_apply, _newton_basis
 
 
@@ -38,14 +35,6 @@ def _legendre_matrix(degrees: int, y: np.ndarray) -> np.ndarray:
         pm, p = p, ((2 * j + 1) * y * p - j * pm) / (j + 1)
         out[j + 1] = p * np.sqrt(2 * (j + 1) + 1)
     return out
-
-
-@dataclass
-class LegendreExpansion:
-    """Coefficients of the orthonormal Legendre expansion over an index set."""
-
-    lam: IndexSet
-    coeffs: dict[MultiIndex, float]
 
 
 @functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
@@ -77,19 +66,3 @@ def grid_coeffs(interp: Interpolant) -> np.ndarray:
     basis = _basis_change(interp.tensor_set.rule, int(mmax.max()))
     return _fibre_apply(idx, interp.surpluses, [basis[:m, :m] for m in mmax])
 
-
-def legendre_coeffs(interp: Interpolant, lam: IndexSet) -> LegendreExpansion:
-    """Expansion coefficients of the interpolant over `lam`.
-
-    The interpolant spans exactly the degrees of its grid (`interp.range`),
-    so modes of `lam` outside it have coefficient 0.0.
-    """
-    of = dict(zip(map(tuple, (interp.grid.idx - 1).tolist()), grid_coeffs(interp).tolist()))
-    outside = [nu for nu in lam.members if nu not in of]
-    if outside:
-        warnings.warn(
-            f"{len(outside)} requested modes lie outside the interpolant's "
-            "range; their coefficients are zero by orthogonality",
-            stacklevel=2,
-        )
-    return LegendreExpansion(lam, {nu: of.get(nu, 0.0) for nu in lam.members})

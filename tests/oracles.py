@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from adasg import rules1d
-from adasg.multiindex import graded_lex_key
+from adasg.multiindex import IndexSet, graded_lex_key
 
 
 def enumerate_grid(ts):
@@ -35,6 +35,12 @@ def enumerate_grid(ts):
         for k in range(d):
             pts[r, k] = nodes1d[k][j[k] - 1]
     return indices, pts
+
+
+def degrees(ts):
+    """The degrees an interpolant on `ts` spans: the grid indices of
+    `enumerate_grid`, each shifted down by one."""
+    return IndexSet(ts.dim, [tuple(v - 1 for v in j) for j in enumerate_grid(ts)[0]])
 
 
 def combination_weights(ts):

@@ -85,7 +85,7 @@ def test_criterion_2_minimality_oracle():
     counterexamples = 0
     checks = 0
     for rule in ("leja", "clenshaw_curtis"):
-        ranges = [(th, sg.polynomial_range(sg.TensorSet(th, rule))) for th in thetas]
+        ranges = [(th, oracles.degrees(sg.TensorSet(th, rule))) for th in thetas]
         for lam in lams:
             opt = sg.theta_opt(lam, rule).theta
             for th, rng_set in ranges:

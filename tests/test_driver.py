@@ -16,18 +16,31 @@ from adasg import rules1d
 from adasg import sparse_grid as sg
 from adasg import targets as tg
 from adasg.fitting import FitParams, isotropic_params
-from adasg.multiindex import CurvedWeights, IndexSet, is_lower, margin
+from adasg.multiindex import CurvedWeights, IndexSet, is_lower, lambda_curved, margin
 
 
 RAT2 = tg.builtin_target("rational", 2, c0=2.0, c=[1.0, 0.5])
 
 
+def next_level(fit, ts, batch="minimal", sample_budget=None):
+    """The grow step on `ts` from its margin built afresh, and the grown set."""
+    L, added = dr._grow(fit, ts, set(margin(ts.theta)), sg.grid_size(ts), batch, sample_budget)
+    return L, dr._grown(ts, added)
+
+
+def linf_error(interp, target, count, seed):
+    """Max deviation from the target on the probe's draw of `count` points."""
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, interp.dim))
+    return float(np.abs(sg.evaluate_batch(interp, pts) - target.evaluate(pts)).max())
+
+
 def test_next_level_anisotropic_example():
     ts = sg.TensorSet(IndexSet(2, [(0, 0)]), "leja")
     fit = FitParams((1.0, 2.0), (0.0, 0.0), 0.0)
-    L, returned = dr.next_level(fit, ts, "minimal")
+    L, returned = next_level(fit, ts, "minimal")
     assert L == 1.0
-    grown = ts.theta.union(sg.theta_curved(CurvedWeights(fit.alpha, fit.beta), L, "leja").theta)
+    curved = sg.theta_opt(lambda_curved(CurvedWeights(fit.alpha, fit.beta), L), "leja")
+    grown = IndexSet(2, set(ts.theta) | set(curved.theta))
     assert set(grown.members) == {(0, 0), (1, 0)}
     assert returned.theta == grown
 
@@ -35,8 +48,9 @@ def test_next_level_anisotropic_example():
 def test_next_level_isotropic_ties_enter_together():
     ts = sg.TensorSet(IndexSet(2, [(0, 0)]), "leja")
     fit = isotropic_params(2)
-    L, returned = dr.next_level(fit, ts, "minimal")
-    grown = ts.theta.union(sg.theta_curved(CurvedWeights(fit.alpha, fit.beta), L, "leja").theta)
+    L, returned = next_level(fit, ts, "minimal")
+    curved = sg.theta_opt(lambda_curved(CurvedWeights(fit.alpha, fit.beta), L), "leja")
+    grown = IndexSet(2, set(ts.theta) | set(curved.theta))
     assert set(grown.members) == {(0, 0), (1, 0), (0, 1)}
     assert returned.theta == grown
 
@@ -44,8 +58,9 @@ def test_next_level_isotropic_ties_enter_together():
 def test_next_level_target_new_nodes():
     ts = sg.TensorSet(IndexSet(2, [(0, 0)]), "leja")
     fit = isotropic_params(2)
-    L, returned = dr.next_level(fit, ts, 6)
-    grown = ts.theta.union(sg.theta_curved(CurvedWeights(fit.alpha, fit.beta), L, "leja").theta)
+    L, returned = next_level(fit, ts, 6)
+    curved = sg.theta_opt(lambda_curved(CurvedWeights(fit.alpha, fit.beta), L), "leja")
+    grown = IndexSet(2, set(ts.theta) | set(curved.theta))
     added = sg.grid_size(sg.TensorSet(grown, "leja")) - 1
     assert added >= 6
     assert returned.theta == grown
@@ -55,7 +70,7 @@ def test_next_level_budget_exhaustion():
     ts = sg.TensorSet(IndexSet(2, [(0, 0)]), "clenshaw_curtis")
     fit = isotropic_params(2)
     with pytest.raises(dr.BudgetExhausted):
-        dr.next_level(fit, ts, "minimal", sample_budget=2)
+        next_level(fit, ts, "minimal", sample_budget=2)
 
 
 # at a level tie the curved prune once dropped every member, and next_level
@@ -66,9 +81,10 @@ TIE_BETA = (-2.0, -1.1, -2.4, -1.9)
 
 def test_next_level_grows_at_a_level_tie():
     ts = sg.TensorSet(IndexSet(4, [(0, 0, 0, 0)]), "leja")
-    L, grown = dr.next_level(FitParams(TIE_ALPHA, TIE_BETA, 0.0), ts)
+    L, grown = next_level(FitParams(TIE_ALPHA, TIE_BETA, 0.0), ts)
     assert L == -3.027581746198526
-    expected = ts.theta.union(sg.theta_curved(CurvedWeights(TIE_ALPHA, TIE_BETA), L, "leja").theta)
+    curved = sg.theta_opt(lambda_curved(CurvedWeights(TIE_ALPHA, TIE_BETA), L), "leja")
+    expected = IndexSet(4, set(ts.theta) | set(curved.theta))
     assert grown.theta == expected
     assert len(grown.theta) > 1
 
@@ -94,13 +110,14 @@ def test_next_level_matches_the_curved_tensor_set(theta, rule, data, batch, budg
     beta = tuple(data.draw(st.lists(st.floats(-2.5, 1.5), min_size=d, max_size=d)))
     ts = sg.TensorSet(theta, rule)
     try:
-        L, grown = dr.next_level(FitParams(alpha, beta, 0.0), ts, batch, sample_budget=budget)
+        L, grown = next_level(FitParams(alpha, beta, 0.0), ts, batch, sample_budget=budget)
     except dr.BudgetExhausted:
         # even the smallest growth step overflows the budget
-        _, smallest = dr.next_level(FitParams(alpha, beta, 0.0), ts)
+        _, smallest = next_level(FitParams(alpha, beta, 0.0), ts)
         assert sg.grid_size(smallest) > budget
         return
-    expected = theta.union(sg.theta_curved(CurvedWeights(alpha, beta), L, rule).theta)
+    curved = sg.theta_opt(lambda_curved(CurvedWeights(alpha, beta), L), rule)
+    expected = IndexSet(d, set(theta) | set(curved.theta))
     assert grown.theta == expected
     assert len(grown.theta) > len(theta)
     if budget is not None:
@@ -114,7 +131,7 @@ def test_next_level_grown_set_equals_a_validated_one(theta, rule, data, batch):
     d = theta.dim
     alpha = tuple(data.draw(st.lists(st.floats(0.5, 3.0), min_size=d, max_size=d)))
     beta = tuple(data.draw(st.lists(st.floats(-2.5, 1.5), min_size=d, max_size=d)))
-    _, grown = dr.next_level(FitParams(alpha, beta, 0.0), sg.TensorSet(theta, rule), batch)
+    _, grown = next_level(FitParams(alpha, beta, 0.0), sg.TensorSet(theta, rule), batch)
     validated = IndexSet(d, grown.theta.members)
     assert grown.theta.members == validated.members
     assert grown.theta.issubset(validated) and validated.issubset(grown.theta)
@@ -127,8 +144,9 @@ def test_next_level_climbs_past_its_first_growth_table(rule):
     # past the table next_level starts with
     ts = sg.TensorSet(IndexSet(1, [(0,)]), rule)
     fit = isotropic_params(1)
-    L, grown = dr.next_level(fit, ts, 60)
-    expected = ts.theta.union(sg.theta_curved(CurvedWeights(fit.alpha, fit.beta), L, rule).theta)
+    L, grown = next_level(fit, ts, 60)
+    curved = sg.theta_opt(lambda_curved(CurvedWeights(fit.alpha, fit.beta), L), rule)
+    expected = IndexSet(1, set(ts.theta) | set(curved.theta))
     assert grown.theta == expected
     assert sg.grid_size(grown) - 1 >= 60
 
@@ -186,6 +204,27 @@ def test_replaced_tensor_set_or_cache_is_built_from_scratch():
     dr._grow_phase(state)
     dr._build_phase(state, RAT2)
     check_run_grid(state)
+
+
+def test_grow_phase_on_a_replaced_tensor_set_grows_from_its_margin():
+    cfg = dr.RunConfig(rule="leja", d=2, batch=3, max_iterations=8, max_samples=80)
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    for _ in range(3):
+        dr.step(state, RAT2)
+    # a tensor set replaced by hand, inside the sampled grid: the kept grid
+    # is brought to it before the grow step reads its margin
+    ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (2, 0), (0, 1)]), "leja")
+    state.theta = ts
+    _, expected = next_level(state.fit, ts, cfg.batch, cfg.max_samples)
+    dr._grow_phase(state)
+    assert state.theta.theta == expected.theta
+    assert state.grid.step[0] is state.theta
+    dr._build_phase(state, RAT2)
+    check_run_grid(state)
+    # a replaced tensor set whose nodes were never sampled cannot be grown
+    state.theta = sg.TensorSet(IndexSet(2, [(i, 0) for i in range(40)]), "leja")
+    with pytest.raises(ValueError, match="cache lacks samples"):
+        dr._grow_phase(state)
 
 
 def test_loaded_state_keeps_growing_from_the_grid_it_built(tmp_path):
@@ -265,11 +304,11 @@ def test_union_consistency():
     for _ in range(3):
         before = state.theta
         dr._build_phase(state, RAT2)
-        L, returned = dr.next_level(state.fit, state.theta, cfg.batch,
-                                    sample_budget=cfg.max_samples)
-        expected = before.theta.union(
-            sg.theta_curved(CurvedWeights(state.fit.alpha, state.fit.beta), L, cfg.rule).theta
-        )
+        L, returned = next_level(state.fit, state.theta, cfg.batch,
+                                 sample_budget=cfg.max_samples)
+        w = CurvedWeights(state.fit.alpha, state.fit.beta)
+        curved = sg.theta_opt(lambda_curved(w, L), cfg.rule)
+        expected = IndexSet(2, set(before.theta) | set(curved.theta))
         dr._grow_phase(state)
         assert state.theta.theta == expected
         assert returned.theta == expected
@@ -546,11 +585,11 @@ def test_points_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch
 def test_mc_linf_error_contracts():
     cfg = dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60)
     interp, _ = dr.run(cfg, RAT2)
-    e1 = dr.mc_linf_error(interp, RAT2, 1, seed=123)
-    e1b = dr.mc_linf_error(interp, RAT2, 1, seed=123)
+    e1 = linf_error(interp, RAT2, 1, seed=123)
+    e1b = linf_error(interp, RAT2, 1, seed=123)
     assert e1 == e1b
     # exactness: a polynomial inside the range is reproduced
-    lam = sg.polynomial_range(interp.tensor_set)
+    lam = oracles.degrees(interp.tensor_set)
     coef = {nu: 0.3 for nu in lam.members}
 
     class PolyTarget:
@@ -569,7 +608,7 @@ def test_mc_linf_error_contracts():
         interp.tensor_set,
         {j: float(poly.evaluate(p[None, :])[0]) for j, p in zip(grid.indices, grid.points)},
     )
-    assert dr.mc_linf_error(exact, poly, 200, seed=9) <= 1e-9
+    assert linf_error(exact, poly, 200, seed=9) <= 1e-9
 
 
 def test_probe_points_evaluated_once_per_run():
@@ -587,7 +626,7 @@ def test_probe_points_evaluated_once_per_run():
     assert len(history) == 5
     # every node sampled once, the probe points once
     assert sum(sizes) == interp.node_count + 97 and sizes.count(97) == 1
-    assert history[-1].probe_error == dr.mc_linf_error(interp, RAT2, 97, cfg.probe_seed)
+    assert history[-1].probe_error == linf_error(interp, RAT2, 97, cfg.probe_seed)
     # step() keeps the memo on the state as run() does
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
     sizes.clear()

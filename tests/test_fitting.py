@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from adasg import fitting as ft
+from adasg.driver import RunConfig
 from adasg.multiindex import graded_lex_key
 from adasg.multiindex import lambda_classic
 
@@ -126,11 +127,12 @@ def test_beta_mask():
 
 def test_surplus_fit_requires_unit_growth():
     surp = {(j,): math.exp(-0.8 * (j - 1)) for j in range(1, 9)}
-    fp = ft.fit_surplus(surp, "leja")
+    # on a unit-growth rule grid index j carries the degree j - 1
+    fp = ft.fit_curved({(j - 1,): s for (j,), s in surp.items()})
     assert abs(fp.alpha[0] - 0.8) < 1e-8
     assert abs(fp.beta[0]) < 1e-7
     with pytest.raises(ValueError):
-        ft.fit_surplus(surp, "clenshaw_curtis")
+        RunConfig(rule="clenshaw_curtis", d=1, fit_source="surplus")
 
 
 def test_surplus_fit_sign_check_on_entire_function():
@@ -142,7 +144,8 @@ def test_surplus_fit_sign_check_on_entire_function():
     grid = sg.grid_nodes(ts)
     samples = {j: float(np.exp(p[0])) for j, p in zip(grid.indices, grid.points)}
     interp = sg.build_interpolant(ts, samples)
-    fp = ft.fit_surplus(interp.surplus_map(), "leja")
+    degrees = map(tuple, (interp.grid.idx - 1).tolist())
+    fp = ft.fit_curved(dict(zip(degrees, interp.surpluses.tolist())))
     assert fp.alpha[0] > 0
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adasg.multiindex import (
+    CLASSIC_KINDS,
     CurvedWeights,
     IndexSet,
     is_lower,
@@ -14,10 +17,7 @@ from adasg.multiindex import (
     lambda_curved,
     lower_completion,
     margin,
-    read_index_set_csv,
-    write_index_set_csv,
 )
-from test_driver import tear_writes
 
 
 def brute_is_lower(members):
@@ -135,6 +135,32 @@ def test_lambda_curved_empty_below_origin():
     assert len(lambda_curved(CurvedWeights((1.0, 2.0), (0.5, -0.5)), -0.1)) == 0
 
 
+@contextlib.contextmanager
+def deadline(seconds=5):
+    """Fail with TimeoutError instead of hanging when the body runs too long."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("L", [math.inf, -math.inf, math.nan])
+def test_non_finite_level_is_refused(L):
+    # at inf the sublevel scan never ended, and at NaN it returned no members
+    with deadline():
+        for kind in CLASSIC_KINDS:
+            with pytest.raises(ValueError, match="level must be finite"):
+                lambda_classic(kind, (1.0, 1.0), L)
+        with pytest.raises(ValueError, match="level must be finite"):
+            lambda_curved(CurvedWeights((1.0, 2.0), (0.5, -0.5)), L)
+
+
 def test_lambda_curved_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         lambda_curved(CurvedWeights((0.0, 1.0), (0.0, 0.0)), 1.0)
@@ -228,27 +254,6 @@ def test_graded_lex_storage_order():
 def test_duplicates_rejected():
     with pytest.raises(ValueError):
         IndexSet(2, [(0, 0), (0, 0)])
-
-
-def test_csv_round_trip(tmp_path):
-    s = lambda_curved(CurvedWeights((1.0, 1.4), (-0.3, 0.2)), 3.0)
-    path = tmp_path / "set.csv"
-    write_index_set_csv(s, path)
-    assert path.read_text().splitlines()[0] == "nu_1,nu_2"
-    assert read_index_set_csv(path) == s
-
-
-def test_csv_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):
-    path = tmp_path / "set.csv"
-    small = lambda_classic("total_degree", (1.0, 1.0), 1.0)
-    write_index_set_csv(small, path)
-    before = path.read_bytes()
-    tear_writes(monkeypatch)
-    with pytest.raises(OSError, match="disk full"):
-        write_index_set_csv(lambda_classic("total_degree", (1.0, 1.0), 20.0), path)
-    monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["set.csv"]
 
 
 index_sets = st.integers(1, 4).flatmap(lambda d: st.builds(

@@ -1,6 +1,9 @@
-"""Every top-level private name of the package has a caller in the package."""
+"""Every top-level private name of the package has a caller in the package,
+every public function or class has one or is exported, and the README's
+"Library API" section lists exactly the exported names."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -37,3 +40,26 @@ def test_every_private_top_level_name_is_referenced():
     unused = [f"{module}: {name}" for module, tree in trees.items()
               for name in _top_level_private_names(tree) if not used[name]]
     assert not unused, "private names defined but never used: " + ", ".join(unused)
+
+
+def _exported(tree):
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_the_readme_lists_exactly_the_names_the_package_exports():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", section))
+    assert listed == _exported(ast.parse((SRC / "__init__.py").read_text()))
+
+
+def test_every_public_top_level_function_or_class_is_used_or_exported():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = Counter(name for tree in trees.values() for name in _references(tree))
+    exported = _exported(trees["__init__.py"])
+    unused = [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and not used[node.name]
+              and node.name not in exported]
+    assert not unused, "public names neither used in the package nor exported: " + ", ".join(unused)

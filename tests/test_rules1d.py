@@ -35,13 +35,13 @@ def test_growth_strictly_increasing():
 
 
 def test_cc_closed_form_nodes():
-    got = [r1.closed_form_node("clenshaw_curtis", j) for j in range(1, 7)]
+    got = [r1.family_nodes("clenshaw_curtis", j)[j - 1] for j in range(1, 7)]
     want = [0.0, 1.0, -1.0, -math.sqrt(2) / 2, math.sqrt(2) / 2, -math.cos(math.pi / 8)]
     assert np.allclose(got, want, atol=1e-15)
 
 
 def test_rleja_closed_form_nodes():
-    got = [r1.closed_form_node("rleja", j) for j in range(1, 8)]
+    got = [r1.family_nodes("rleja", j)[j - 1] for j in range(1, 8)]
     want = [1.0, -1.0, 0.0, math.sqrt(2) / 2, -math.sqrt(2) / 2,
             math.cos(math.pi / 8), -math.cos(math.pi / 8)]
     assert np.allclose(got, want, atol=1e-15)
@@ -50,11 +50,12 @@ def test_rleja_closed_form_nodes():
 def test_closed_form_node_reads_the_family_sequence():
     for kind in r1.CLOSED_FORM_KINDS:
         for j in range(1, 300):
-            assert r1.closed_form_node(kind, j) == r1.family_nodes(kind, j)[j - 1], (kind, j)
+            closed_form = float(r1._closed_form_nodes(r1._FAMILY[kind], j)[j - 1])
+            assert closed_form == r1.family_nodes(kind, j)[j - 1], (kind, j)
 
 
 def test_centered_rleja_seed():
-    got = [r1.closed_form_node("rleja_odd", j) for j in range(1, 4)]
+    got = [r1.family_nodes("rleja_odd", j)[j - 1] for j in range(1, 4)]
     assert got == [0.0, 1.0, -1.0]
 
 

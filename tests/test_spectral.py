@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from adasg import sparse_grid as sg
 from adasg import spectral as sp
 from adasg.multiindex import IndexSet, lambda_classic, margin
@@ -16,6 +17,13 @@ def random_lower_set(rng, d, n):
         cands = margin(s)
         s = IndexSet(d, set(s.members) | {cands[rng.integers(len(cands))]}, lower_flag=True)
     return s
+
+
+def coeffs_over(interp, lam):
+    """The Legendre coefficients of the modes of `lam`, keyed by degree, read
+    off the rows of `grid_coeffs`."""
+    of = dict(zip(map(tuple, (interp.grid.idx - 1).tolist()), sp.grid_coeffs(interp).tolist()))
+    return {nu: of[nu] for nu in lam.members}
 
 
 def test_legendre_1d_values():
@@ -57,9 +65,9 @@ def test_constant_interpolant_coefficients():
     ts = sg.theta_opt(lam, "clenshaw_curtis")
     grid = sg.grid_nodes(ts)
     interp = sg.build_interpolant(ts, {j: 2.5 for j in grid.indices})
-    exp = sp.legendre_coeffs(interp, lam)
-    assert abs(exp.coeffs[(0, 0)] - 2.5) < 1e-12
-    assert all(abs(v) < 1e-12 for nu, v in exp.coeffs.items() if nu != (0, 0))
+    coeffs = coeffs_over(interp, lam)
+    assert abs(coeffs[(0, 0)] - 2.5) < 1e-12
+    assert all(abs(v) < 1e-12 for nu, v in coeffs.items() if nu != (0, 0))
 
 
 def test_coordinate_interpolant_coefficient():
@@ -67,9 +75,9 @@ def test_coordinate_interpolant_coefficient():
     ts = sg.theta_opt(lam, "clenshaw_curtis")
     grid = sg.grid_nodes(ts)
     interp = sg.build_interpolant(ts, {j: float(p[0]) for j, p in zip(grid.indices, grid.points)})
-    exp = sp.legendre_coeffs(interp, lam)
-    assert abs(exp.coeffs[(1, 0)] - 1 / math.sqrt(3)) < 1e-12
-    assert all(abs(v) < 1e-12 for nu, v in exp.coeffs.items() if nu != (1, 0))
+    coeffs = coeffs_over(interp, lam)
+    assert abs(coeffs[(1, 0)] - 1 / math.sqrt(3)) < 1e-12
+    assert all(abs(v) < 1e-12 for nu, v in coeffs.items() if nu != (1, 0))
 
 
 def test_interpolated_mode_is_orthonormal():
@@ -85,9 +93,9 @@ def test_interpolated_mode_is_orthonormal():
     interp = sg.build_interpolant(
         ts, {j: float(mode(p[None, :])[0]) for j, p in zip(grid.indices, grid.points)}
     )
-    exp = sp.legendre_coeffs(interp, lam)
-    assert abs(exp.coeffs[nu0] - 1.0) < 1e-10
-    assert all(abs(v) < 1e-10 for nu, v in exp.coeffs.items() if nu != nu0)
+    coeffs = coeffs_over(interp, lam)
+    assert abs(coeffs[nu0] - 1.0) < 1e-10
+    assert all(abs(v) < 1e-10 for nu, v in coeffs.items() if nu != nu0)
 
 
 def test_parseval_against_independent_quadrature():
@@ -98,9 +106,9 @@ def test_parseval_against_independent_quadrature():
     interp = sg.build_interpolant(
         ts, {j: float(rng.uniform(-1, 1)) for j in grid.indices}
     )
-    rng_set = sg.polynomial_range(ts)
-    exp = sp.legendre_coeffs(interp, rng_set)
-    ssq = sum(v * v for v in exp.coeffs.values())
+    rng_set = oracles.degrees(ts)
+    coeffs = coeffs_over(interp, rng_set)
+    ssq = sum(v * v for v in coeffs.values())
     deg = max(rng_set.max_degrees())
     x, w = np.polynomial.legendre.leggauss(2 * deg + 6)
     w = w / 2
@@ -119,11 +127,11 @@ def test_reconstruction_matches_interpolant():
     interp = sg.build_interpolant(
         ts, {j: float(rng.uniform(-1, 1)) for j in grid.indices}
     )
-    rng_set = sg.polynomial_range(ts)
-    exp = sp.legendre_coeffs(interp, rng_set)
+    rng_set = oracles.degrees(ts)
+    coeffs = coeffs_over(interp, rng_set)
     pts = rng.uniform(-1, 1, (100, 2))
     rec = np.zeros(100)
-    for nu, c in exp.coeffs.items():
+    for nu, c in coeffs.items():
         rec += c * sp.legendre_1d(nu[0], pts[:, 0]) * sp.legendre_1d(nu[1], pts[:, 1])
     direct = sg.evaluate_batch(interp, pts)
     assert np.abs(rec - direct).max() <= 1e-8 * max(1.0, np.abs(direct).max())
@@ -137,13 +145,13 @@ def test_coefficients_stable_under_over_refinement():
     interp = sg.build_interpolant(
         ts, {j: float(rng.uniform(-1, 1)) for j in grid.indices}
     )
-    lam = sg.polynomial_range(ts)
-    base = sp.legendre_coeffs(interp, lam)
+    lam = oracles.degrees(ts)
+    base = coeffs_over(interp, lam)
     # twice the points an exact rule needs must land on the exactness plateau
     counts = [2 * (deg + 1) for deg in lam.max_degrees()]
     ref = quadrature_coeffs(interp, lam, counts)
     for nu in lam.members:
-        assert abs(ref[nu] - base.coeffs[nu]) < 1e-12
+        assert abs(ref[nu] - base[nu]) < 1e-12
 
 
 @st.composite
@@ -171,22 +179,11 @@ def test_coefficients_match_tensor_gauss_quadrature(theta, rule, seed):
     a, b = rng.uniform(-1.2, 1.2, theta.dim), rng.uniform(-1.5, 1.5, theta.dim)
     values = np.exp(grid.points @ a) * np.cos(grid.points @ b)
     interp = sg.build_interpolant(ts, dict(zip(grid.indices, values)))
-    lam = sg.polynomial_range(ts)
-    got = sp.legendre_coeffs(interp, lam).coeffs
+    lam = oracles.degrees(ts)
+    got = coeffs_over(interp, lam)
     ref = quadrature_coeffs(interp, lam, [deg + 1 for deg in lam.max_degrees()])
     scale = max(1.0, max(abs(v) for v in ref.values()))
     assert max(abs(got[nu] - ref[nu]) for nu in lam.members) <= 1e-10 * scale
-
-
-def test_modes_outside_the_range_are_zero():
-    ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0)]), "leja")
-    grid = sg.grid_nodes(ts)
-    interp = sg.build_interpolant(ts, {j: 1.0 + p[0] for j, p in zip(grid.indices, grid.points)})
-    lam = IndexSet(2, [(0, 0), (1, 0), (0, 1), (2, 0)])
-    with pytest.warns(UserWarning, match="2 requested modes lie outside"):
-        exp = sp.legendre_coeffs(interp, lam)
-    assert exp.coeffs[(0, 1)] == 0.0 and exp.coeffs[(2, 0)] == 0.0
-    assert abs(exp.coeffs[(1, 0)] - 1 / math.sqrt(3)) < 1e-14
 
 
 @pytest.mark.parametrize("rule", ["leja", "clenshaw_curtis", "rleja_double2"])

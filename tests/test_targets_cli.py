@@ -16,6 +16,7 @@ from adasg import sparse_grid as sg
 from adasg import targets as tg
 from adasg.multiindex import lambda_classic
 from test_driver import tear_writes
+from test_multiindex import deadline
 
 STUB = textwrap.dedent("""
     import csv
@@ -63,7 +64,7 @@ def test_gaussian_peak():
 
 def test_legendre_mode_orthonormal_coefficient():
     from adasg.multiindex import lambda_classic
-    from adasg.spectral import legendre_coeffs
+    from adasg.spectral import grid_coeffs
 
     nu0 = (1, 2)
     t = tg.builtin_target("legendre_mode", 2, nu=nu0)
@@ -73,8 +74,8 @@ def test_legendre_mode_orthonormal_coefficient():
     interp = sg.build_interpolant(
         ts, {j: float(t.evaluate(p[None, :])[0]) for j, p in zip(grid.indices, grid.points)}
     )
-    exp = legendre_coeffs(interp, lam)
-    assert abs(exp.coeffs[nu0] - 1.0) < 1e-10
+    coeffs = dict(zip(map(tuple, (interp.grid.idx - 1).tolist()), grid_coeffs(interp).tolist()))
+    assert abs(coeffs[nu0] - 1.0) < 1e-10
 
 
 def test_unknown_builtin():
@@ -411,6 +412,16 @@ def test_cli_compare_schemes(tmp_path):
 def test_cli_error_exit_code(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("level", ["inf", "nan"])
+def test_cli_run_refuses_a_non_finite_initial_level(tmp_path, capsys, level):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"rule = leja\nd = 2\ninitial_level = {level}\n")
+    with deadline():
+        rc = cli.main(["run", "--config", str(cfg), "--workdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "level must be finite" in capsys.readouterr().err
 
 
 def test_dynamic_td_equals_curved_when_beta_zero():
