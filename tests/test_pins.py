@@ -1,0 +1,125 @@
+"""Checksums of outputs that a refactor of the rules or the config loader must
+not move: the greedy node tables, one refined minimum of the min-Lebesgue
+objective, and what `load_config` makes of a fixed corpus of config files.
+
+The digests were computed before the refactors they guard and are not
+re-derived: a failure here means the code changed an output.
+"""
+
+import hashlib
+import random
+
+import numpy as np
+
+from adasg import cli
+from adasg import rules1d as r1
+
+NODE_TABLES = {
+    ("leja", 60): "1e5de29904f8e8e53492422d36290f6009a7b38eeff961c370ea68bf7ebd4853",
+    ("max_lebesgue", 12): "93f7e0fedf2b56602e5db9e3514ba59e6adc1e5fda0afd508ba9565a6136437e",
+    ("min_delta", 8): "749f05fee1abe47bc7d375d61523d0dfa474317ef4875254f40f700f2267b841",
+}
+MIN_LEBESGUE_4 = "18a7588416b7758d8ec1148323df21ead58b5935a1ade14a84877ed9f8231ef1"
+CONFIG_CORPUS = "6e0b748f56c6322347504f47f90220e3f12465d84e69fb255cd8fd120c02c8a8"
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def test_greedy_node_tables_are_pinned():
+    got = {(kind, n): _digest(r1.family_nodes(kind, n)) for kind, n in NODE_TABLES}
+    assert got == NODE_TABLES
+
+
+def test_min_lebesgue_refined_minimum_is_pinned():
+    # the only greedy rule whose refinement searches for a minimum through
+    # the augmented Lebesgue constant
+    nodes = r1.greedy_sequence("min_lebesgue", 4, candidate_count=10**4 + 1, probe_count=10**3)
+    assert _digest(nodes) == MIN_LEBESGUE_4
+
+
+# per run key: values the loader accepts, then values it refuses (malformed
+# or out of range); the target keys get only values their parser reads (a
+# malformed value of a key the chosen target does not use was ignored by
+# the loader the digest was made with)
+_RUN_VALUES = {
+    "rule": (["leja", "clenshaw_curtis", "fejer2", "min_delta_odd", "rleja_double2"], ["bogus"]),
+    "fit_source": (["legendre"], ["fourier"]),
+    "fit_beta": (["true", "false", "yes", "off"], ["maybe"]),
+    "batch": (["minimal", "4", "16"], ["0", "-2", "lots"]),
+    "max_iterations": (["0", "5", "200"], ["x"]),
+    "max_samples": (["10", "800"], ["1e3"]),
+    "probe_count": (["0", "100", "1000"], ["-3"]),
+    "probe_seed": (["7", "20240101"], ["s"]),
+    "initial": (["total_degree", "tensor", "curved", "hyperbolic", "smolyak", "bogus"], []),
+    "initial_level": (["2", "3.5", "nan"], ["x"]),
+    "initial_alpha": (["1,1,1", "1,0.5", "2"], ["a,b"]),
+    "initial_beta": (["0,0,0", "0.5,-0.25", "1"], ["a"]),
+    "min_magnitude": (["1e-14", "1e-6"], ["x"]),
+}
+_TARGETS = ["rational", "expsum", "gaussian_peak", "legendre_mode", "external"]
+
+
+def _vector(rng, d, values):
+    if rng.random() < 0.1:
+        d += rng.choice([-1, 1]) if d > 1 else 1  # the wrong length, never empty
+    return ",".join(rng.choice(values) for _ in range(d))
+
+
+def _target_values(rng, d):
+    return {
+        "target_c0": rng.choice(["3", "0.5", "10"]),
+        "target_c": _vector(rng, d, ["1", "0.5", "0.25", "0"]),
+        "target_t": _vector(rng, d, ["0", "0.1", "-0.2"]),
+        "target_nu": _vector(rng, d, ["0", "1", "2"]),
+        "external_workdir": rng.choice(["ext", ""]),
+        "external_command": rng.choice(["", "python3 eval.py"]),
+        "external_timeout": rng.choice(["5", "600", "0.5"]),
+    }
+
+
+def _config_corpus(count=400, seed=20261018):
+    """Config file texts drawn from a fixed seed: a target (or none, for the
+    default), a dimension (sometimes missing, zero or malformed), a random
+    subset of the other keys with now and then a refused value, and now and
+    then an unknown key or a line without '='."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lines = []
+        d = rng.choice([1, 2, 3, 3, 4])
+        roll = rng.random()
+        if roll < 0.92:
+            lines.append(f"d = {d}")
+        elif roll < 0.95:
+            lines.append(rng.choice(["d = three", "d = 0"]))
+        target = rng.choice(_TARGETS + [None])
+        if target is not None:
+            lines.append(f"target = {target}")
+        for key, (good, bad) in _RUN_VALUES.items():
+            if rng.random() < 0.3:
+                refused = bad and rng.random() < 0.05
+                lines.append(f"{key} = {rng.choice(bad if refused else good)}")
+        for key, value in _target_values(rng, d).items():
+            if rng.random() < 0.85:
+                lines.append(f"{key} = {value}")
+        roll = rng.random()
+        if roll < 0.02:
+            lines.append("bogus_key = 1")
+        elif roll < 0.04:
+            lines.append("no equals sign here")
+        rng.shuffle(lines)
+        yield "\n".join(lines) + "\n"
+
+
+def test_config_files_load_as_pinned(tmp_path):
+    outcomes = []
+    for n, text in enumerate(_config_corpus()):
+        path = tmp_path / f"{n}.cfg"
+        path.write_text(text)
+        try:
+            outcomes.append(repr(cli.load_config(path)))
+        except Exception as err:  # noqa: BLE001 - the error's type is the outcome
+            outcomes.append(type(err).__name__)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == CONFIG_CORPUS
