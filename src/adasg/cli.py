@@ -9,6 +9,7 @@ the same seed are byte-identical and round trips are lossless.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -45,70 +46,62 @@ def _bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-_CONFIG_KEYS = {
-    "rule", "d", "fit_source", "fit_beta", "batch", "max_iterations",
-    "max_samples", "probe_count", "probe_seed", "initial", "initial_level",
-    "initial_alpha", "initial_beta", "min_magnitude",
-    "target", "target_c0", "target_c", "target_t", "target_nu",
-    "external_workdir", "external_command", "external_timeout",
+# config key -> (RunConfig field, parser); a key the file omits takes the
+# field's default
+_RUN_KEYS = {
+    "rule": ("rule", str), "d": ("d", int),
+    "fit_source": ("fit_source", str), "fit_beta": ("fit_beta", _bool),
+    "batch": ("batch", lambda v: v if v == "minimal" else int(v)),
+    "max_iterations": ("max_iterations", int), "max_samples": ("max_samples", int),
+    "probe_count": ("probe_count", lambda v: int(v) or None), "probe_seed": ("probe_seed", int),
+    "initial": ("initial_kind", str), "initial_level": ("initial_level", float),
+    "initial_alpha": ("initial_alpha", _vector), "initial_beta": ("initial_beta", _vector),
+    "min_magnitude": ("min_magnitude", float),
 }
+# config key -> (parameter of builtin_target, or of external_target for the
+# external_* keys, parser); a key the file omits takes the parameter's default
+_TARGET_PARAMS = {
+    "target_c0": ("c0", float), "target_c": ("c", _vector), "target_t": ("t", _vector),
+    "target_nu": ("nu", lambda v: tuple(int(x) for x in v.split(","))),
+    "external_workdir": ("workdir", str), "external_command": ("command", lambda v: v or None),
+    "external_timeout": ("timeout", float),
+}
+_CONFIG_KEYS = {"target", *_RUN_KEYS, *_TARGET_PARAMS}
 
 
 def load_config(path) -> tuple[RunConfig, TargetSpec]:
-    """Parse a run config file into the driver config and the target spec."""
+    """Parse a run config file into the driver config and the target spec.
+
+    Besides `RunConfig`'s and the target constructors' defaults, the file
+    format has three of its own: `rule = leja`, `target = expsum` with every
+    `c` 1, and a probe of 1000 points for a built-in target (none for an
+    external one, whose samples cost solver calls).
+    """
     kv = parse_config_text(Path(path).read_text())
     unknown = set(kv) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    d = int(kv["d"])
-    batch: int | str = kv.get("batch", "minimal")
-    if batch != "minimal":
-        batch = int(batch)
+    if "d" not in kv:
+        raise KeyError("d")
     name = kv.get("target", "expsum")
-    if "probe_count" in kv:
-        probe_count = int(kv["probe_count"]) or None
-    else:
-        # probing an external target costs real solver calls; only default
-        # the Monte Carlo probe on for the cheap built-in families
-        probe_count = None if name == "external" else 1000
-    config = RunConfig(
-        rule=kv.get("rule", "leja"),
-        d=d,
-        fit_source=kv.get("fit_source", "legendre"),
-        fit_beta=_bool(kv.get("fit_beta", "true")),
-        batch=batch,
-        max_iterations=int(kv.get("max_iterations", "10")),
-        max_samples=int(kv.get("max_samples", "10000")),
-        probe_count=probe_count,
-        probe_seed=int(kv.get("probe_seed", "20240101")),
-        initial_kind=kv.get("initial", "total_degree"),
-        initial_level=float(kv.get("initial_level", "2")),
-        initial_alpha=_vector(kv["initial_alpha"]) if "initial_alpha" in kv else None,
-        initial_beta=_vector(kv["initial_beta"]) if "initial_beta" in kv else None,
-        min_magnitude=float(kv.get("min_magnitude", "1e-14")),
-    )
+    run = {"rule": "leja", "probe_count": None if name == "external" else 1000}
+    run.update((field, parse(kv[key])) for key, (field, parse) in _RUN_KEYS.items() if key in kv)
+    config = RunConfig(**run)
+    d = config.d
     if name == "external":
-        target = external_target(
-            d,
-            kv["external_workdir"],
-            kv.get("external_command") or None,
-            float(kv.get("external_timeout", "600")),
-        )
-    elif name == "rational":
-        target = builtin_target(name, d, c0=float(kv["target_c0"]), c=_vector(kv["target_c"]))
-    elif name == "expsum":
-        target = builtin_target(name, d, c=_vector(kv.get("target_c", ",".join(["1"] * d))))
-    elif name == "gaussian_peak":
-        target = builtin_target(
-            name, d,
-            c=_vector(kv["target_c"]),
-            t=_vector(kv.get("target_t", ",".join(["0"] * d))),
-        )
-    elif name == "legendre_mode":
-        target = builtin_target(name, d, nu=tuple(int(v) for v in kv["target_nu"].split(",")))
+        if "external_workdir" not in kv:
+            raise KeyError("external_workdir")
+        make, prefix = external_target, "external_"
     else:
-        raise ValueError(f"unknown target {name!r}")
-    return config, target
+        make, prefix = functools.partial(builtin_target, name), "target_"
+    params = {"c": (1.0,) * d} if name == "expsum" else {}
+    params.update((param, parse(kv[key])) for key, (param, parse) in _TARGET_PARAMS.items()
+                  if key in kv and key.startswith(prefix))
+    try:
+        return config, make(d, **params)
+    except KeyError as err:  # a parameter the file omits: name its key
+        keys = {param: key for key, (param, _) in _TARGET_PARAMS.items()}
+        raise KeyError(keys.get(err.args[0], err.args[0])) from None
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +184,14 @@ def scheme_config(config: RunConfig, scheme: str) -> RunConfig:
 
 
 def run_comparison(config: RunConfig, target: TargetSpec, schemes) -> list[tuple[str, int, float]]:
-    """Run each scheme with its own fresh sample cache; returns (scheme, nodes, error)."""
+    """Run each scheme with its own fresh sample cache; returns (scheme, nodes, error).
+    Every scheme name is checked before the first run."""
     if not config.probe_count:
         raise ValueError("comparison requires probe_count for the error column")
+    configs = [scheme_config(config, scheme) for scheme in schemes]
     rows = []
-    for scheme in schemes:
-        _, history = run(scheme_config(config, scheme), target)
+    for scheme, scheme_cfg in zip(schemes, configs):
+        _, history = run(scheme_cfg, target)
         for rec in history:
             rows.append((scheme, rec.node_count, rec.probe_error))
     return rows
@@ -205,9 +200,6 @@ def run_comparison(config: RunConfig, target: TargetSpec, schemes) -> list[tuple
 def _cmd_compare(args) -> int:
     config, target = load_config(args.config)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
     rows = run_comparison(config, target, schemes)
     wd = Path(args.workdir)
     wd.mkdir(parents=True, exist_ok=True)

@@ -73,8 +73,6 @@ def fit_curved(
     log columns are masked and beta is pinned to zero.  The rows of the
     regression are the coefficients in graded-lex order of their degrees.
     """
-    if not coeffs:
-        raise UnfittableError("no coefficients")
     items = sorted(coeffs.items(), key=lambda kv: graded_lex_key(kv[0]))
     degrees = np.array([nu for nu, _ in items], dtype=np.int64)
     return _fit_rows(degrees, np.array([c for _, c in items], dtype=float),

@@ -12,7 +12,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 MultiIndex = tuple[int, ...]
 
@@ -23,9 +23,9 @@ def graded_lex_key(nu: MultiIndex):
 class IndexSet:
     """An immutable collection of d-dimensional multi-indices in graded-lex order."""
 
-    __slots__ = ("dim", "members", "_member_set", "lower_flag")
+    __slots__ = ("dim", "members", "_member_set", "_lower")
 
-    def __init__(self, dim: int, members: Iterable[MultiIndex], lower_flag: bool | None = None):
+    def __init__(self, dim: int, members: Iterable[MultiIndex]):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         mem = [tuple(int(v) for v in nu) for nu in members]
@@ -40,7 +40,9 @@ class IndexSet:
         self.dim = dim
         self.members = tuple(uniq)
         self._member_set = frozenset(uniq)
-        self.lower_flag = lower_flag
+        # True once the set is known to be lower; private, and set only by
+        # `_grown` and `_lower_set`, whose callers build it lower by construction
+        self._lower = False
 
     def __len__(self) -> int:
         return len(self.members)
@@ -67,10 +69,11 @@ class IndexSet:
     def issubset(self, other: "IndexSet") -> bool:
         return self._member_set <= other._member_set
 
-    def _grown(self, added: Sequence[MultiIndex], lower_flag: bool | None) -> "IndexSet":
-        """This set together with `added`: valid multi-indices of this
-        dimension that are not members.  Only `added` is sorted; each is
-        inserted by bisection into the members, which are in order already."""
+    def _grown(self, added: Sequence[MultiIndex]) -> "IndexSet":
+        """This lower set together with `added`, levels of its margin and
+        successors of them admitted in an order that keeps the set lower
+        (the grow step's).  Only `added` is sorted; each is inserted by
+        bisection into the members, which are in order already."""
         members = list(self.members)
         for nu in sorted(added, key=graded_lex_key):
             members.insert(bisect.bisect(members, graded_lex_key(nu), key=graded_lex_key), nu)
@@ -78,7 +81,7 @@ class IndexSet:
         out.dim = self.dim
         out.members = tuple(members)
         out._member_set = self._member_set.union(added)
-        out.lower_flag = lower_flag
+        out._lower = True
         return out
 
     def max_degrees(self) -> MultiIndex:
@@ -106,17 +109,31 @@ class CurvedWeights:
         return len(self.alpha)
 
 
+def _lower_set(dim: int, members: Iterable[MultiIndex]) -> IndexSet:
+    """An `IndexSet` of `members`, which the caller builds lower by construction."""
+    s = IndexSet(dim, members)
+    s._lower = True
+    return s
+
+
+def _predecessors(nu: MultiIndex) -> list[MultiIndex]:
+    """The indices one below `nu` in one coordinate."""
+    return [nu[:k] + (nu[k] - 1,) + nu[k + 1:] for k in range(len(nu)) if nu[k] > 0]
+
+
+def _entering(nu: MultiIndex, inside: Callable[[MultiIndex], bool]) -> Iterator[MultiIndex]:
+    """The successors of `nu` whose predecessors all pass `inside`: once `nu`
+    joins a lower set for which `inside` tests membership, the successors
+    that enter its margin."""
+    for k in range(len(nu)):
+        succ = nu[:k] + (nu[k] + 1,) + nu[k + 1:]
+        if all(inside(p) for p in _predecessors(succ)):
+            yield succ
+
+
 def is_lower(s: IndexSet) -> bool:
     """True iff the set is downward closed (contains all componentwise predecessors)."""
-    for nu in s.members:
-        for k in range(s.dim):
-            if nu[k] > 0:
-                pred = nu[:k] + (nu[k] - 1,) + nu[k + 1:]
-                if pred not in s:
-                    s.lower_flag = False
-                    return False
-    s.lower_flag = True
-    return True
+    return all(p in s._member_set for nu in s.members for p in _predecessors(nu))
 
 
 def lower_completion(s: IndexSet) -> IndexSet:
@@ -124,14 +141,11 @@ def lower_completion(s: IndexSet) -> IndexSet:
     seen = set(s.members)
     stack = list(s.members)
     while stack:
-        nu = stack.pop()
-        for k in range(s.dim):
-            if nu[k] > 0:
-                pred = nu[:k] + (nu[k] - 1,) + nu[k + 1:]
-                if pred not in seen:
-                    seen.add(pred)
-                    stack.append(pred)
-    return IndexSet(s.dim, seen, lower_flag=True)
+        for pred in _predecessors(stack.pop()):
+            if pred not in seen:
+                seen.add(pred)
+                stack.append(pred)
+    return _lower_set(s.dim, seen)
 
 
 def margin(s: IndexSet) -> list[MultiIndex]:
@@ -148,12 +162,7 @@ def _grown_margin(front: set[MultiIndex], s: IndexSet, added) -> set[MultiIndex]
     members = s._member_set
     for nu in added:
         front.discard(nu)
-        for k in range(s.dim):
-            succ = nu[:k] + (nu[k] + 1,) + nu[k + 1:]
-            if succ not in members and all(
-                    succ[:j] + (succ[j] - 1,) + succ[j + 1:] in members
-                    for j in range(s.dim) if succ[j] > 0):
-                front.add(succ)
+        front.update(succ for succ in _entering(nu, members.__contains__) if succ not in members)
     return front
 
 
@@ -273,6 +282,5 @@ def lambda_classic(kind: str, alpha: Sequence[float], L: float) -> IndexSet:
         raise ValueError(f"unknown classic kind {kind!r}; expected one of {CLASSIC_KINDS}")
     weight, combine, start = _CLASSIC[kind]
     g = [functools.partial(weight, a) for a in alpha]
-    raw = _sublevel_set(g, [0] * len(alpha), float(L), combine, start)
-    return IndexSet(len(alpha), raw, lower_flag=True)
+    return _lower_set(len(alpha), _sublevel_set(g, [0] * len(alpha), float(L), combine, start))
 

@@ -105,7 +105,6 @@ def unit_growth(kind: str) -> bool:
 
 def lambda_model(kind: str, l: int) -> float:
     """Reference operator-norm growth curve for the rule (natural logs)."""
-    _check_kind(kind)
     if l < 0:
         raise ValueError("level must be >= 0")
     if kind == "clenshaw_curtis":
@@ -169,6 +168,14 @@ def _log_abs_diff(y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         return np.log(np.abs(y[:, None] - nodes[None, :]))
 
 
+def _log_weights(nodes: np.ndarray) -> np.ndarray:
+    """Logs of the barycentric weights' magnitudes on `nodes`:
+    -sum over t != j of log|x_j - x_t|."""
+    diffs = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(diffs, 1.0)
+    return -np.log(np.abs(diffs)).sum(axis=1)
+
+
 def _lebesgue_values(nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Lebesgue function of the Lagrange basis on `nodes`, evaluated at `y`.
 
@@ -181,9 +188,7 @@ def _lebesgue_values(nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
     ld = _log_abs_diff(y, nodes)
     hit = np.isneginf(ld).any(axis=1)
     S = ld.sum(axis=1)
-    diffs = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    logw = -np.log(np.abs(diffs)).sum(axis=1)
+    logw = _log_weights(nodes)
     with np.errstate(invalid="ignore"):
         vals = np.exp(S[:, None] - ld + logw[None, :]).sum(axis=1)
     vals[hit] = 1.0
@@ -206,75 +211,69 @@ def lebesgue_constant(nodes, probe_count: int = DEFAULT_PROBE_COUNT) -> float:
     return best
 
 
-def _golden_refine(fn, lo: float, hi: float, maximize: bool, iters: int = 90):
-    """Golden-section search; returns (best_y, best_value) incl. the endpoints."""
-    sign = 1.0 if maximize else -1.0
+def _golden_refine(fn, lo: float, hi: float, iters: int = 90):
+    """Golden-section search for a maximum of `fn`; returns (best_y,
+    best_value) incl. the endpoints."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = sign * fn(c), sign * fn(d)
+    fc, fd = fn(c), fn(d)
     for _ in range(iters):
         if b - a < 1e-15:
             break
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = sign * fn(c)
+            fc = fn(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = sign * fn(d)
-    cands = [(lo, sign * fn(lo)), (hi, sign * fn(hi)), (c, fc), (d, fd)]
+            fd = fn(d)
+    cands = [(lo, fn(lo)), (hi, fn(hi)), (c, fc), (d, fd)]
     best = max(v for _, v in cands)
     # right-most among refined near-ties
     y_best = max(y for y, v in cands if v >= best - abs(best) * 1e-15)
-    return y_best, sign * best
+    return y_best, best
 
 
 def _select_extremum(cands: np.ndarray, values: np.ndarray, fn, maximize: bool) -> float:
     """Pick the winning candidate with right-most tie-breaking, then refine.
 
-    Discrete near-ties (within a relative band) are all refined in their own
-    cells; the tie is broken right-most at refined precision.  This keeps
-    symmetric objectives (e.g. twin Leja bumps) deterministic despite float
-    noise on the discrete grid.  At most `_MAX_REFINED_CELLS` (32) tied cells
-    are refined: they are taken in (objective, right-most) order, i.e. best
-    discrete value first and, among equal values, the right-most candidate
-    (smallest index, since `cands` descends) first, independently of how the
-    sort used orders equal keys.
+    A minimum is found as the maximum of the negated values, negation being
+    exact; non-finite values never win.  Discrete near-ties (within a
+    relative band) are all refined in their own cells; the tie is broken
+    right-most at refined precision.  This keeps symmetric objectives (e.g.
+    twin Leja bumps) deterministic despite float noise on the discrete grid.
+    At most `_MAX_REFINED_CELLS` (32) tied cells are refined: they are taken
+    in (objective, right-most) order, i.e. best discrete value first and,
+    among equal values, the right-most candidate (smallest index, since
+    `cands` descends) first, independently of how the sort used orders equal
+    keys.
     """
-    finite = np.isfinite(values)
+    sign = 1.0 if maximize else -1.0
+    vals = values if maximize else -values
+    finite = np.isfinite(vals)
     if not finite.any():
         raise RuntimeError("objective is non-finite at every candidate")
-    vals = np.where(finite, values, -np.inf if maximize else np.inf)
-    if maximize:
-        best = vals.max()
-        tie = np.abs(best) * _COARSE_TIE + 1e-300
-        eligible = np.flatnonzero(vals >= best - tie)
-    else:
-        best = vals.min()
-        tie = np.abs(best) * _COARSE_TIE + 1e-300
-        eligible = np.flatnonzero(vals <= best + tie)
+    vals = np.where(finite, vals, -np.inf)
+    best = vals.max()
+    tie = np.abs(best) * _COARSE_TIE + 1e-300
+    eligible = np.flatnonzero(vals >= best - tie)
     if len(eligible) > _MAX_REFINED_CELLS:
         # lexsort is stable: equal objectives stay in index (right-most first)
         # order, whatever argsort would do with equal keys
-        key = -vals[eligible] if maximize else vals[eligible]
-        order = np.lexsort((eligible, key))
+        order = np.lexsort((eligible, -vals[eligible]))
         eligible = np.sort(eligible[order[:_MAX_REFINED_CELLS]])
     refined = []
     n = len(cands)
     for k in eligible:
         lo = cands[k + 1] if k + 1 < n else -1.0
         hi = cands[k - 1] if k >= 1 else 1.0
-        refined.append(_golden_refine(fn, lo, hi, maximize))
-    vbest = max(v for _, v in refined) if maximize else min(v for _, v in refined)
+        refined.append(_golden_refine(lambda y: sign * fn(y), lo, hi))
+    vbest = max(v for _, v in refined)
     band = abs(vbest) * _REFINED_TIE + 1e-300
-    if maximize:
-        winners = [y for y, v in refined if v >= vbest - band]
-    else:
-        winners = [y for y, v in refined if v <= vbest + band]
-    y = max(winners)
+    y = max(y for y, v in refined if v >= vbest - band)
     # snap exact endpoints: the hypercube boundary is always a valid node
     if abs(y - 1.0) < 1e-14:
         return 1.0
@@ -309,72 +308,54 @@ def greedy_sequence(
     nodes = list(start_nodes) if start_nodes else [0.0]
     if nodes[0] != 0.0:
         raise ValueError("greedy sequences are seeded with y_1 = 0")
+    if kind.startswith("min_"):
+        probes = np.sort(np.concatenate([np.linspace(-1.0, 1.0, probe_count), cands]))
+    # per kind: the objective at the candidates and as a function of y,
+    # for the committed nodes `arr`
     if kind == "leja":
-        # running objective: sum of log|y - y_i| over the committed nodes
-        running = np.zeros(candidate_count)
-        with np.errstate(divide="ignore"):
-            for y in nodes[:-1]:
-                running += np.log(np.abs(cands - y))
-        while len(nodes) < n:
-            with np.errstate(divide="ignore"):
-                running += np.log(np.abs(cands - nodes[-1]))
+        # sum of log|y - y_i|, extended by each committed node in turn
+        running, summed = np.zeros(candidate_count), 0
 
-            def obj(y, nd=tuple(nodes)):
-                with np.errstate(divide="ignore"):
-                    return float(np.log(np.abs(np.subtract(y, nd))).sum())
+        def objective(arr):
+            nonlocal summed
+            for y in arr[summed:]:
+                np.add(running, np.log(np.abs(cands - y)), out=running)
+            summed = len(arr)
+            return running, lambda y: float(np.log(np.abs(np.subtract(y, arr))).sum())
+    elif kind == "max_lebesgue":
+        def objective(arr):
+            return (_lebesgue_values(arr, cands),
+                    lambda y: float(_lebesgue_values(arr, np.array([y]))[0]))
+    elif kind == "min_delta":
+        # the objective decouples: max_y' A(y') is a constant factor, so
+        # F(y) = (1 + LebFn(y)) * max A / A(y)
+        def objective(arr):
+            log_amax = float(_log_abs_diff(probes, arr).sum(axis=1).max())
+            log_a = _log_abs_diff(cands, arr).sum(axis=1)
+            vals = (1.0 + _lebesgue_values(arr, cands)) * np.exp(log_amax - log_a)
 
-            nodes.append(_select_extremum(cands, running, obj, maximize=True))
-        return nodes[:n]
-    if kind == "max_lebesgue":
-        while len(nodes) < n:
-            arr = np.array(nodes)
-            vals = _lebesgue_values(arr, cands)
-
-            def obj(y, arr=arr):
-                return float(_lebesgue_values(arr, np.array([y]))[0])
-
-            nodes.append(_select_extremum(cands, vals, obj, maximize=True))
-        return nodes[:n]
-    probes = np.sort(np.concatenate([np.linspace(-1.0, 1.0, probe_count), cands]))
-    if kind == "min_delta":
-        while len(nodes) < n:
-            arr = np.array(nodes)
-            # objective decouples: max_y' A(y') is a constant factor, so
-            # F(y) = (1 + LebFn(y)) * max A / A(y)
-            with np.errstate(divide="ignore"):
-                log_amax = float(_log_abs_diff(probes, arr).sum(axis=1).max())
-                log_a = _log_abs_diff(cands, arr).sum(axis=1)
-            leb = _lebesgue_values(arr, cands)
-            with np.errstate(over="ignore"):
-                vals = (1.0 + leb) * np.exp(log_amax - log_a)
-
-            def obj(y, arr=arr, log_amax=log_amax):
+            def fn(y):
                 ya = np.array([y])
-                with np.errstate(divide="ignore"):
-                    la = float(_log_abs_diff(ya, arr).sum())
-                lb = float(_lebesgue_values(arr, ya)[0])
-                return (1.0 + lb) * math.exp(log_amax - la)
-
-            nodes.append(_select_extremum(cands, vals, obj, maximize=False))
-        return nodes[:n]
-    # min_lebesgue: F(y) = Lebesgue constant of nodes + {y}, via the
-    # barycentric update of the augmented node set
-    while len(nodes) < n:
-        arr = np.array(nodes)
-        vals = _augmented_lebesgue(arr, cands, probes)
-
-        def obj(y, arr=arr, probes=probes):
-            return float(_augmented_lebesgue(arr, np.array([y]), probes)[0])
-
-        nodes.append(_select_extremum(cands, vals, obj, maximize=False))
+                la = float(_log_abs_diff(ya, arr).sum())
+                return (1.0 + float(_lebesgue_values(arr, ya)[0])) * math.exp(log_amax - la)
+            return vals, fn
+    else:
+        # min_lebesgue: F(y) = Lebesgue constant of nodes + {y}, via the
+        # barycentric update of the augmented node set
+        def objective(arr):
+            return (_augmented_lebesgue(arr, cands, probes),
+                    lambda y: float(_augmented_lebesgue(arr, np.array([y]), probes)[0]))
+    maximize = kind in ("leja", "max_lebesgue")
+    with np.errstate(divide="ignore", over="ignore"):
+        while len(nodes) < n:
+            vals, fn = objective(np.array(nodes))
+            nodes.append(_select_extremum(cands, vals, fn, maximize))
     return nodes[:n]
 
 
 def _augmented_lebesgue(nodes: np.ndarray, cands: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """For each candidate y, the Lebesgue constant of nodes + {y} over `probes`."""
-    diffs = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    logw = -np.log(np.abs(diffs)).sum(axis=1)  # base barycentric weights
+    logw = _log_weights(nodes)  # base barycentric weights
     with np.errstate(divide="ignore"):
         gapc = np.abs(cands[:, None] - nodes[None, :])   # (m, n)
         la = np.log(gapc).sum(axis=1)                    # log prod |y - x_k|
@@ -448,7 +429,6 @@ class NodeSequence:
 def node_sequence(kind: str, level: int, measure_lambda: bool = False,
                   probe_count: int = DEFAULT_PROBE_COUNT) -> NodeSequence:
     """Build the rule's node sequence through `level`."""
-    _check_kind(kind)
     if level < 0:
         raise ValueError("level must be >= 0")
     m = growth(kind, level)

@@ -26,6 +26,7 @@ from . import rules1d
 from .multiindex import (
     IndexSet,
     MultiIndex,
+    _lower_set,
     is_lower,
 )
 
@@ -49,9 +50,7 @@ class TensorSet:
 
     def __post_init__(self):
         rules1d.growth(self.rule, 0)  # validates the kind
-        if self.theta.lower_flag is None:
-            is_lower(self.theta)
-        if not self.theta.lower_flag:
+        if not (self.theta._lower or is_lower(self.theta)):
             raise ValueError("tensor set must be downward closed")
 
     @property
@@ -67,9 +66,7 @@ def theta_opt(lam: IndexSet, rule: str) -> TensorSet:
     """
     if len(lam) == 0:
         raise ValueError("need a nonempty polynomial index set")
-    if lam.lower_flag is None:
-        is_lower(lam)
-    if not lam.lower_flag:
+    if not (lam._lower or is_lower(lam)):
         raise ValueError("polynomial index set must be downward closed")
     nus = np.array(lam.members, dtype=np.int64)
     # m(top) > top, so the table covers every degree; position i holds
@@ -77,7 +74,7 @@ def theta_opt(lam: IndexSet, rule: str) -> TensorSet:
     m = _growth_table(rule, int(nus.max()))
     levels = np.searchsorted(m, nus)
     keep = (m[levels] == nus).all(axis=1)
-    return TensorSet(IndexSet(lam.dim, map(tuple, levels[keep].tolist()), lower_flag=True), rule)
+    return TensorSet(_lower_set(lam.dim, map(tuple, levels[keep].tolist())), rule)
 
 
 @dataclass
@@ -155,7 +152,7 @@ def grid_size(ts: TensorSet) -> int:
 
 def _degrees(grid: GridNodes) -> IndexSet:
     """Degrees spanned on the grid: grid index j carries the degree j - 1."""
-    return IndexSet(grid.idx.shape[1], map(tuple, (grid.idx - 1).tolist()), lower_flag=True)
+    return _lower_set(grid.idx.shape[1], map(tuple, (grid.idx - 1).tolist()))
 
 
 def _newton_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -21,7 +21,10 @@ import numpy as np
 from .sparse_grid import _write_text_atomic
 from .spectral import legendre_1d
 
-BUILTIN_NAMES = ("rational", "expsum", "gaussian_peak", "legendre_mode")
+# how long an external evaluator may take over one batch, and how often the
+# driver looks for its `done` sentinel meanwhile (seconds)
+DEFAULT_TIMEOUT = 600.0
+_POLL_INTERVAL = 0.05
 
 
 class EvaluationError(RuntimeError):
@@ -42,7 +45,7 @@ class TargetSpec:
     analyticity_rho: tuple[float, ...] | None = None
     workdir: str | None = None
     command: str | None = None
-    timeout: float = 600.0
+    timeout: float = DEFAULT_TIMEOUT
 
     def evaluate(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -50,7 +53,7 @@ class TargetSpec:
             raise ValueError(f"points must have dimension {self.dim}")
         if self.kind == "external":
             return external_evaluate(self.workdir, pts, self.command, self.timeout)
-        vals = _BUILTINS[self.kind](pts, self.params)
+        vals = _BUILTINS[self.kind][0](pts, self.params)
         bad = np.flatnonzero(~np.isfinite(vals))
         if len(bad):
             raise EvaluationError(
@@ -72,7 +75,7 @@ def _expsum(pts, params):
 
 def _gaussian_peak(pts, params):
     c = np.asarray(params["c"], dtype=float)
-    t = np.asarray(params.get("t", np.zeros_like(c)), dtype=float)
+    t = np.asarray(params["t"], dtype=float)
     return np.exp(-np.sum(c[None, :] * (pts - t[None, :]) ** 2, axis=1))
 
 
@@ -84,11 +87,13 @@ def _legendre_mode(pts, params):
     return out
 
 
+# per built-in family: its values at points (P, d), and its parameters in
+# the order they are read
 _BUILTINS = {
-    "rational": _rational,
-    "expsum": _expsum,
-    "gaussian_peak": _gaussian_peak,
-    "legendre_mode": _legendre_mode,
+    "rational": (_rational, ("c0", "c")),
+    "expsum": (_expsum, ("c",)),
+    "gaussian_peak": (_gaussian_peak, ("c", "t")),
+    "legendre_mode": (_legendre_mode, ("nu",)),
 }
 
 
@@ -101,50 +106,35 @@ def bernstein_rho(singularity: float) -> float:
 
 
 def builtin_target(name: str, d: int, **params) -> TargetSpec:
-    """Construct a built-in target; fills per-direction analyticity where known."""
-    if name not in BUILTIN_NAMES:
-        raise ValueError(f"unknown builtin target {name!r}; known: {BUILTIN_NAMES}")
-    rho = None
+    """Construct a built-in target; fills per-direction analyticity where known.
+
+    `c0` is a number, `nu` a mode index and every other parameter a vector
+    of length d; the Gaussian peak's centre `t` defaults to the origin.
+    """
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin target {name!r}; known: {tuple(_BUILTINS)}")
+    params = {"t": [0.0] * d, **params}
+    params = {key: (float(params[key]) if key == "c0" else
+                    tuple(int(v) for v in params[key]) if key == "nu" else
+                    [float(v) for v in params[key]])
+              for key in _BUILTINS[name][1]}
+    wrong = [key for key, v in params.items() if key != "c0" and len(v) != d]
+    if wrong:
+        raise ValueError(f"{', '.join(wrong)} must have length d = {d}")
+    rho = None if name == "legendre_mode" else (math.inf,) * d
     if name == "rational":
-        c0 = float(params["c0"])
-        c = [float(v) for v in params["c"]]
-        if len(c) != d:
-            raise ValueError("coefficient vector must have length d")
+        c0, c = params["c0"], params["c"]
         if not c0 > sum(abs(v) for v in c):
             raise ValueError("need c0 > sum |c_k| so the pole stays off the cube")
-        rho = []
-        for k in range(d):
-            if c[k] == 0.0:
-                rho.append(math.inf)
-                continue
-            # 1D restriction: worst-case pole location over the other variables
-            slack = c0 - sum(abs(v) for j, v in enumerate(c) if j != k)
-            rho.append(bernstein_rho(slack / abs(c[k])))
-        params = {"c0": c0, "c": c}
-        rho = tuple(rho)
-    elif name == "expsum":
-        c = [float(v) for v in params["c"]]
-        if len(c) != d:
-            raise ValueError("coefficient vector must have length d")
-        params = {"c": c}
-        rho = (math.inf,) * d
-    elif name == "gaussian_peak":
-        c = [float(v) for v in params["c"]]
-        t = [float(v) for v in params.get("t", [0.0] * d)]
-        if len(c) != d or len(t) != d:
-            raise ValueError("coefficient/center vectors must have length d")
-        params = {"c": c, "t": t}
-        rho = (math.inf,) * d
-    else:  # legendre_mode
-        nu = tuple(int(v) for v in params["nu"])
-        if len(nu) != d:
-            raise ValueError("mode index must have length d")
-        params = {"nu": nu}
+        # 1D restriction: worst-case pole location over the other variables
+        rho = tuple(math.inf if ck == 0.0 else
+                    bernstein_rho((c0 - sum(abs(v) for j, v in enumerate(c) if j != k)) / abs(ck))
+                    for k, ck in enumerate(c))
     return TargetSpec(name, d, params, rho)
 
 
 def external_target(d: int, workdir, command: str | None = None,
-                    timeout: float = 600.0) -> TargetSpec:
+                    timeout: float = DEFAULT_TIMEOUT) -> TargetSpec:
     return TargetSpec("external", d, {}, None, str(workdir), command, timeout)
 
 
@@ -163,7 +153,8 @@ def write_points_csv(path, points: np.ndarray) -> None:
 
 def read_labelled_points(path) -> tuple[list[str], np.ndarray]:
     """Points with an optional leading `id` column whose labels are kept as
-    written; rows are labelled from 0 when the column is absent."""
+    written; rows are numbered from 0 when the column is absent, blank lines
+    not counted.  A file with a header and no rows gives a (0, d) array."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         has_id = header and header[0] == "id"
@@ -179,9 +170,9 @@ def read_labelled_points(path) -> tuple[list[str], np.ndarray]:
             if len(parts) != len(header):
                 raise ValueError(f"{path} line {n + 2}: {len(parts)} fields, "
                                  f"the header has {len(header)}")
-            ids.append(parts[0] if has_id else str(n))
+            ids.append(parts[0] if has_id else str(len(rows)))
             rows.append([float(v) for v in (parts[1:] if has_id else parts)])
-    return ids, np.array(rows, dtype=float)
+    return ids, np.array(rows, dtype=float).reshape(len(rows), len(ycols))
 
 
 def read_values_csv(path, count: int) -> dict[int, float]:
@@ -212,7 +203,7 @@ def read_values_csv(path, count: int) -> dict[int, float]:
 
 
 def external_evaluate(workdir, points, command: str | None = None,
-                      timeout: float = 600.0, poll_interval: float = 0.05) -> np.ndarray:
+                      timeout: float = DEFAULT_TIMEOUT) -> np.ndarray:
     """Round-trip a batch of points through the file protocol.
 
     Writes `points.csv`, runs `command` (if configured) or polls until the
@@ -227,8 +218,7 @@ def external_evaluate(workdir, points, command: str | None = None,
     values_path = wd / "values.csv"
     done_path = wd / "done"
     for stale in (values_path, done_path):
-        if stale.exists():
-            stale.unlink()
+        stale.unlink(missing_ok=True)
     write_points_csv(wd / "points.csv", pts)
     if command:
         proc = subprocess.run(shlex.split(command), cwd=wd,
@@ -241,7 +231,7 @@ def external_evaluate(workdir, points, command: str | None = None,
     while not done_path.exists():
         if time.monotonic() > deadline:
             raise EvaluationError(f"timed out after {timeout}s waiting for {done_path}")
-        time.sleep(poll_interval)
+        time.sleep(_POLL_INTERVAL)
     got = read_values_csv(values_path, len(pts))
     missing = [i for i in range(len(pts)) if i not in got]
     if missing:

@@ -30,7 +30,7 @@ def random_lower_set(rng, d, n):
     s = IndexSet(d, [(0,) * d])
     while len(s) < n:
         cands = margin(s)
-        s = IndexSet(d, set(s.members) | {cands[rng.integers(len(cands))]}, lower_flag=True)
+        s = IndexSet(d, set(s.members) | {cands[rng.integers(len(cands))]})
     return s
 
 
@@ -42,8 +42,7 @@ def lower_sets_2d(width, height, max_size):
             continue
         size = sum(hs)
         if 0 < size <= max_size:
-            out.append(IndexSet(2, [(i, j) for i, h in enumerate(hs) for j in range(h)],
-                                lower_flag=True))
+            out.append(IndexSet(2, [(i, j) for i, h in enumerate(hs) for j in range(h)]))
     return out
 
 

@@ -96,7 +96,7 @@ def lower_sets(draw, max_dim=4, max_size=6):
     s = IndexSet(d, [(0,) * d])
     for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
         cands = margin(s)
-        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]}, lower_flag=True)
+        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]})
     return s
 
 
@@ -135,7 +135,7 @@ def test_next_level_grown_set_equals_a_validated_one(theta, rule, data, batch):
     validated = IndexSet(d, grown.theta.members)
     assert grown.theta.members == validated.members
     assert grown.theta.issubset(validated) and validated.issubset(grown.theta)
-    assert grown.theta.lower_flag and is_lower(validated)
+    assert grown.theta._lower and is_lower(validated)
 
 
 @pytest.mark.parametrize("rule", ["leja", "clenshaw_curtis"])
@@ -260,6 +260,16 @@ def test_run_constant_target_falls_back_isotropic():
     assert all(h.alpha == (1.0, 1.0) for h in hist)
     counts = [h.node_count for h in hist]
     assert counts == sorted(counts) and len(set(counts)) == len(counts)
+
+
+def test_initial_grid_larger_than_the_sample_budget_is_refused_before_sampling():
+    calls = []
+    target = tg.builtin_target("expsum", 3, c=[1.0, 1.0, 1.0])
+    target.evaluate = lambda points: calls.append(points)
+    cfg = dr.RunConfig(rule="leja", d=3, max_samples=5)
+    with pytest.raises(ValueError, match="initial grid has 10 nodes, more than max_samples = 5"):
+        dr.run(cfg, target)
+    assert calls == []
 
 
 def test_run_zero_iterations_single_record():

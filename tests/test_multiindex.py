@@ -44,7 +44,7 @@ def random_lower_set(rng, d, n):
     while len(s) < n:
         cands = margin(s)
         pick = cands[rng.integers(len(cands))]
-        s = IndexSet(d, set(s.members) | {pick}, lower_flag=True)
+        s = IndexSet(d, set(s.members) | {pick})
     return s
 
 
@@ -268,7 +268,7 @@ def test_lower_completion_invariants(drawn):
     s = IndexSet(d, set(members))
     done = lower_completion(s)
     assert set(done.members) == brute_completion(members)  # the union of boxes below s
-    assert s.issubset(done) and done.lower_flag and brute_is_lower(done.members or [(0,) * d])
+    assert s.issubset(done) and done._lower and brute_is_lower(done.members or [(0,) * d])
     assert lower_completion(done) == done
     # the smallest lower superset: every member lies below a member of s
     assert all(any(all(a <= b for a, b in zip(nu, top)) for top in members) for nu in done)

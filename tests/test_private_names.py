@@ -1,11 +1,15 @@
 """Every top-level private name of the package has a caller in the package,
-every public function or class has one or is exported, and the README's
-"Library API" section lists exactly the exported names."""
+every public function or class has one or is exported, the README's
+"Library API" section lists exactly the exported names, and its "Command
+line" section names every config key and has an example that loads."""
 
 import ast
 import re
+import textwrap
 from collections import Counter
 from pathlib import Path
+
+from adasg import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adasg"
 
@@ -47,9 +51,13 @@ def _exported(tree):
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def test_the_readme_lists_exactly_the_names_the_package_exports():
+def _readme_section(title):
     readme = (SRC.parent.parent / "README.md").read_text()
-    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_the_readme_lists_exactly_the_names_the_package_exports():
+    section = _readme_section("Library API")
     listed = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", section))
     assert listed == _exported(ast.parse((SRC / "__init__.py").read_text()))
 
@@ -63,3 +71,14 @@ def test_every_public_top_level_function_or_class_is_used_or_exported():
               and not node.name.startswith("_") and not used[node.name]
               and node.name not in exported]
     assert not unused, "public names neither used in the package nor exported: " + ", ".join(unused)
+
+
+def test_the_readme_names_every_config_key_and_its_example_loads(tmp_path):
+    section = _readme_section("Command line")
+    named = set(re.findall(r"^#?\s*([a-z_0-9]+)\s*=", section, re.M))
+    named |= set(re.findall(r"`([a-z_0-9]+)`", section))
+    assert sorted(cli._CONFIG_KEYS - named) == []
+    example = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.cfg").write_text(textwrap.dedent(example))
+    config, target = cli.load_config(tmp_path / "run.cfg")
+    assert config.d == target.dim

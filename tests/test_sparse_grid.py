@@ -15,6 +15,7 @@ from adasg.multiindex import (
     CurvedWeights,
     IndexSet,
     graded_lex_key,
+    is_lower,
     lambda_classic,
     lambda_curved,
     margin,
@@ -26,7 +27,7 @@ def random_lower_set(rng, d, n):
     while len(s) < n:
         cands = margin(s)
         pick = cands[rng.integers(len(cands))]
-        s = IndexSet(d, set(s.members) | {pick}, lower_flag=True)
+        s = IndexSet(d, set(s.members) | {pick})
     return s
 
 
@@ -291,7 +292,7 @@ def lower_sets(draw, max_dim=4, max_size=6):
     s = IndexSet(d, [(0,) * d])
     for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
         cands = margin(s)
-        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]}, lower_flag=True)
+        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]})
     return s
 
 
@@ -458,7 +459,7 @@ def test_minimality_small_oracle():
             members = [(i, j) for i, hi in enumerate(heights) for j in range(hi)]
             if not members:
                 continue
-            theta = IndexSet(2, members, lower_flag=True)
+            theta = IndexSet(2, members)
             ts = sg.TensorSet(theta, rule)
             if lam.issubset(oracles.degrees(ts)):
                 assert opt.theta.issubset(theta)
@@ -476,7 +477,7 @@ def test_theta_opt_is_minimal(lam, rule):
         if any(i[:k] + (i[k] + 1,) + i[k + 1:] in members for k in range(lam.dim)):
             continue
         # a maximal level: without it the set stays lower but no longer covers lam
-        rest = sg.TensorSet(IndexSet(lam.dim, members - {i}, lower_flag=True), rule)
+        rest = sg.TensorSet(IndexSet(lam.dim, members - {i}), rule)
         assert not lam.issubset(oracles.degrees(rest))
 
 
@@ -496,7 +497,7 @@ def test_new_rows_solve_equals_the_whole_grid_solve_bitwise(theta, rule, data, s
     cuts = sorted(data.draw(st.lists(st.integers(0, len(members)), max_size=3)))
     for done, cut in zip([0] + cuts, cuts + [len(members)]):
         grid, new = sg._extend_grid(grid, rule, members[done:cut])
-        part = sg.TensorSet(IndexSet(theta.dim, members[:cut], lower_flag=True), rule)
+        part = sg.TensorSet(IndexSet(theta.dim, members[:cut]), rule)
         assert grid.idx.tobytes() == sg.grid_nodes(part).idx.tobytes()
         kept = passes
         passes = np.zeros((theta.dim + 1, len(grid)))
@@ -518,7 +519,7 @@ def test_save_load_round_trip_bit_exact(theta, rule, seed):
     # Clenshaw-Curtis and Fejer 2 stay below 4e4
     top = max(l for l in range(8) if r1.growth(rule, l) <= 33)
     members = [i for i in theta if max(i) <= top]
-    ts = sg.TensorSet(IndexSet(theta.dim, members, lower_flag=True), rule)
+    ts = sg.TensorSet(IndexSet(theta.dim, members), rule)
     rng = np.random.default_rng(seed)
     interp = sg.build_interpolant(ts, smooth_samples(rng, ts))
     pts = rng.uniform(-1, 1, (64, theta.dim))
@@ -573,3 +574,16 @@ def test_domain_check_and_extrapolation_flag():
         sg.evaluate_batch(interp, [[0.5], [np.nan]])
     with pytest.warns(UserWarning):
         sg.evaluate_batch(interp, [[np.nan]], allow_extrapolation=True)[0]
+
+
+def test_lowerness_is_checked_never_claimed():
+    with pytest.raises(TypeError):
+        IndexSet(2, [(0, 0), (2, 0)], lower_flag=True)
+    with pytest.raises(ValueError, match="downward closed"):
+        sg.TensorSet(IndexSet(2, [(0, 0), (2, 0)]), "leja")
+    with pytest.raises(ValueError, match="downward closed"):
+        sg.theta_opt(IndexSet(2, [(0, 0), (2, 0)]), "leja")
+    s = IndexSet(2, [(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(AttributeError):
+        s.lower_flag = True
+    assert not s._lower and is_lower(s) and sg.TensorSet(s, "leja").theta is s

@@ -15,7 +15,7 @@ def random_lower_set(rng, d, n):
     s = IndexSet(d, [(0,) * d])
     while len(s) < n:
         cands = margin(s)
-        s = IndexSet(d, set(s.members) | {cands[rng.integers(len(cands))]}, lower_flag=True)
+        s = IndexSet(d, set(s.members) | {cands[rng.integers(len(cands))]})
     return s
 
 
@@ -165,7 +165,7 @@ def lower_sets(draw, max_dim=4, max_size=6):
     s = IndexSet(d, [(0,) * d])
     for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
         cands = margin(s)
-        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]}, lower_flag=True)
+        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]})
     return s
 
 

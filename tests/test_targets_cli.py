@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adasg import cli
+from adasg import driver as dr
 from adasg import sparse_grid as sg
 from adasg import targets as tg
 from adasg.multiindex import lambda_classic
@@ -171,6 +172,20 @@ def test_points_labels_kept_as_written_or_numbered(tmp_path):
     assert ids == ["run-07", "b"] and pts.tolist() == [[0.5], [-0.25]]
     (tmp_path / "bare.csv").write_text("y_1,y_2\n0.5,0\n-1,1\n")
     assert tg.read_labelled_points(tmp_path / "bare.csv")[0] == ["0", "1"]
+    # rows are numbered, not lines: a blank line takes no number
+    (tmp_path / "gap.csv").write_text("y_1,y_2,y_3\n0.1,0.2,0.3\n\n0.4,0.5,0.6\n")
+    assert tg.read_labelled_points(tmp_path / "gap.csv")[0] == ["0", "1"]
+
+
+def test_cli_evaluate_header_only_points_file_writes_a_header_only_output(tmp_path):
+    saved_model(tmp_path / "model.json")
+    (tmp_path / "pts.csv").write_text("id,y_1,y_2\n")
+    ids, pts = tg.read_labelled_points(tmp_path / "pts.csv")
+    assert ids == [] and pts.shape == (0, 2)
+    rc = cli.main(["evaluate", "--model", str(tmp_path / "model.json"),
+                   "--points", str(tmp_path / "pts.csv"), "--workdir", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "evaluations.csv").read_text() == "id,y_1,y_2,value\n"
 
 
 def test_points_ragged_row_names_its_line(tmp_path):
@@ -202,6 +217,36 @@ def test_config_parsing(tmp_path):
     assert config.rule == "leja" and config.d == 3 and config.batch == 16
     assert config.fit_source == "surplus" and config.probe_seed == 99
     assert target.kind == "rational" and target.params["c"] == [1.0, 0.5, 0.25]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_config_omitted_keys_take_the_library_defaults(tmp_path, d):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"d = {d}\ntarget = expsum\n")
+    config, target = cli.load_config(path)
+    assert config == dr.RunConfig(rule="leja", d=d, probe_count=1000)
+    assert target == tg.builtin_target("expsum", d, c=[1.0] * d)
+    path.write_text(f"d = {d}\ntarget = gaussian_peak\ntarget_c = {','.join(['2'] * d)}\n")
+    assert cli.load_config(path)[1].params["t"] == [0.0] * d
+    path.write_text(f"d = {d}\ntarget = external\nexternal_workdir = ext\n")
+    config, target = cli.load_config(path)
+    assert config == dr.RunConfig(rule="leja", d=d, probe_count=None)
+    assert target == tg.external_target(d, "ext")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("rule = leja\n", "'d'"),
+    ("d = 2\ntarget = rational\ntarget_c = 1,0.5\n", "'target_c0'"),
+    ("d = 2\ntarget = rational\ntarget_c0 = 3\n", "'target_c'"),
+    ("d = 2\ntarget = legendre_mode\n", "'target_nu'"),
+    ("d = 2\ntarget = external\n", "'external_workdir'"),
+])
+def test_config_missing_key_is_named_as_the_file_writes_it(tmp_path, text, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(KeyError) as err:
+        cli.load_config(path)
+    assert str(err.value) == key
 
 
 def test_config_rejects_unknown_keys(tmp_path):
