@@ -202,3 +202,49 @@ def checkpoint_object(state):
         "fit": None if state.fit is None else driver._to_dict(state.fit),
         "history": [driver._to_dict(r, skip=("wall_time",)) for r in state.history],
     }
+
+
+def evaluate_batch(interp, points):
+    """Surplus-form evaluation as the library computed it before it kept a
+    probe basis between iterations, and its reference bit for bit: a fresh
+    column-by-column Newton basis per chunk of points, the chained
+    `c[parent] * H[j, k]` prefix products over the trie of the lex-sorted
+    indices, and `S @ H` over the prefixes of length d-1, summed by `einsum`.
+    No domain check."""
+    Y = np.atleast_2d(np.asarray(points, dtype=float))
+    idx = interp.grid.idx
+    if len(idx) == 0:
+        return np.zeros(len(Y))
+    d = interp.dim
+    order = np.lexsort(idx.T[::-1])
+    idx = idx[order]
+    new = np.ones(idx.shape, dtype=bool)
+    new[1:] = np.logical_or.accumulate(idx[1:] != idx[:-1], axis=1)
+    prefix = np.zeros((len(idx), d), dtype=np.int64)
+    prefix[:, 1:] = np.cumsum(new[:, :-1], axis=0) - 1
+    trie = []
+    for k in range(d - 1):
+        first = np.flatnonzero(new[:, k])
+        trie.append((prefix[first, k], idx[first, k] - 1))
+    top = prefix[:, -1]
+    S = np.zeros((top[-1] + 1, idx[:, -1].max()))
+    S[top, idx[:, -1] - 1] = interp.surpluses[order]
+    x = rules1d.family_nodes(interp.tensor_set.rule, int(idx.max()))
+
+    def products(z):
+        P = np.ones((len(z), len(x)))
+        for j in range(1, len(x)):
+            P[:, j] = P[:, j - 1] * (z - x[j - 1])
+        return P
+
+    out = np.empty(len(Y))
+    chunk = max(1, (1 << 16) // len(S))
+    for start in range(0, len(Y), chunk):
+        Yc = Y[start:start + chunk]
+        basis = products(Yc.T.ravel()) / np.diag(products(x))[None, :]
+        H = basis.T.reshape(len(x), d, len(Yc))  # [j, k, p]
+        c = np.ones((1, len(Yc)))
+        for k, (parent, j) in enumerate(trie):
+            c = c[parent] * H[j, k]
+        out[start:start + chunk] = np.einsum("gp,gp->p", c, S @ H[:S.shape[1], -1])
+    return out

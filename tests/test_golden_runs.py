@@ -8,6 +8,11 @@ nodes per iteration, so blocks of several rows, and fibres with several new
 members, are solved at once.  The later entries pin a surplus fit on Leja
 nodes, a fit with beta pinned to zero, and an `adasg compare` run, whose
 isotropic scheme runs with fitting off.
+
+`d8_leja_spectral` is the benchmark's d=8 run through the CLI: its final
+probe contracts a trie of seven levels in two chunks of points.  `d1_rleja`
+is a d=1 run, whose trie has no level at all; these two were pinned before
+the probe kept its basis and prefix products between iterations.
 """
 
 import hashlib
@@ -84,6 +89,39 @@ RUNS = {
         "history.csv": "e833f0cc0d650bd424a53d7b5127c69084e82e0bc6c1f0f10f1a65ea6b7ed39a",
         "checkpoint.json": "44316e8ec075407d3f48a33a740afd18fe5b51b862aaf3dfb97e079ad8784a0a",
         "interpolant.json": "972f88ee89d0bed3a7d3f05dcdba0de6b5b1309eb602ee2bb8de1f92c649b52c",
+    }),
+    "d8_leja_spectral": ("""
+        rule = leja
+        d = 8
+        fit_source = legendre
+        batch = minimal
+        target = rational
+        target_c0 = 8
+        target_c = 1,0.8,0.6,0.5,0.4,0.3,0.2,0.1
+        probe_count = 1000
+        probe_seed = 20240101
+        max_iterations = 1000
+        max_samples = 80
+    """, {
+        "history.csv": "31b670254c0ac4a18ed800934d77d1d10ac34e55588f798d075c4ccae01abf83",
+        "checkpoint.json": "9b15b191e06a07fb4fef33cf4c507aff1dc3e1035a4199baa51918e9eb82c3a5",
+        "interpolant.json": "072bb5ee0b5bec8237bda50b6da2d31d049db6bab35c68301998cab57418896c",
+    }),
+    "d1_rleja": ("""
+        rule = rleja_double2
+        d = 1
+        batch = minimal
+        target = rational
+        target_c0 = 1.5
+        target_c = 1
+        probe_count = 1000
+        probe_seed = 5
+        max_iterations = 1000
+        max_samples = 40
+    """, {
+        "history.csv": "c25e1d39db8e4b0a7283fa1cdd127a39d07cf587f56a1225e78160e7b55925fe",
+        "checkpoint.json": "89e80533f6c0ae7fed2b9b3b29cb52494be2e5bc9e36bed836fceef7b23276dc",
+        "interpolant.json": "eba5f9d5fa237b10756f5bf647110c79920dca08324ef84189e44efb0c1f83a0",
     }),
 }
 
