@@ -16,8 +16,11 @@ enters, admits levels in order of that weight until the batch rule or the
 sample budget stops it.
 
 The checkpoint is saved once per iteration and costs the new work only: a
-save encodes the head, the fit and the cache entries and history rows added
-since the last save, and joins them with the JSON text kept on the state.
+save encodes the head, the fit and the theta levels, cache entries and
+history rows added since the last save, and joins them with the JSON text
+kept on the state.  The Monte Carlo probe keeps its points' Newton basis and
+prefix products on the state too (`_FixedPoints`), so each iteration
+multiplies out the prefixes its new rows bring.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .multiindex import (
     _entering,
     _grown_margin,
     curved_tail_min,
+    graded_lex_key,
     lambda_classic,
     lambda_curved,
 )
@@ -49,11 +53,11 @@ from .sparse_grid import (
     Interpolant,
     TensorSet,
     _extend_grid,
+    _FixedPoints,
     _growth_table,
     _solve_rows,
     _write_text_atomic,
     build_interpolant,  # noqa: F401 - perfbench's tracer tests patch it under this name
-    evaluate_batch,
     grid_size,
     theta_opt,
 )
@@ -120,22 +124,40 @@ class Record:
 
 @dataclass
 class _Fragments:
-    """The checkpoint's cache entries and history rows as JSON text, each
-    encoded once; `save_state` joins them.
+    """The checkpoint's theta levels, cache entries and history rows as JSON
+    text, each encoded once; `save_state` joins them.
 
     Cache entries and history rows are written once: a save encodes the
     cache keys added since the last save (the tail of the dict's insertion
-    order) and the appended rows.  A replaced or shrunk cache or history
-    is encoded again from scratch.
+    order) and the appended rows.  The levels a grow step admits to the
+    encoded tensor set are encoded as it admits them (`grown`).  A replaced
+    or shrunk cache or history, or a replaced tensor set, is encoded again
+    from scratch.
     """
 
+    theta: TensorSet | None = None     # the tensor set the levels were encoded from
+    levels: list[str] = field(default_factory=list)   # its levels' text, in member order
     cache: dict | None = None          # the cache the entries were encoded from
     keys: list = field(default_factory=list)          # its keys, sorted
     entries: list[str] = field(default_factory=list)  # [key, value] text, in key order
     history: list | None = None        # the history the rows were encoded from
     rows: list[str] = field(default_factory=list)
 
-    def sync(self, cache: dict, history: list) -> None:
+    def grown(self, ts: TensorSet, grown: TensorSet, added: list[MultiIndex]) -> None:
+        """Follow the grow step from `ts` to `grown`, which admitted `added`:
+        each admitted level's text goes in at its place among the members,
+        in sorted order as `IndexSet._grown` inserts them."""
+        if ts is not self.theta:
+            return
+        members = grown.theta.members
+        for nu in sorted(added, key=graded_lex_key):
+            at = bisect.bisect_left(members, graded_lex_key(nu), key=graded_lex_key)
+            self.levels.insert(at, json.dumps(list(nu)))
+        self.theta = grown
+
+    def sync(self, ts: TensorSet, cache: dict, history: list) -> None:
+        if ts is not self.theta:
+            self.theta, self.levels = ts, [json.dumps(list(i)) for i in ts.theta.members]
         if cache is not self.cache or len(cache) < len(self.keys):
             items = sorted(cache.items())
             self.cache, self.keys = cache, [k for k, _ in items]
@@ -181,9 +203,12 @@ class RunState:
     fit: FitParams | None = None
     interpolant: Interpolant | None = None
     history: list[Record] = field(default_factory=list)
-    # {(probe_count, probe_seed): (probe points, target values there)}: the
-    # probe evaluates the target once per run; never serialized
-    probe: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
+    # {(probe_count, probe_seed): (probe points with the basis and prefix
+    # products kept there, target values there)}: the probe evaluates the
+    # target once per run; the kept state holds G x P doubles for the G
+    # distinct prefixes of length d - 1 and P points, plus the m x d x P
+    # basis up to the largest grid index m; never serialized
+    probe: dict[tuple[int, int], tuple[_FixedPoints, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
     # the checkpoint's cache and history text, extended by each save; never serialized
     fragments: _Fragments = field(
@@ -365,13 +390,14 @@ def _probe_error(state: RunState, target: TargetSpec) -> float:
     """Max abs deviation of the current interpolant from the target on
     `probe_count` uniform random points of the hypercube, drawn from
     `probe_seed`; the target's values there are taken once per run and kept
-    on the state."""
+    on the state, with the Newton basis and prefix products at the points,
+    so each iteration computes the products of its new prefixes only."""
     count, seed = key = (state.config.probe_count, state.config.probe_seed)
     if key not in state.probe:
         pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, state.config.d))
-        state.probe = {key: (pts, target.evaluate(pts))}
-    pts, values = state.probe[key]
-    return float(np.abs(evaluate_batch(state.interpolant, pts) - values).max())
+        state.probe = {key: (_FixedPoints(pts), target.evaluate(pts))}
+    kept, values = state.probe[key]
+    return float(np.abs(kept(state.interpolant) - values).max())
 
 
 def _built(state: RunState) -> bool:
@@ -420,6 +446,7 @@ def _grow_phase(state: RunState) -> None:
     _, added = _grow(state.fit, ts, run.margin, len(run.grid), config.batch, config.max_samples)
     state.theta = _grown(ts, added)
     run.step = (state.theta, added)
+    state.fragments.grown(ts, state.theta, added)
     state.iteration += 1
 
 
@@ -508,16 +535,16 @@ def save_state(state: RunState, path) -> None:
     since the last save are encoded; the rest is joined from the text kept
     on the state, so the file has the bytes of one `json.dumps` call."""
     frag = state.fragments
-    frag.sync(state.cache, state.history)
+    frag.sync(state.theta, state.cache, state.history)
     head = json.dumps({
         "format": _STATE_FORMAT,
         "version": _STATE_VERSION,
         "config": _to_dict(state.config),
         "iteration": state.iteration,
-        "theta": [list(i) for i in state.theta.theta.members],
     })
     fit = json.dumps(None if state.fit is None else _to_dict(state.fit))
-    text = "".join((head[:-1], ', "cache": [', ", ".join(frag.entries), '], "fit": ', fit,
+    text = "".join((head[:-1], ', "theta": [', ", ".join(frag.levels),
+                    '], "cache": [', ", ".join(frag.entries), '], "fit": ', fit,
                     ', "history": [', ", ".join(frag.rows), "]}"))
     _write_text_atomic(text, path)
 

@@ -9,7 +9,12 @@ acts on the lower set of grid indices one dimension at a time.  The
 transforms (samples to surpluses, `_solve_rows`, for the new rows of a grid;
 surpluses to Legendre coefficients in `spectral`) apply one triangular 1-D
 matrix along every fibre; evaluation contracts the surpluses with the 1-D
-Newton basis over the prefix trie of the lex-sorted indices.
+Newton basis over the prefix trie of the lex-sorted indices.  One routine
+builds that basis, point-major (`_newton_basis`), for evaluation, for the
+Newton table of the solve and for the Legendre change of basis.  Evaluation
+at points fixed for a whole run (the adaptive loop's probe, `_FixedPoints`)
+keeps the basis and the prefix products there between calls and shares the
+contraction (`_contract`) with `evaluate_batch`, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -155,19 +160,38 @@ def _degrees(grid: GridNodes) -> IndexSet:
     return _lower_set(grid.idx.shape[1], map(tuple, (grid.idx - 1).tolist()))
 
 
-def _newton_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """1-D Newton basis on nodes x at points y: H[p, j] = h_j(y_p).
+def _newton_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P[j] = prod_{t<j} (y - x_t) for j < len(x) at an array y of points,
+    shape (len(x),) + y.shape: each row is the row before times y - x_{j-1}."""
+    P = np.empty((len(x),) + y.shape)
+    P[:1] = 1.0
+    np.subtract(y, x[:-1].reshape((-1,) + (1,) * y.ndim), out=P[1:])
+    for j in range(2, len(x)):
+        P[j] *= P[j - 1]
+    return P
+
+
+@functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
+def _newton_denominators(rule: str, m: int) -> np.ndarray:
+    """prod_{t<j} (x_j - x_t) for the first m nodes x of `rule`, the
+    denominators of the Newton basis, built once and read-only."""
+    x = rules1d.family_nodes(rule, m)
+    den = np.diagonal(_newton_products(x, x)).copy()
+    den.flags.writeable = False
+    return den
+
+
+def _newton_basis(rule: str, m: int, y: np.ndarray) -> np.ndarray:
+    """1-D Newton basis of the first m nodes x of `rule` at an array y of
+    points, point-major: H[j] = h_j(y), shape (m,) + y.shape.
 
     h_j(y) = prod_{t<j} (y - x_t) / prod_{t<j} (x_j - x_t), so at the nodes
-    themselves (y = x) H is unit lower triangular.
+    themselves (y = x) H is unit upper triangular.  Row j depends on the
+    nodes 0..j only: a longer node table gives the same rows, bit for bit.
     """
-    def products(z):
-        P = np.ones((len(z), len(x)))
-        for j in range(1, len(x)):
-            P[:, j] = P[:, j - 1] * (z - x[j - 1])
-        return P
-
-    return products(y) / np.diag(products(x))[None, :]
+    H = _newton_products(rules1d.family_nodes(rule, m), y)
+    H /= _newton_denominators(rule, m).reshape((m,) + (1,) * y.ndim)
+    return H
 
 
 def _fibre_order(idx: np.ndarray, k: int) -> np.ndarray:
@@ -214,8 +238,7 @@ def _aligned_values(grid: GridNodes, samples: dict[MultiIndex, float]) -> np.nda
 @functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
 def _newton_table(rule: str, m: int) -> np.ndarray:
     """T[i, j] = h_j(x_i) on the first m nodes of `rule`, built once and read-only."""
-    x = rules1d.family_nodes(rule, m)
-    table = _newton_basis(x, x)
+    table = np.ascontiguousarray(_newton_basis(rule, m, rules1d.family_nodes(rule, m)).T)
     table.flags.writeable = False
     return table
 
@@ -296,51 +319,124 @@ def _check_domain(Y: np.ndarray, allow_extrapolation: bool):
                               "(pass allow_extrapolation to override)")
 
 
+def _trie(interp: Interpolant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prefix trie of the interpolant's grid indices, sorted lexically:
+    the sorted indices (N, d), the mask new[r, k] of the rows that start a
+    prefix (j_1..j_k) of length k = 0..d, and the surpluses laid out as
+    S[g, j_d - 1] by the prefixes g of length d - 1, in that order."""
+    idx = interp.grid.idx
+    order = np.lexsort(idx.T[::-1])
+    idx = idx[order]
+    new = np.zeros((len(idx), idx.shape[1] + 1), dtype=bool)
+    new[0] = True
+    new[1:, 1:] = np.logical_or.accumulate(idx[1:] != idx[:-1], axis=1)
+    top = np.cumsum(new[:, -2]) - 1
+    S = np.zeros((top[-1] + 1, idx[:, -1].max()))
+    S[top, idx[:, -1] - 1] = interp.surpluses[order]
+    return idx, new, S
+
+
+def _contract(S: np.ndarray, count: int, terms) -> np.ndarray:
+    """sum_g c[g, p] (S @ h)[g, p] at `count` points, in chunks of points
+    over which the (prefixes, chunk) arrays hold ~64k doubles.  terms(chunk)
+    gives the chunk's prefix products c, one row per row of S, and its
+    last-dimension basis h[j, p] = h_j(y_{p,d}), j < S.shape[1]."""
+    out = np.empty(count)
+    chunk = max(1, (1 << 16) // len(S))
+    for start in range(0, count, chunk):
+        part = slice(start, start + chunk)
+        c, h = terms(part)
+        # BLAS reads h column-major, the layout whose sums these bits are
+        out[part] = np.einsum("gp,gp->p", c, S @ np.asfortranarray(h))
+    return out
+
+
 def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = False) -> np.ndarray:
     """Surplus-form evaluation at an array of points with shape (P, d).
 
     The sum over grid indices j of s_j h_{j_1}(y_1) ... h_{j_d}(y_d) is
     contracted one dimension at a time over the prefix trie of the
     lex-sorted indices: each distinct prefix (j_1..j_k) carries the product
-    of its k basis values, one multiply on its parent prefix's product, and
-    the last dimension is one matrix product with the surpluses laid out by
-    (prefix of length d-1, j_d).
+    of its k basis values, its parent prefix's product times one row of the
+    point-major Newton basis, and the last dimension is one matrix product
+    with the surpluses laid out by (prefix of length d-1, j_d).  A run's
+    probe (`_FixedPoints`) reaches the same bits from products it keeps.
     """
     Y = np.atleast_2d(np.asarray(points, dtype=float))
     if Y.shape[1] != interp.dim:
         raise ValueError(f"points must have dimension {interp.dim}")
     _check_domain(Y, allow_extrapolation)
-    idx = interp.grid.idx
-    if len(idx) == 0:
+    if len(interp.grid) == 0:
         return np.zeros(len(Y))
-    d = interp.dim
-    order = np.lexsort(idx.T[::-1])
-    idx = idx[order]
-    # prefix[r, k]: id of row r's prefix of length k among the distinct ones
-    new = np.ones(idx.shape, dtype=bool)
-    new[1:] = np.logical_or.accumulate(idx[1:] != idx[:-1], axis=1)
-    prefix = np.zeros((len(idx), d), dtype=np.int64)
-    prefix[:, 1:] = np.cumsum(new[:, :-1], axis=0) - 1
-    # per dimension k < d: for each prefix of length k + 1, its parent and j_k
+    idx, new, S = _trie(interp)
+    prefix = np.cumsum(new, axis=0) - 1  # prefix[r, k]: id of row r's prefix of length k
+    # per dimension k < d - 1: for each prefix of length k + 1, its parent and j_{k+1} - 1
     trie = []
-    for k in range(d - 1):
-        first = np.flatnonzero(new[:, k])
+    for k in range(interp.dim - 1):
+        first = np.flatnonzero(new[:, k + 1])
         trie.append((prefix[first, k], idx[first, k] - 1))
-    top = prefix[:, -1]
-    S = np.zeros((top[-1] + 1, idx[:, -1].max()))
-    S[top, idx[:, -1] - 1] = interp.surpluses[order]
-    # nested nodes: one table's basis serves every dimension
-    x = rules1d.family_nodes(interp.tensor_set.rule, int(idx.max()))
-    out = np.empty(len(Y))
-    chunk = max(1, (1 << 16) // len(S))  # (prefixes, chunk) arrays of ~64k doubles
-    for start in range(0, len(Y), chunk):
-        Yc = Y[start:start + chunk]
-        H = _newton_basis(x, Yc.T.ravel()).T.reshape(len(x), d, len(Yc))  # [j, k, p]
-        c = np.ones((1, len(Yc)))
+    rule, m = interp.tensor_set.rule, int(idx.max())
+
+    def terms(part):
+        # nested nodes: one table's basis serves every dimension
+        H = _newton_basis(rule, m, Y[part].T)  # [j, k, p]
+        c = np.ones((1, H.shape[2]))
         for k, (parent, j) in enumerate(trie):
-            c = c[parent] * H[j, k]
-        out[start:start + chunk] = np.einsum("gp,gp->p", c, S @ H[:S.shape[1], -1])
-    return out
+            ck = np.take(H[:, k], j, axis=0)
+            if k:  # the first level's parent products are all 1.0
+                ck *= c[parent]
+            c = ck
+        return c, H[:S.shape[1], -1]
+
+    return _contract(S, len(Y), terms)
+
+
+class _FixedPoints:
+    """Evaluation at fixed points of the interpolants of one growing run,
+    bit for bit `evaluate_batch`, from state kept between calls: the
+    points' Newton basis, built again only when the largest grid index
+    grows, and the product of each distinct prefix of length d - 1, computed
+    once, left to right along its path from 1.0 as `evaluate_batch` chains
+    it.  Holds the m x d x P basis and G x P doubles for the G prefixes, in
+    room for up to a quarter more, so that adding prefixes copies the rows
+    kept only when the room is full."""
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self.rule: str | None = None
+        self.basis = np.zeros((0,) + points.T.shape)   # [j, k, p]
+        self.rows: dict[MultiIndex, int] = {}          # prefix -> row of `products`
+        self.products = np.zeros((0, len(points)))     # rows past len(rows) are room
+
+    def __call__(self, interp: Interpolant) -> np.ndarray:
+        rule, (count, d) = interp.tensor_set.rule, self.points.shape
+        if rule != self.rule:  # another node table: nothing kept holds
+            self.rule, self.basis = rule, self.basis[:0]
+            self.rows, self.products = {}, self.products[:0]
+        idx, new, S = _trie(interp)
+        m = int(idx.max())
+        if m > len(self.basis):
+            self.basis = _newton_basis(rule, m, self.points.T)
+        heads = idx[new[:, -2], :-1]
+        keys = list(map(tuple, heads.tolist()))
+        fresh = [g for g, key in enumerate(keys) if key not in self.rows]
+        if len(self.rows) + len(fresh) > len(keys):  # a prefix left the grid: start over
+            self.rows, self.products, fresh = {}, self.products[:0], range(len(keys))
+        if fresh:
+            used, need = len(self.rows), len(self.rows) + len(fresh)
+            if need > len(self.products):
+                room = np.empty((need + need // 4, count))
+                room[:used] = self.products[:used]
+                self.products = room
+            c = self.products[used:need]
+            c[:] = 1.0
+            J = heads[fresh] - 1
+            for k in range(d - 1):
+                c *= np.take(self.basis[:, k], J[:, k], axis=0)
+            self.rows.update((keys[g], used + r) for r, g in enumerate(fresh))
+        rows = np.array([self.rows[key] for key in keys])
+        basis = self.basis[:S.shape[1], -1]
+        return _contract(S, count, lambda part: (self.products[rows, part], basis[:, part]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import functools
 
 import numpy as np
 
-from . import rules1d
 from .sparse_grid import _MATRIX_CACHE_SIZE, Interpolant, _fibre_apply, _newton_basis
 
 
@@ -48,8 +47,8 @@ def _basis_change(rule: str, m: int) -> np.ndarray:
     and with it the rounding, so each m keeps its own matrix.
     """
     y, w = np.polynomial.legendre.leggauss(m)
-    nodes = rules1d.family_nodes(rule, m)
-    basis = np.triu((_legendre_matrix(m - 1, y) * (w / 2.0)[None, :]) @ _newton_basis(nodes, y))
+    newton = np.ascontiguousarray(_newton_basis(rule, m, y).T)  # [quadrature point, j]
+    basis = np.triu((_legendre_matrix(m - 1, y) * (w / 2.0)[None, :]) @ newton)
     basis.flags.writeable = False
     return basis
 

@@ -522,6 +522,32 @@ def test_saved_text_equals_the_whole_object_encoding(order, data):
             assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
 
 
+def test_saved_theta_levels_follow_the_grow_steps(tmp_path):
+    """The levels each grow step admits are encoded as it admits them; a
+    save after a build, or after a grow step whose build failed, a reloaded
+    state and a replaced tensor set all write the bytes of one `json.dumps`
+    of the whole state."""
+    cfg = dr.RunConfig(rule="leja", d=3, batch=2, max_iterations=1000, max_samples=200,
+                       probe_count=None)
+    target = rational(3)
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    path = tmp_path / "checkpoint.json"
+    for it in range(14):
+        dr._build_phase(state, target)
+        dr.save_state(state, path)
+        assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
+        dr._grow_phase(state)
+        assert state.fragments.theta is state.theta  # followed, not encoded again
+        dr.save_state(state, path)
+        assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
+        if it == 5:
+            state = dr.load_state(path)
+        if it == 9:
+            state.theta = dr._grown(dr.initial_tensor_set(cfg), [(0, 0, 3)])
+            dr.save_state(state, path)
+            assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
+
+
 def tear_writes(monkeypatch):
     """Make the program's file writes stop after 100 characters with OSError;
     files opened for reading are left alone."""
@@ -644,6 +670,88 @@ def test_probe_points_evaluated_once_per_run():
         dr.step(state, Counting())
     assert sizes.count(97) == 1
     assert [r.probe_error for r in state.history] == [r.probe_error for r in history[:3]]
+
+
+def rational(d):
+    return tg.builtin_target("rational", d, c0=2.0 + d, c=[1.0 / (k + 1) for k in range(d)])
+
+
+def record_probes(monkeypatch):
+    """Every probe evaluation of the kept state, as (interpolant, points, values)."""
+    calls = []
+    real = sg._FixedPoints.__call__
+
+    def call(self, interp):
+        values = real(self, interp)
+        calls.append((interp, self.points, values))
+        return values
+
+    monkeypatch.setattr(sg._FixedPoints, "__call__", call)
+    return calls
+
+
+# d = 8 to 80 nodes contracts a seven-level trie in two chunks of points
+@pytest.mark.parametrize("rule, d, budget", [
+    ("leja", 1, 25), ("rleja_double2", 2, 80), ("leja", 3, 120), ("leja", 8, 80)])
+def test_probe_vector_equals_the_oracle_bitwise_every_iteration(tmp_path, monkeypatch,
+                                                                 rule, d, budget):
+    calls = record_probes(monkeypatch)
+    cfg = dr.RunConfig(rule=rule, d=d, max_iterations=1000, max_samples=budget,
+                       probe_count=1000, probe_seed=5)
+    _, history = dr.run(cfg, rational(d))
+    assert len(calls) == len(history) > 3
+    # interrupted in the middle, then resumed from the checkpoint: the resumed
+    # run builds its kept state from scratch on its first probe
+    ck = tmp_path / "ck.json"
+    dr.run(dataclasses.replace(cfg, max_iterations=len(history) // 2), rational(d),
+           checkpoint_path=ck)
+    state = dr.load_state(ck)
+    state.config = cfg
+    resumed = len(calls)
+    _, again = dr.run(cfg, rational(d), state=state)
+    assert len(calls) - resumed == len(history) - len(history) // 2 - 1
+    assert [r.probe_error for r in again] == [r.probe_error for r in history]
+    for interp, pts, values in calls:
+        assert values.tobytes() == oracles.evaluate_batch(interp, pts).tobytes()
+
+
+def check_kept_products(kept, interp):
+    """One row per distinct prefix of length d - 1, each the product of its
+    basis values left to right from 1.0."""
+    prefixes = {j[:-1] for j in interp.grid.indices}
+    assert set(kept.rows) == prefixes and sorted(kept.rows.values()) == list(range(len(prefixes)))
+    assert len(prefixes) <= len(kept.products) <= len(prefixes) * 5 // 4 + 1
+    rule = interp.tensor_set.rule
+    for prefix, row in kept.rows.items():
+        ref = np.ones(len(kept.points))
+        for k, j in enumerate(prefix):
+            ref = ref * sg._newton_basis(rule, j, kept.points[:, k])[j - 1]
+        assert kept.products[row].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("rule, d", [("leja", 1), ("leja", 3), ("clenshaw_curtis", 4)])
+def test_kept_probe_products_hold_one_row_per_prefix(rule, d):
+    cfg = dr.RunConfig(rule=rule, d=d, batch=3, max_iterations=1000, max_samples=90,
+                       probe_count=200, probe_seed=3)
+    target = rational(d)
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    for _ in range(8):
+        dr._build_phase(state, target)
+        kept, _ = state.probe[(cfg.probe_count, cfg.probe_seed)]
+        check_kept_products(kept, state.interpolant)
+        assert len(kept.basis) == state.interpolant.grid.idx.max()
+        try:
+            dr._grow_phase(state)
+        except dr.BudgetExhausted:
+            break
+    # a tensor set replaced by a smaller one drops the prefixes that left;
+    # one on another rule's nodes keeps nothing
+    small = dr.initial_tensor_set(cfg)
+    for ts in (small, sg.TensorSet(small.theta, "rleja_double2")):
+        state.theta = ts
+        dr._build_phase(state, target)
+        check_kept_products(kept, state.interpolant)
+        assert state.history[-1].probe_error == linf_error(state.interpolant, target, 200, 3)
 
 
 def test_probe_count_below_one_is_refused_before_any_sample():

@@ -372,14 +372,13 @@ def dense_evaluate(interp, Y):
     """Oracle: the dense product G[p, n] = prod_k h_{j_k}(y_k) over all grid
     indices, then G @ surpluses, in chunks of at most 4M entries."""
     idx = np.array(interp.grid.indices, dtype=np.int64)
-    nodes1d = [r1.family_nodes(interp.tensor_set.rule, int(m)) for m in idx.max(axis=0)]
     out = np.empty(len(Y))
     chunk = max(1, (1 << 22) // len(idx))
     for start in range(0, len(Y), chunk):
         Yc = Y[start:start + chunk]
         G = np.ones((len(Yc), len(idx)))
-        for k in range(interp.dim):
-            G *= sg._newton_basis(nodes1d[k], Yc[:, k])[:, idx[:, k] - 1]
+        for k, m in enumerate(idx.max(axis=0)):
+            G *= sg._newton_basis(interp.tensor_set.rule, int(m), Yc[:, k]).T[:, idx[:, k] - 1]
         out[start:start + chunk] = G @ interp.surpluses
     return out
 
@@ -406,6 +405,24 @@ def test_trie_evaluation_matches_dense_product(theta, rule, seed, count):
     interp = sg.build_interpolant(ts, smooth_samples(rng, ts))
     P = {"one": 1, "chunk-1": trie_chunk(interp) - 1, "chunk+1": trie_chunk(interp) + 1}[count]
     assert_matches_dense(interp, rng.uniform(-1, 1, (P, theta.dim)))
+
+
+POINT_COUNTS = {"zero": lambda c: 0, "one": lambda c: 1, "chunk-1": lambda c: c - 1,
+                "chunk": lambda c: c, "chunk+1": lambda c: c + 1, "3chunk+7": lambda c: 3 * c + 7}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=st.sampled_from(("leja", "rleja_double2", "clenshaw_curtis")), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), count=st.sampled_from(sorted(POINT_COUNTS)))
+def test_evaluation_equals_the_trie_oracle_bitwise(rule, data, seed, count):
+    # five levels keep Clenshaw-Curtis at <= 17 nodes per dimension
+    theta = data.draw(lower_sets(max_dim=5, max_size=5 if rule == "clenshaw_curtis" else 8))
+    rng = np.random.default_rng(seed)
+    ts = sg.TensorSet(theta, rule)
+    interp = sg.build_interpolant(ts, smooth_samples(rng, ts))
+    Y = rng.uniform(-1, 1, (POINT_COUNTS[count](trie_chunk(interp)), theta.dim))
+    got = sg.evaluate_batch(interp, Y)
+    assert got.shape == (len(Y),) and got.tobytes() == oracles.evaluate_batch(interp, Y).tobytes()
 
 
 @pytest.mark.parametrize("members", [
