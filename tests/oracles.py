@@ -139,6 +139,29 @@ def fibre_solve(rule, idx, values):
     return out
 
 
+def fibre_apply(idx, data, mats):
+    """mats[k] applied along every dimension-k fibre of a lower grid-index
+    set, as the library computed it before it kept a fibre table on the
+    grid, and its reference bit for bit: per dimension one `np.lexsort`
+    (the other coordinates, then coordinate k) and a loop over the fibre
+    position q, adding the q-th member's term to every row whose fibre
+    reaches q, left to right from 0.0."""
+    out = np.array(data, dtype=float)
+    n = len(idx)
+    for k, mat in enumerate(mats):
+        order = np.lexsort((idx[:, k],) + tuple(np.delete(idx, k, axis=1).T))
+        c = idx[order, k]
+        start = np.arange(n) - (c - 1)
+        fibre = np.cumsum(c == 1) - 1
+        length = np.bincount(fibre, minlength=1)[fibre]
+        acc = np.zeros_like(out)
+        for q in range(1, len(mat) + 1):
+            at = np.flatnonzero(length >= q)
+            acc[order[at]] += mat[c[at] - 1, q - 1] * out[order[start[at] + q - 1]]
+        out = acc
+    return out
+
+
 def fit_curved(coeffs, min_magnitude=1e-14, include_beta=True):
     """The curved-decay regression over a coefficient dict, row by row in
     Python: the rows sorted by `graded_lex_key`, the magnitudes filtered and

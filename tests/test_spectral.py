@@ -198,3 +198,35 @@ def test_cached_1d_matrices_are_read_only_and_equal_a_fresh_build(rule):
                 mat[0, 0] = 1.0
             fresh = build(rule, m)
             assert fresh.shape == (m, m) and fresh.tobytes() == mat.tobytes()
+
+
+def assert_coeffs_equal_the_fibre_oracle(ts, grid, rng):
+    """`grid_coeffs` of random surpluses on `grid`, about a quarter of them
+    signed zeros, equals the oracle's lexsort-and-q-loop transform bitwise."""
+    surpluses = rng.uniform(-1, 1, len(grid))
+    zero = rng.random(len(grid)) < 0.25
+    surpluses[zero] = np.copysign(0.0, rng.uniform(-1, 1, zero.sum()))
+    got = sp.grid_coeffs(sg.Interpolant(ts, grid, surpluses, surpluses))
+    mmax = grid.idx.max(axis=0)
+    basis = sp._basis_change(ts.rule, int(mmax.max()))
+    ref = oracles.fibre_apply(grid.idx, surpluses, [basis[:m, :m] for m in mmax])
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=lower_sets(max_dim=5, max_size=5),
+       rule=st.sampled_from(("leja", "rleja_double2", "clenshaw_curtis")),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_grid_coeffs_equal_the_fibre_oracle_bitwise(theta, rule, data, seed):
+    """On the grid of the whole set, and on a grid extended level by level
+    through `_extend_grid`, whose coefficients are read after every step."""
+    rng = np.random.default_rng(seed)
+    ts = sg.TensorSet(theta, rule)
+    assert_coeffs_equal_the_fibre_oracle(ts, sg.grid_nodes(ts), rng)
+    members = list(theta.members)  # graded-lex: every prefix is lower
+    cuts = sorted(data.draw(st.lists(st.integers(1, len(members)), max_size=3)))
+    grid = sg.GridNodes.empty(theta.dim)
+    for done, cut in zip([0] + cuts, cuts + [len(members)]):
+        grid, _ = sg._extend_grid(grid, rule, members[done:cut])
+        part = sg.TensorSet(IndexSet(theta.dim, members[:cut]), rule)
+        assert_coeffs_equal_the_fibre_oracle(part, grid, rng)
