@@ -16,11 +16,11 @@ enters, admits levels in order of that weight until the batch rule or the
 sample budget stops it.
 
 The checkpoint is saved once per iteration and costs the new work only: a
-save encodes the head, the fit and the theta levels, cache entries and
+save encodes the iteration, the fit and the theta levels, cache entries and
 history rows added since the last save, and joins them with the JSON text
-kept on the state.  The Monte Carlo probe keeps its points' Newton basis and
-prefix products on the state too (`_FixedPoints`), so each iteration
-multiplies out the prefixes its new rows bring.
+kept on the state, the config's among it.  The Monte Carlo probe keeps its
+points' Newton basis and prefix products on the state too (`_FixedPoints`),
+so each iteration multiplies out the prefixes its new rows bring.
 """
 
 from __future__ import annotations
@@ -124,17 +124,19 @@ class Record:
 
 @dataclass
 class _Fragments:
-    """The checkpoint's theta levels, cache entries and history rows as JSON
-    text, each encoded once; `save_state` joins them.
+    """The checkpoint's config, theta levels, cache entries and history rows
+    as JSON text, each encoded once; `save_state` joins them.
 
     Cache entries and history rows are written once: a save encodes the
     cache keys added since the last save (the tail of the dict's insertion
     order) and the appended rows.  The levels a grow step admits to the
     encoded tensor set are encoded as it admits them (`grown`).  A replaced
-    or shrunk cache or history, or a replaced tensor set, is encoded again
-    from scratch.
+    or shrunk cache or history, or a replaced tensor set or config (frozen,
+    so replaced whenever it changes), is encoded again from scratch.
     """
 
+    config: RunConfig | None = None    # the config the text was encoded from
+    config_text: str = ""
     theta: TensorSet | None = None     # the tensor set the levels were encoded from
     levels: list[str] = field(default_factory=list)   # its levels' text, in member order
     cache: dict | None = None          # the cache the entries were encoded from
@@ -155,7 +157,9 @@ class _Fragments:
             self.levels.insert(at, json.dumps(list(nu)))
         self.theta = grown
 
-    def sync(self, ts: TensorSet, cache: dict, history: list) -> None:
+    def sync(self, config: RunConfig, ts: TensorSet, cache: dict, history: list) -> None:
+        if config is not self.config:
+            self.config, self.config_text = config, json.dumps(_to_dict(config))
         if ts is not self.theta:
             self.theta, self.levels = ts, [json.dumps(list(i)) for i in ts.theta.members]
         if cache is not self.cache or len(cache) < len(self.keys):
@@ -369,7 +373,7 @@ def _build_grid(state: RunState, target: TargetSpec | None) -> None:
     passes = np.zeros((ts.dim + 1, len(grid)))
     passes[:, ~new] = run.passes
     passes[0, new] = samples
-    _solve_rows(ts.rule, grid.idx, passes, new)
+    _solve_rows(ts.rule, grid, passes, new)
     for kept in (grid.idx, grid.points, passes):
         kept.flags.writeable = False  # the interpolant handed out shares them
     front = _grown_margin(run.margin, ts.theta, levels)
@@ -501,6 +505,8 @@ def run(
 
 _STATE_FORMAT = "adasg-checkpoint"
 _STATE_VERSION = 1
+# the checkpoint's text up to its config: the same in every save
+_STATE_HEAD = json.dumps({"format": _STATE_FORMAT, "version": _STATE_VERSION})[:-1]
 
 
 def _to_dict(obj, skip: tuple[str, ...] = ()) -> dict:
@@ -531,19 +537,14 @@ def _from_dict(cls, obj: dict):
 
 def save_state(state: RunState, path) -> None:
     """Write the state as one JSON object: the cache sorted by key, the
-    history without wall times.  Only the head, the fit and what is new
-    since the last save are encoded; the rest is joined from the text kept
-    on the state, so the file has the bytes of one `json.dumps` call."""
+    history without wall times.  Only the iteration, the fit and what is
+    new since the last save are encoded; the rest is joined from the text
+    kept on the state, so the file has the bytes of one `json.dumps` call."""
     frag = state.fragments
-    frag.sync(state.theta, state.cache, state.history)
-    head = json.dumps({
-        "format": _STATE_FORMAT,
-        "version": _STATE_VERSION,
-        "config": _to_dict(state.config),
-        "iteration": state.iteration,
-    })
+    frag.sync(state.config, state.theta, state.cache, state.history)
     fit = json.dumps(None if state.fit is None else _to_dict(state.fit))
-    text = "".join((head[:-1], ', "theta": [', ", ".join(frag.levels),
+    text = "".join((_STATE_HEAD, ', "config": ', frag.config_text, ', "iteration": ',
+                    json.dumps(state.iteration), ', "theta": [', ", ".join(frag.levels),
                     '], "cache": [', ", ".join(frag.entries), '], "fit": ', fit,
                     ', "history": [', ", ".join(frag.rows), "]}"))
     _write_text_atomic(text, path)

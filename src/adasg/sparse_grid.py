@@ -8,13 +8,16 @@ keeps its grid and extends it).  Every other operator reads that array, and
 acts on the lower set of grid indices one dimension at a time.  The
 transforms (samples to surpluses, `_solve_rows`, for the new rows of a grid;
 surpluses to Legendre coefficients in `spectral`) apply one triangular 1-D
-matrix along every fibre; evaluation contracts the surpluses with the 1-D
-Newton basis over the prefix trie of the lex-sorted indices.  One routine
-builds that basis, point-major (`_newton_basis`), for evaluation, for the
-Newton table of the solve and for the Legendre change of basis.  Evaluation
-at points fixed for a whole run (the adaptive loop's probe, `_FixedPoints`)
-keeps the basis and the prefix products there between calls and shares the
-contraction (`_contract`) with `evaluate_batch`, so both give the same bits.
+matrix along every fibre, whose members they read from the grid's fibre
+table: built on first use, and carried forward by `_extend_grid`, which
+looks up the new rows only, so a run sorts nothing per iteration for it.
+Evaluation contracts the surpluses with the 1-D Newton basis over the prefix
+trie of the lex-sorted indices.  One routine builds that basis, point-major
+(`_newton_basis`), for evaluation, for the Newton table of the solve and for
+the Legendre change of basis.  Evaluation at points fixed for a whole run
+(the adaptive loop's probe, `_FixedPoints`) keeps the basis and the prefix
+products there between calls and shares the contraction (`_contract`) with
+`evaluate_batch`, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import functools
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +43,9 @@ from .multiindex import (
 # reuses one m until its grid reaches further, so a few entries serve it and
 # the memory stays a few matrices of the largest m
 _MATRIX_CACHE_SIZE = 4
+# terms per chunk of rows in the fibre transform (`_fibre_apply`): ~8 MB of
+# doubles however long the fibres are
+_FIBRE_CHUNK_TERMS = 1 << 20
 
 
 class DomainError(ValueError):
@@ -83,11 +89,26 @@ def theta_opt(lam: IndexSet, rule: str) -> TensorSet:
 
 
 @dataclass
+class _Fibres:
+    """The dimension-k fibres of a lower grid-index set: the sets of rows that
+    agree in every coordinate but k.  On a lower set each fibre holds the
+    coordinates k = 1..l, and its member at c sits in column c - 1 of its
+    row of `members`; the columns past l hold -1."""
+
+    of: np.ndarray                # (N,) the fibre of each row
+    members: np.ndarray           # (F, L) int64: rows by fibre and coordinate k, padded
+    ids: dict[MultiIndex, int]    # the other d - 1 coordinates of a fibre -> its id
+
+
+@dataclass
 class GridNodes:
     """1-based grid indices (N, d) in graded-lex order and their coordinates."""
 
     idx: np.ndarray     # (N, d) int64
     points: np.ndarray  # (N, d)
+    # per dimension, the fibre table of idx (`_fibre_tables`): built on first
+    # read, and carried forward by `_extend_grid` once built
+    _fibres: list[_Fibres] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.idx)
@@ -100,6 +121,39 @@ class GridNodes:
     def indices(self) -> tuple[MultiIndex, ...]:
         """The grid indices as tuples, the keys of a sample map."""
         return tuple(map(tuple, self.idx.tolist()))
+
+    def _fibre_tables(self) -> list[_Fibres]:
+        """The fibre table of each dimension, built from empty ones on the
+        first call, by the code that carries a kept table forward."""
+        if self._fibres is None:
+            none = _Fibres(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64), {})
+            self._fibres = _extend_fibres([none] * self.idx.shape[1], self.idx,
+                                         np.zeros(0, dtype=np.int64), np.arange(len(self)))
+        return self._fibres
+
+
+def _extend_fibres(tables: list[_Fibres], idx: np.ndarray, moved: np.ndarray,
+                   added: np.ndarray) -> list[_Fibres]:
+    """The fibre tables of the grid-index set `idx`, from the `tables` of a
+    grid whose row r is row moved[r] of `idx`, and the rows `added` that
+    grid lacks.  The kept members are renumbered in one gather; the added
+    rows look up their fibres by their other coordinates, and a fibre one
+    of them opens takes the next id."""
+    moved = np.concatenate((moved, [-1]))  # the padding stays -1
+    rows = idx[added].tolist()
+    out = []
+    for k, old in enumerate(tables):
+        ids = dict(old.ids)
+        fibre = [ids.setdefault(tuple(r[:k] + r[k + 1:]), len(ids)) for r in rows]
+        of = np.empty(len(idx), dtype=np.int64)
+        of[moved[:-1]] = old.of
+        of[added] = fibre
+        F, L = old.members.shape
+        members = np.full((len(ids), max([L] + [r[k] for r in rows])), -1, dtype=np.int64)
+        members[:F, :L] = moved[old.members]
+        members[fibre, [r[k] - 1 for r in rows]] = added
+        out.append(_Fibres(of, members, ids))
+    return out
 
 
 def _growth_table(rule: str, top: int) -> np.ndarray:
@@ -126,7 +180,8 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
     dimension k.  Each block's rows are numbered 0..size-1 and the number is
     read as mixed-radix digits, one per dimension; the rows are then merged
     into graded-lex order: by the index sum, then lexicographically.  The
-    rows of `grid` keep their relative order.
+    rows of `grid` keep their relative order.  A fibre table built on
+    `grid` is carried forward: its rows renumbered, the new rows added.
     """
     d = grid.idx.shape[1]
     levels = np.array(levels, dtype=np.int64).reshape(-1, d)
@@ -143,8 +198,11 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
     idx = np.concatenate((grid.idx, added))
     order = np.lexsort(tuple(idx.T[::-1]) + (idx.sum(axis=1),))
     x = rules1d.family_nodes(rule, int(added.max()))
-    points = np.concatenate((grid.points, x[added - 1]))[order]
-    return GridNodes(idx[order], points), order >= len(grid)
+    out = GridNodes(idx[order], np.concatenate((grid.points, x[added - 1]))[order])
+    new = order >= len(grid)
+    if grid._fibres is not None:
+        out._fibres = _extend_fibres(grid._fibres, out.idx, np.flatnonzero(~new), np.flatnonzero(new))
+    return out, new
 
 
 def grid_size(ts: TensorSet) -> int:
@@ -194,36 +252,33 @@ def _newton_basis(rule: str, m: int, y: np.ndarray) -> np.ndarray:
     return H
 
 
-def _fibre_order(idx: np.ndarray, k: int) -> np.ndarray:
-    """Row order of a lower grid-index set in which each dimension-k fibre is
-    a contiguous run with coordinate k = 1..l: sorted by the other
-    coordinates, then by coordinate k.  The member at q sits c - q places
-    before the one at c."""
-    return np.lexsort((idx[:, k],) + tuple(np.delete(idx, k, axis=1).T))
+def _fibre_apply(grid: GridNodes, data: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+    """Apply mats[k] along every dimension-k fibre of the grid's lower
+    grid-index set, to one value per row.
 
-
-def _fibre_apply(idx: np.ndarray, data: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """Apply mats[k] along every dimension-k fibre of a lower grid-index set.
-
-    `idx` holds 1-based grid indices (N, d) and `data` one value per row.  On
-    a lower set every fibre is a prefix 1..l, and the rows a triangular matrix
-    couples stay inside the set, so for triangular mats the d one-dimensional
-    passes equal the tensor-product operator restricted to the set.  The
-    inverse direction, samples to surpluses, is `_solve_rows`.
+    On a lower set every fibre is a prefix 1..l, and the rows a triangular
+    matrix couples stay inside the set, so for triangular mats the d
+    one-dimensional passes equal the tensor-product operator restricted to
+    the set.  Row r at coordinate c takes the sum over q = 1..L of
+    mats[k][c - 1, q - 1] times its fibre's member at q, folded left to
+    right from 0.0; a member past the fibre's end reads 0.0, so its term is
+    an exact zero.  The inverse direction, samples to surpluses, is
+    `_solve_rows`.
     """
     out = np.array(data, dtype=float)
-    n = len(idx)
-    for k, mat in enumerate(mats):
-        order = _fibre_order(idx, k)
-        c = idx[order, k]
-        start = np.arange(n) - (c - 1)
-        fibre = np.cumsum(c == 1) - 1
-        length = np.bincount(fibre, minlength=1)[fibre]
-        acc = np.zeros_like(out)
-        for q in range(1, len(mat) + 1):
-            at = np.flatnonzero(length >= q)
-            acc[order[at]] += mat[c[at] - 1, q - 1] * out[order[start[at] + q - 1]]
-        out = acc
+    n = len(out)
+    for k, (table, mat) in enumerate(zip(grid._fibre_tables(), mats)):
+        padded = np.append(out, 0.0)  # row -1 reads 0.0
+        # chunks of rows, of at least two rows unless the grid has one:
+        # numpy reduces a C-ordered (q, row) array over q left to right,
+        # where over a single column it would sum pairwise
+        chunks = min(-(-n * len(mat) // _FIBRE_CHUNK_TERMS), max(1, n // 2))
+        for i in range(chunks):
+            part = slice(i * n // chunks, (i + 1) * n // chunks)
+            terms = np.empty((len(mat), part.stop - part.start))  # q-major
+            np.multiply(mat.T[:, grid.idx[part, k] - 1],
+                        padded[table.members.T[:, table.of[part]]], out=terms)
+            out[part] = np.add.reduce(terms, axis=0, initial=0.0)
     return out
 
 
@@ -243,8 +298,9 @@ def _newton_table(rule: str, m: int) -> np.ndarray:
     return table
 
 
-def _solve_rows(rule: str, idx: np.ndarray, passes: np.ndarray, new: np.ndarray) -> None:
-    """Surpluses of the rows `new` (a mask) of a lower grid-index set, in place.
+def _solve_rows(rule: str, grid: GridNodes, passes: np.ndarray, new: np.ndarray) -> None:
+    """Surpluses of the rows `new` (a mask) of the grid's lower grid-index
+    set, in place.
 
     passes[0] holds the samples and passes[k + 1] the values after the
     solve's pass along dimension k, so passes[d] holds the surpluses.  Each
@@ -252,28 +308,28 @@ def _solve_rows(rule: str, idx: np.ndarray, passes: np.ndarray, new: np.ndarray)
     is inverted by forward substitution along every fibre: the member at c
     takes T[c - 1, q - 1] times the member at q off its value, for q = 1..c-1
     in turn.  The new rows are solved one coordinate value c at a time, from
-    the bottom, so the members below each are solved before it.  A row's
-    values depend only on the rows below it, which a lower set keeps, so the
-    rows outside `new` keep theirs, and a build from scratch marks every row
-    new.
+    the bottom, so the members below each are solved before it; the grid's
+    fibre table gives those members.  A row's values depend only on the rows
+    below it, which a lower set keeps, so the rows outside `new` keep
+    theirs, and a build from scratch marks every row new.
     """
     rows = np.flatnonzero(new)
     if len(rows) == 0:
         return
+    idx = grid.idx
     table = _newton_table(rule, int(idx.max()))  # nested nodes: one table serves every dimension
     for k in range(idx.shape[1]):
         out = passes[k + 1]
         out[rows] = passes[k, rows]
-        if idx[rows, k].max() == 1:
+        c = idx[rows, k]
+        if c.max() == 1:
             continue  # no new row has a member below it along dimension k
-        order = _fibre_order(idx, k)
-        pos = np.flatnonzero(new[order])  # the new rows' positions in that order
-        c = idx[order[pos], k]
+        fibres = grid._fibre_tables()[k]
         for v in np.flatnonzero(np.bincount(c)[2:]) + 2:
-            at = pos[c == v]
-            terms = table[v - 1, :v - 1] * out[order[at[:, None] - v + np.arange(1, v)]]
+            at = rows[c == v]
+            terms = table[v - 1, :v - 1] * out[fibres.members[fibres.of[at], :v - 1]]
             # subtract.reduce folds left to right: the q-th term goes off after the (q-1)-th
-            out[order[at]] = np.subtract.reduce(np.column_stack((out[order[at]], terms)), axis=1)
+            out[at] = np.subtract.reduce(np.column_stack((out[at], terms)), axis=1)
 
 
 @dataclass
@@ -304,7 +360,7 @@ def build_interpolant(ts: TensorSet, samples: dict[MultiIndex, float]) -> Interp
     grid = grid_nodes(ts)
     passes = np.zeros((ts.dim + 1, len(grid)))
     passes[0] = _aligned_values(grid, samples)
-    _solve_rows(ts.rule, grid.idx, passes, np.ones(len(grid), dtype=bool))
+    _solve_rows(ts.rule, grid, passes, np.ones(len(grid), dtype=bool))
     return Interpolant(ts, grid, passes[0], passes[-1])
 
 
@@ -455,9 +511,10 @@ def _write_text_atomic(text: str, path) -> None:
         with open(tmp, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
+        raise
 
 
 def save_interpolant(interp: Interpolant, path) -> None:

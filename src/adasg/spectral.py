@@ -59,9 +59,11 @@ def grid_coeffs(interp: Interpolant) -> np.ndarray:
 
     Computed from the surpluses alone, never from the underlying target.
     """
-    idx = interp.grid.idx
-    mmax = idx.max(axis=0)
+    grid = interp.grid
+    if len(grid) == 0:
+        return np.zeros(0)
+    mmax = grid.idx.max(axis=0)
     # B[n, j] does not depend on m, so each dimension's matrix is a corner
     basis = _basis_change(interp.tensor_set.rule, int(mmax.max()))
-    return _fibre_apply(idx, interp.surpluses, [basis[:m, :m] for m in mmax])
+    return _fibre_apply(grid, interp.surpluses, [basis[:m, :m] for m in mmax])
 

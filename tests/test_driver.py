@@ -1,6 +1,7 @@
 import builtins
 import dataclasses
 import json
+import os
 import tempfile
 from itertools import islice
 from pathlib import Path
@@ -589,6 +590,58 @@ def test_checkpoint_write_failing_part_way_keeps_previous_file(tmp_path, monkeyp
     assert ck.read_bytes() == before
     assert dr.load_state(ck).iteration == state.iteration - 1
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+
+def test_checkpoint_rename_failing_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A save whose temp file is written whole but not renamed over the
+    checkpoint removes it and keeps the previous file; a save that succeeds
+    looks for no temp file."""
+    ck = tmp_path / "checkpoint.json"
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60)
+    dr.run(cfg, RAT2, checkpoint_path=ck)
+    before = ck.read_bytes()
+    state = dr.load_state(ck)
+    state.iteration += 1
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        dr.save_state(state, ck)
+    monkeypatch.undo()
+    assert ck.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+    def stat(path):
+        raise AssertionError(f"looked for {path}")
+
+    monkeypatch.setattr(os.path, "exists", stat)
+    dr.save_state(state, ck)
+    monkeypatch.undo()
+    assert dr.load_state(ck).iteration == state.iteration
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+
+def test_checkpoint_config_is_encoded_once_per_config(tmp_path, monkeypatch):
+    """Saves reuse the config's JSON text until the state adopts another
+    config, as a resume does; every save writes the bytes of one
+    `json.dumps` of the whole state."""
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=1000, max_samples=60, probe_count=None)
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    path = tmp_path / "checkpoint.json"
+    encoded = []
+    to_dict = dr._to_dict
+    monkeypatch.setattr(dr, "_to_dict", lambda obj, **kw: encoded.append(obj) or to_dict(obj, **kw))
+    for it in range(6):
+        if it == 3:
+            state.config = dataclasses.replace(cfg, max_iterations=30)
+        dr._build_phase(state, RAT2)
+        encoded.clear()
+        dr.save_state(state, path)
+        assert sum(isinstance(obj, dr.RunConfig) for obj in encoded) == (it in (0, 3))
+        assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
+        dr._grow_phase(state)
 
 
 def test_history_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):

@@ -520,10 +520,60 @@ def test_new_rows_solve_equals_the_whole_grid_solve_bitwise(theta, rule, data, s
         passes = np.zeros((theta.dim + 1, len(grid)))
         passes[:, ~new] = kept
         passes[0, new] = [values[j] for j in map(tuple, grid.idx[new].tolist())]
-        sg._solve_rows(rule, grid.idx, passes, new)
+        sg._solve_rows(rule, grid, passes, new)
         ref = oracles.fibre_solve(rule, grid.idx, passes[0])
         assert passes[-1].tobytes() == ref.tobytes()
     assert grid.points.tobytes() == full.points.tobytes()
+
+
+def fibres_by_row(grid):
+    """Per dimension, the padded member rows of each row's fibre and the
+    members of each fibre by its other coordinates: the table without its
+    fibre numbering."""
+    return [(fib.members[fib.of].tolist(), {key: fib.members[f].tolist() for key, f in fib.ids.items()})
+            for fib in grid._fibre_tables()]
+
+
+def assert_fibres_are_the_rows_agreeing_off_k(grid):
+    idx = grid.idx
+    for k, fib in enumerate(grid._fibre_tables()):
+        others = np.delete(idx, k, axis=1)
+        for r in range(len(idx)):
+            same = np.flatnonzero((others == others[r]).all(axis=1))
+            want = np.full(idx[:, k].max(), -1)
+            want[idx[same, k] - 1] = same
+            assert fib.members[fib.of[r]].tolist() == want.tolist()
+            assert fib.ids[tuple(others[r].tolist())] == fib.of[r]
+        assert len(fib.ids) == len(fib.members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=lower_sets(max_size=8), rule=st.sampled_from(
+    ("leja", "clenshaw_curtis", "fejer2", "rleja_double2", "leja_odd")), data=st.data())
+def test_kept_fibre_table_equals_a_table_built_from_scratch(theta, rule, data):
+    """Grow a lower set level by level from an empty grid whose table was
+    read: every step carries the table forward, and it holds the fibres of
+    a table built from scratch on the grown grid."""
+    members = list(theta.members)  # graded-lex: every prefix is lower
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(members)), max_size=4)))
+    grid = sg.GridNodes.empty(theta.dim)
+    grid._fibre_tables()
+    for done, cut in zip([0] + cuts, cuts + [len(members)]):
+        grid, _ = sg._extend_grid(grid, rule, members[done:cut])
+        assert grid._fibres is not None  # carried forward, not built on the read below
+        scratch = sg.GridNodes(grid.idx, grid.points)
+        assert fibres_by_row(grid) == fibres_by_row(scratch)
+    assert_fibres_are_the_rows_agreeing_off_k(grid)
+
+
+def test_grid_builds_no_fibre_table_until_read():
+    ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (0, 1)]), "leja")
+    grid = sg.grid_nodes(ts)
+    assert grid._fibres is None
+    assert sg._extend_grid(grid, "leja", [(1, 1)])[0]._fibres is None
+    tables = grid._fibre_tables()
+    assert grid._fibre_tables() is tables
+    assert_fibres_are_the_rows_agreeing_off_k(grid)
 
 
 # the greedy max-/min-Lebesgue and min-delta tables take seconds to build;

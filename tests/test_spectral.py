@@ -230,3 +230,22 @@ def test_grid_coeffs_equal_the_fibre_oracle_bitwise(theta, rule, data, seed):
         grid, _ = sg._extend_grid(grid, rule, members[done:cut])
         part = sg.TensorSet(IndexSet(theta.dim, members[:cut]), rule)
         assert_coeffs_equal_the_fibre_oracle(part, grid, rng)
+
+
+@pytest.mark.parametrize("chunk", [1, 9, 40])
+@pytest.mark.parametrize("members", [
+    [(l,) for l in range(12)],                                      # d = 1: one fibre of 12
+    [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (0, 2)],
+])
+def test_grid_coeffs_in_chunks_of_rows_equal_the_fibre_oracle_bitwise(chunk, members, monkeypatch):
+    """Chunks of a few rows, down to one term a chunk, so that chunks of two
+    rows and more take fibres of nine members and more."""
+    monkeypatch.setattr(sg, "_FIBRE_CHUNK_TERMS", chunk)
+    ts = sg.TensorSet(IndexSet(len(members[0]), members), "leja")
+    assert_coeffs_equal_the_fibre_oracle(ts, sg.grid_nodes(ts), np.random.default_rng(chunk))
+
+
+def test_grid_coeffs_of_an_interpolant_without_nodes():
+    interp = sg.build_interpolant(sg.TensorSet(IndexSet(2, []), "leja"), {})
+    got = sp.grid_coeffs(interp)
+    assert got.shape == (0,) and got.dtype == float
