@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import rules1d
-from .driver import RunConfig, load_state, run, save_state, write_history_csv
+from .driver import RunConfig, load_state, run, write_history_csv
 from .sparse_grid import _write_text_atomic, evaluate_batch, load_interpolant, save_interpolant
 from .targets import TargetSpec, builtin_target, external_target, read_labelled_points
 
@@ -141,9 +141,6 @@ def _cmd_run(args) -> int:
                 f"d={state.config.d}; clear the workdir to start over"
             )
         state.config = config
-        # a resumed run that builds nothing new saves no state of its own:
-        # the file must already hold the config it ran under
-        save_state(state, checkpoint)
         print(f"resuming from {checkpoint} at iteration {state.iteration}")
     interp, history = run(config, target, checkpoint_path=checkpoint, state=state)
     write_history_csv(history, config.d, wd / "history.csv")

@@ -15,17 +15,19 @@ a heap over the margin, keyed by the curved weight at which each level
 enters, admits levels in order of that weight until the batch rule or the
 sample budget stops it.
 
-The checkpoint is saved once per iteration and costs the new work only: a
-save encodes the iteration, the fit and the theta levels, cache entries and
-history rows added since the last save, and joins them with the JSON text
-kept on the state, the config's among it.  The Monte Carlo probe keeps its
-points' Newton basis and prefix products on the state too (`_FixedPoints`),
-so each iteration multiplies out the prefixes its new rows bring.
+The checkpoint is saved once per iteration and costs the new work only.
+The file is a snapshot of the whole state on its first line, followed by
+one record per later save: the iteration, the fit, and the tensor levels,
+cache entries and history rows added since.  `run()` writes a snapshot on
+its first save, before an abort and on its way out, so the file it leaves
+is one JSON object; every other save appends a record.  The Monte Carlo
+probe keeps its points' Newton basis and prefix products on the state
+(`_FixedPoints`), so each iteration multiplies out the prefixes its new
+rows bring.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import json
 import time
@@ -43,7 +45,6 @@ from .multiindex import (
     _entering,
     _grown_margin,
     curved_tail_min,
-    graded_lex_key,
     lambda_classic,
     lambda_curved,
 )
@@ -123,60 +124,6 @@ class Record:
 
 
 @dataclass
-class _Fragments:
-    """The checkpoint's config, theta levels, cache entries and history rows
-    as JSON text, each encoded once; `save_state` joins them.
-
-    Cache entries and history rows are written once: a save encodes the
-    cache keys added since the last save (the tail of the dict's insertion
-    order) and the appended rows.  The levels a grow step admits to the
-    encoded tensor set are encoded as it admits them (`grown`).  A replaced
-    or shrunk cache or history, or a replaced tensor set or config (frozen,
-    so replaced whenever it changes), is encoded again from scratch.
-    """
-
-    config: RunConfig | None = None    # the config the text was encoded from
-    config_text: str = ""
-    theta: TensorSet | None = None     # the tensor set the levels were encoded from
-    levels: list[str] = field(default_factory=list)   # its levels' text, in member order
-    cache: dict | None = None          # the cache the entries were encoded from
-    keys: list = field(default_factory=list)          # its keys, sorted
-    entries: list[str] = field(default_factory=list)  # [key, value] text, in key order
-    history: list | None = None        # the history the rows were encoded from
-    rows: list[str] = field(default_factory=list)
-
-    def grown(self, ts: TensorSet, grown: TensorSet, added: list[MultiIndex]) -> None:
-        """Follow the grow step from `ts` to `grown`, which admitted `added`:
-        each admitted level's text goes in at its place among the members,
-        in sorted order as `IndexSet._grown` inserts them."""
-        if ts is not self.theta:
-            return
-        members = grown.theta.members
-        for nu in sorted(added, key=graded_lex_key):
-            at = bisect.bisect_left(members, graded_lex_key(nu), key=graded_lex_key)
-            self.levels.insert(at, json.dumps(list(nu)))
-        self.theta = grown
-
-    def sync(self, config: RunConfig, ts: TensorSet, cache: dict, history: list) -> None:
-        if config is not self.config:
-            self.config, self.config_text = config, json.dumps(_to_dict(config))
-        if ts is not self.theta:
-            self.theta, self.levels = ts, [json.dumps(list(i)) for i in ts.theta.members]
-        if cache is not self.cache or len(cache) < len(self.keys):
-            items = sorted(cache.items())
-            self.cache, self.keys = cache, [k for k, _ in items]
-            self.entries = [json.dumps([list(k), v]) for k, v in items]
-        for key in islice(reversed(cache), len(cache) - len(self.keys)):
-            at = bisect.bisect(self.keys, key)
-            self.keys.insert(at, key)
-            self.entries.insert(at, json.dumps([list(key), cache[key]]))
-        if history is not self.history or len(history) < len(self.rows):
-            self.history, self.rows = history, []
-        self.rows += [json.dumps(_to_dict(r, skip=("wall_time",)))
-                      for r in history[len(self.rows):]]
-
-
-@dataclass
 class _RunGrid:
     """The grid of `theta`, kept between iterations and extended by the
     levels each grow step admits; never serialized.
@@ -184,8 +131,10 @@ class _RunGrid:
     `passes` holds the surplus solve's values per pass (`_solve_rows`): row
     0 the samples, row d the surpluses.  The samples were read from `cache`;
     `step` is the tensor set the last grow step made from `theta`, with the
-    levels it admitted.  A state whose tensor set or cache was replaced
-    since is built from scratch.
+    levels it admitted, and `added` the tensor set the build of `theta`
+    extended, with the levels it added (None after a build from scratch).
+    A state whose tensor set or cache was replaced since is built from
+    scratch.
     """
 
     theta: TensorSet | None = None
@@ -194,6 +143,7 @@ class _RunGrid:
     passes: np.ndarray | None = None
     margin: set[MultiIndex] = field(default_factory=set)   # the margin of theta
     step: tuple[TensorSet, list[MultiIndex]] | None = None
+    added: tuple[TensorSet, list[MultiIndex]] | None = None
 
 
 @dataclass
@@ -214,9 +164,6 @@ class RunState:
     # basis up to the largest grid index m; never serialized
     probe: dict[tuple[int, int], tuple[_FixedPoints, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
-    # the checkpoint's cache and history text, extended by each save; never serialized
-    fragments: _Fragments = field(
-        default_factory=_Fragments, init=False, repr=False, compare=False)
     # the grid of the last build, extended by the next; never serialized
     grid: _RunGrid = field(default_factory=_RunGrid, init=False, repr=False, compare=False)
 
@@ -364,10 +311,11 @@ def _build_grid(state: RunState, target: TargetSpec | None) -> None:
     ts, run = state.theta, state.grid
     if run.step is not None and run.step[0] is ts and run.cache is state.cache:
         levels = run.step[1]
+        added = (run.theta, levels)
     else:
         d = ts.dim
         run = _RunGrid(grid=GridNodes.empty(d), passes=np.zeros((d + 1, 0)), margin={(0,) * d})
-        levels = ts.theta.members
+        levels, added = ts.theta.members, None
     grid, new = _extend_grid(run.grid, ts.rule, levels)
     samples = _collect_samples(state, target, GridNodes(grid.idx[new], grid.points[new]))
     passes = np.zeros((ts.dim + 1, len(grid)))
@@ -377,7 +325,7 @@ def _build_grid(state: RunState, target: TargetSpec | None) -> None:
     for kept in (grid.idx, grid.points, passes):
         kept.flags.writeable = False  # the interpolant handed out shares them
     front = _grown_margin(run.margin, ts.theta, levels)
-    state.grid = _RunGrid(ts, state.cache, grid, passes, front)
+    state.grid = _RunGrid(ts, state.cache, grid, passes, front, added=added)
     state.interpolant = Interpolant(ts, grid, passes[0], passes[-1])
 
 
@@ -450,7 +398,6 @@ def _grow_phase(state: RunState) -> None:
     _, added = _grow(state.fit, ts, run.margin, len(run.grid), config.batch, config.max_samples)
     state.theta = _grown(ts, added)
     run.step = (state.theta, added)
-    state.fragments.grown(ts, state.theta, added)
     state.iteration += 1
 
 
@@ -472,30 +419,37 @@ def run(
     A fresh run starts from the configured initial set; passing `state`
     resumes.  When a checkpoint path is given the state is saved once per
     iteration, after each build, and before an abort on an `EvaluationError`,
-    so failed runs are resumable.  The grow step is not saved: it depends
-    only on the tensor set, the fit and the config the saved state holds, so
-    a resumed run recomputes it bit for bit.
+    so failed runs are resumable.  The first save and the abort's write the
+    whole state (`save_state`), the others append a record of what is new
+    (`_Journal`), and the run writes the whole state again on its way out,
+    so the file it leaves is one JSON object.  The grow step is not saved:
+    it depends only on the tensor set, the fit and the config the saved
+    state holds, so a resumed run recomputes it bit for bit.
     """
     if target.dim != config.d:
         raise ValueError("target dimension does not match config")
     if state is None:
         state = RunState(config, initial_tensor_set(config))
+    journal = None if checkpoint_path is None else _Journal(checkpoint_path)
     while True:
         if not _built(state):
             try:
                 _build_phase(state, target)
             except EvaluationError:
-                if checkpoint_path is not None:
-                    save_state(state, checkpoint_path)
+                if journal is not None:
+                    journal.snapshot(state)
                 raise
-            if checkpoint_path is not None:
-                save_state(state, checkpoint_path)
+            # the last build is saved on the way out
+            if journal is not None and state.iteration < config.max_iterations:
+                journal.save(state)
         if state.iteration >= config.max_iterations:
             break
         try:
             _grow_phase(state)
         except BudgetExhausted:
             break
+    if journal is not None:
+        journal.snapshot(state)
     assert state.interpolant is not None
     return state.interpolant, state.history
 
@@ -505,8 +459,7 @@ def run(
 
 _STATE_FORMAT = "adasg-checkpoint"
 _STATE_VERSION = 1
-# the checkpoint's text up to its config: the same in every save
-_STATE_HEAD = json.dumps({"format": _STATE_FORMAT, "version": _STATE_VERSION})[:-1]
+_RECORD_KEYS = ("iteration", "theta", "cache", "fit", "history")
 
 
 def _to_dict(obj, skip: tuple[str, ...] = ()) -> dict:
@@ -535,26 +488,109 @@ def _from_dict(cls, obj: dict):
     return cls(**kwargs)
 
 
+def _record(state: RunState, levels, entries, rows) -> dict:
+    """The iteration and fit of `state` with the given tensor levels, cache
+    entries and history rows (without wall times), as JSON-ready values."""
+    return {
+        "iteration": state.iteration,
+        "theta": [list(i) for i in levels],
+        "cache": [[list(k), v] for k, v in entries],
+        "fit": None if state.fit is None else _to_dict(state.fit),
+        "history": [_to_dict(r, skip=("wall_time",)) for r in rows],
+    }
+
+
 def save_state(state: RunState, path) -> None:
-    """Write the state as one JSON object: the cache sorted by key, the
-    history without wall times.  Only the iteration, the fit and what is
-    new since the last save are encoded; the rest is joined from the text
-    kept on the state, so the file has the bytes of one `json.dumps` call."""
-    frag = state.fragments
-    frag.sync(state.config, state.theta, state.cache, state.history)
-    fit = json.dumps(None if state.fit is None else _to_dict(state.fit))
-    text = "".join((_STATE_HEAD, ', "config": ', frag.config_text, ', "iteration": ',
-                    json.dumps(state.iteration), ', "theta": [', ", ".join(frag.levels),
-                    '], "cache": [', ", ".join(frag.entries), '], "fit": ', fit,
-                    ', "history": [', ", ".join(frag.rows), "]}"))
-    _write_text_atomic(text, path)
+    """Write the whole state as one JSON object on one line, the cache sorted
+    by key and the history without wall times, atomically."""
+    head = {"format": _STATE_FORMAT, "version": _STATE_VERSION, "config": _to_dict(state.config)}
+    body = _record(state, state.theta.theta.members, sorted(state.cache.items()), state.history)
+    _write_text_atomic(json.dumps(head | body), path)
+
+
+def _append_text(text: str, path) -> None:
+    """Append `text` to the file at `path`; it is flushed when this returns."""
+    with open(path, "a", newline="") as fh:
+        fh.write(text)
+
+
+@dataclass
+class _Journal:
+    """The state the checkpoint at `path` holds, so that a save appends what
+    is new since the last one: its config, tensor set, cache and history,
+    with the cache's length and the history's when they were saved."""
+
+    path: object
+    config: RunConfig | None = None
+    theta: TensorSet | None = None
+    cache: dict | None = None
+    keys: int = 0
+    history: list | None = None
+    rows: int = 0
+
+    def snapshot(self, state: RunState) -> None:
+        save_state(state, self.path)
+        self._hold(state)
+
+    def save(self, state: RunState) -> None:
+        """Append one line to the file: the iteration, the fit and the tensor
+        levels, cache entries and history rows added since the last save.
+        The levels are those the last build added, the entries and rows the
+        tails of the cache's insertion order and of the history, so no pass
+        over the whole state is made.  A state that did not grow from the
+        one the file holds is written whole instead: another config, a
+        tensor set that is not the file's or one build past it, a replaced
+        cache or history, or one shorter than the file's."""
+        levels = self._levels(state)
+        cache, history = state.cache, state.history
+        if (levels is None or state.config is not self.config
+                or cache is not self.cache or len(cache) < self.keys
+                or history is not self.history or len(history) < self.rows):
+            self.snapshot(state)
+            return
+        keys = list(islice(reversed(cache), len(cache) - self.keys))[::-1]
+        record = _record(state, levels, [(k, cache[k]) for k in keys], history[self.rows:])
+        _append_text("\n" + json.dumps(record), self.path)
+        self._hold(state)
+
+    def _levels(self, state: RunState) -> list[MultiIndex] | None:
+        """The levels `state.theta` adds to the tensor set the file holds, read
+        from the build that added them; None if it did not grow from it."""
+        if state.theta is self.theta:
+            return []
+        grid = state.grid
+        if grid.theta is state.theta and grid.added is not None and grid.added[0] is self.theta:
+            return grid.added[1]
+        return None
+
+    def _hold(self, state: RunState) -> None:
+        self.config, self.theta = state.config, state.theta
+        self.cache, self.keys = state.cache, len(state.cache)
+        self.history, self.rows = state.history, len(state.history)
 
 
 def load_state(path) -> RunState:
-    with open(path) as fh:
-        obj = json.load(fh)
+    """The state a checkpoint holds: its first line, the whole state as
+    `save_state` wrote it, updated by each record after it in order.  A last
+    line that is not JSON is an append cut short and is dropped."""
+    with open(path, newline="") as fh:
+        head, *lines = fh.read().split("\n")
+    obj = json.loads(head)
     if obj.get("format") != _STATE_FORMAT or obj.get("version") != _STATE_VERSION:
         raise ValueError(f"not a version-{_STATE_VERSION} {_STATE_FORMAT} file")
+    for n, line in enumerate(lines, start=2):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            if n == len(lines) + 1:
+                break
+            record = None
+        if not (isinstance(record, dict) and tuple(record) == _RECORD_KEYS
+                and all(isinstance(record[key], list) for key in ("theta", "cache", "history"))):
+            raise ValueError(f"{path}, line {n}: not a checkpoint record")
+        obj["iteration"], obj["fit"] = record["iteration"], record["fit"]
+        for key in ("theta", "cache", "history"):
+            obj[key] += record[key]
     config = _from_dict(RunConfig, obj["config"])
     theta = TensorSet(IndexSet(config.d, [tuple(i) for i in obj["theta"]]), config.rule)
     state = RunState(config, theta, obj["iteration"])

@@ -109,9 +109,11 @@ def _fit_rows(degrees: np.ndarray, values: np.ndarray, min_magnitude: float,
     if include_beta:
         cols += [np.log(nus[:, k] + 1.0) for k in included]
     A = np.stack(cols, axis=1)
-    if np.linalg.matrix_rank(A) < A.shape[1]:
+    # lstsq's rank counts the singular values above eps * max(M, N) * s_max,
+    # the cut-off of `np.linalg.matrix_rank`
+    x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank < A.shape[1]:
         raise UnfittableError("design matrix is rank-deficient")
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
     c_const = float(x[0])
     # non-positive rates among the included dimensions get the smallest positive one
     alpha_in, corrected_pos = adhoc_correction(x[1:1 + len(included)])

@@ -5,6 +5,7 @@ import os
 import tempfile
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,13 +391,18 @@ def test_resume_after_a_crash_between_grow_and_build(tmp_path, monkeypatch):
 
 
 def test_checkpoint_saved_once_per_build_and_on_abort(tmp_path, monkeypatch):
-    saves = []
-    save = dr.save_state
-    monkeypatch.setattr(dr, "save_state", lambda state, path: (saves.append(state.iteration),
-                                                               save(state, path)))
+    writes = []  # ("whole", iteration) per `save_state`, ("record", iteration) per appended line
+    save, append = dr.save_state, dr._append_text
+    monkeypatch.setattr(dr, "save_state", lambda state, path: (
+        writes.append(("whole", state.iteration)), save(state, path)))
+    monkeypatch.setattr(dr, "_append_text", lambda text, path: (
+        writes.append(("record", json.loads(text)["iteration"])), append(text, path)))
     cfg = dr.RunConfig(rule="leja", d=2, max_iterations=6, max_samples=150)
     _, hist = dr.run(cfg, RAT2, checkpoint_path=tmp_path / "a.json")
+    saves = [it for _, it in writes]
     assert saves == [r.iteration for r in hist] == list(range(7))
+    # the first save and the last, on the way out, write the whole state
+    assert [kind for kind, _ in writes] == ["whole"] + ["record"] * 5 + ["whole"]
 
     calls = {"n": 0}
 
@@ -409,10 +415,11 @@ def test_checkpoint_saved_once_per_build_and_on_abort(tmp_path, monkeypatch):
                 raise tg.EvaluationError("solver died", [0])
             return RAT2.evaluate(pts)
 
-    saves.clear()
+    writes.clear()
     with pytest.raises(tg.EvaluationError):
         dr.run(cfg, FlakyTarget(), checkpoint_path=tmp_path / "b.json")
-    assert saves == [0, 1, 2]  # two builds, then the abort at iteration 2
+    # two builds, then the abort at iteration 2
+    assert writes == [("whole", 0), ("record", 1), ("whole", 2)]
 
 
 # checkpoint.json as the format's hand-written field lists wrote it
@@ -524,10 +531,9 @@ def test_saved_text_equals_the_whole_object_encoding(order, data):
 
 
 def test_saved_theta_levels_follow_the_grow_steps(tmp_path):
-    """The levels each grow step admits are encoded as it admits them; a
-    save after a build, or after a grow step whose build failed, a reloaded
-    state and a replaced tensor set all write the bytes of one `json.dumps`
-    of the whole state."""
+    """A save after a build, or after a grow step whose build failed, a
+    reloaded state and a replaced tensor set all write the bytes of one
+    `json.dumps` of the whole state."""
     cfg = dr.RunConfig(rule="leja", d=3, batch=2, max_iterations=1000, max_samples=200,
                        probe_count=None)
     target = rational(3)
@@ -538,7 +544,6 @@ def test_saved_theta_levels_follow_the_grow_steps(tmp_path):
         dr.save_state(state, path)
         assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
         dr._grow_phase(state)
-        assert state.fragments.theta is state.theta  # followed, not encoded again
         dr.save_state(state, path)
         assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
         if it == 5:
@@ -623,13 +628,19 @@ def test_checkpoint_rename_failing_leaves_no_temp_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
 
 
-def test_checkpoint_config_is_encoded_once_per_config(tmp_path, monkeypatch):
-    """Saves reuse the config's JSON text until the state adopts another
-    config, as a resume does; every save writes the bytes of one
-    `json.dumps` of the whole state."""
+def saved_as(state) -> str:
+    """The text of a whole save of `state`."""
+    return json.dumps(oracles.checkpoint_object(state))
+
+
+def test_a_record_encodes_no_config_and_a_new_config_writes_a_snapshot(tmp_path, monkeypatch):
+    """Saves append records, which hold no config, until the state adopts
+    another config, as a resume does: that save writes the whole state.
+    After every save the file loads as the live state."""
     cfg = dr.RunConfig(rule="leja", d=2, max_iterations=1000, max_samples=60, probe_count=None)
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
     path = tmp_path / "checkpoint.json"
+    journal = dr._Journal(path)
     encoded = []
     to_dict = dr._to_dict
     monkeypatch.setattr(dr, "_to_dict", lambda obj, **kw: encoded.append(obj) or to_dict(obj, **kw))
@@ -638,10 +649,208 @@ def test_checkpoint_config_is_encoded_once_per_config(tmp_path, monkeypatch):
             state.config = dataclasses.replace(cfg, max_iterations=30)
         dr._build_phase(state, RAT2)
         encoded.clear()
-        dr.save_state(state, path)
+        journal.save(state)
         assert sum(isinstance(obj, dr.RunConfig) for obj in encoded) == (it in (0, 3))
-        assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
+        # the whole state at iterations 0 and 3, then one record per save
+        assert path.read_text().count("\n") == it % 3
+        assert saved_as(dr.load_state(path)) == saved_as(state)
         dr._grow_phase(state)
+
+
+@pytest.mark.parametrize("change, lines", [
+    ("skip", [0, 1, 0, 1]), ("theta", [0, 1, 0, 1, 2]), ("cut", [0, 1, 0, 1, 2]),
+    ("shrink", [0, 1, 0, 1, 2]),
+    ("cache", [0, 1, 0, 0, 1]),  # the next build starts from scratch too
+], ids=("skip", "theta", "cut", "shrink", "cache"))
+def test_a_save_of_a_state_not_grown_from_the_file_writes_the_whole_state(
+        tmp_path, change, lines):
+    """After two builds since the last save, after the tensor set or the
+    cache was replaced, or with the cache or the history shorter than the
+    file holds, a save writes the whole state; later saves append again.
+    After every save the file loads as the live state."""
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=1000, max_samples=60, probe_count=None,
+                       initial_level=3.0)
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    x = rules1d.family_nodes("leja", 4).tolist()
+    extra = [(x[3], x[3]), (x[2], x[3])]  # nodes of the rule off the grid of these five builds
+    state.cache.update(dict.fromkeys(extra, 0.5))
+    path = tmp_path / "checkpoint.json"
+    journal = dr._Journal(path)
+    counts = []
+    for it in range(5):
+        dr._build_phase(state, RAT2)
+        if it == 2:
+            if change == "skip":
+                dr._grow_phase(state)
+                continue
+            elif change == "theta":
+                state.theta = sg.TensorSet(IndexSet(2, state.theta.theta.members), "leja")
+            elif change == "cut":
+                del state.history[:2]
+            elif change == "shrink":
+                for key in extra:
+                    del state.cache[key]
+            elif change == "cache":
+                state.cache = dict(state.cache)
+        journal.save(state)
+        counts.append(path.read_text().count("\n"))
+        assert saved_as(dr.load_state(path)) == saved_as(state)
+        dr._grow_phase(state)
+    assert counts == lines
+
+
+def run_until_record(cfg, target, path, n, state=None) -> bool:
+    """Run with a checkpoint at `path`, stopping as a dying process would
+    right after the n-th record is appended; False if the run ended first."""
+    append, count = dr._append_text, iter(range(1, n + 1))
+
+    def append_then_crash(text, path):
+        append(text, path)
+        if next(count) == n:
+            raise Crash
+
+    with mock.patch.object(dr, "_append_text", append_then_crash):
+        try:
+            dr.run(cfg, target, checkpoint_path=path, state=state)
+        except Crash:
+            return True
+    return False
+
+
+CUT_CFG = dr.RunConfig(rule="leja", d=2, max_iterations=20, max_samples=100, probe_count=50)
+
+
+def test_a_cut_last_record_loads_the_previous_iteration(tmp_path):
+    ck = tmp_path / "ck.json"
+    assert run_until_record(CUT_CFG, RAT2, ck, 4)
+    text = ck.read_bytes()
+    start = text.rindex(b"\n")
+    assert dr.load_state(ck).iteration == 4
+    ck.write_bytes(text[:start])
+    previous = saved_as(dr.load_state(ck))
+    assert json.loads(previous)["iteration"] == 3
+    for cut in range(start + 1, len(text)):
+        ck.write_bytes(text[:cut])
+        assert saved_as(dr.load_state(ck)) == previous
+
+
+def test_a_malformed_record_before_the_last_names_its_line(tmp_path):
+    ck = tmp_path / "ck.json"
+    assert run_until_record(CUT_CFG, RAT2, ck, 3)
+    lines = ck.read_text().split("\n")  # the whole state, then records at lines 2-4
+    record = json.loads(lines[2])
+    for bad in (lines[2][:-1], "", "[]", json.dumps({**record, "theta": 7}),
+                json.dumps({k: v for k, v in record.items() if k != "fit"})):
+        ck.write_text("\n".join(lines[:2] + [bad] + lines[3:]))
+        with pytest.raises(ValueError, match="line 3: not a checkpoint record"):
+            dr.load_state(ck)
+    # a last line that is JSON but no record was not cut short
+    ck.write_text("\n".join(lines[:3] + ["[]"]))
+    with pytest.raises(ValueError, match="line 4: not a checkpoint record"):
+        dr.load_state(ck)
+
+
+def test_load_state_refuses_a_record_off_the_node_table(tmp_path):
+    ck = tmp_path / "ck.json"
+    assert run_until_record(CUT_CFG, RAT2, ck, 2)
+    *lines, last = ck.read_text().split("\n")
+    record = json.loads(last)
+    key = record["cache"][-1][0]
+    key[0] = float(np.nextafter(key[0], 2.0))
+    ck.write_text("\n".join(lines + [json.dumps(record)]))
+    with pytest.raises(ValueError, match="node table of rule 'leja'"):
+        dr.load_state(ck)
+
+
+def test_a_fresh_run_renames_over_its_checkpoint_twice(tmp_path, monkeypatch):
+    """Once on the first save and once on the way out, whether the run ends
+    on its iteration budget or its sample budget."""
+    renames = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (renames.append(dst), replace(src, dst)))
+    for name, cfg in (("iterations", dr.RunConfig(rule="leja", d=2, max_iterations=8)),
+                      ("samples", dr.RunConfig(rule="leja", d=2, max_iterations=1000,
+                                               max_samples=40))):
+        renames.clear()
+        _, hist = dr.run(cfg, RAT2, checkpoint_path=tmp_path / f"{name}.json")
+        assert len(hist) > 5 and renames == [tmp_path / f"{name}.json"] * 2
+
+
+def test_every_save_of_a_run_loads_as_the_live_state(tmp_path, monkeypatch):
+    """After each save of a run (a record, the first and last whole saves,
+    the save before an abort, and the saves of the resumed run), the file
+    loads as a state whose whole save is that of the live state."""
+    checked = []
+    for method in ("save", "snapshot"):
+        def check(journal, state, write=getattr(dr._Journal, method)):
+            write(journal, state)
+            assert saved_as(dr.load_state(journal.path)) == saved_as(state)
+            checked.append(state.iteration)
+        monkeypatch.setattr(dr._Journal, method, check)
+    cfg = dr.RunConfig(rule="leja", d=2, batch=2, max_iterations=1000, max_samples=90,
+                       probe_count=40, probe_seed=3)
+    _, hist = dr.run(cfg, RAT2, checkpoint_path=tmp_path / "clean.json")
+    assert checked[-1] == hist[-1].iteration and len(checked) > len(hist)
+    calls = {"n": 0}
+
+    class FlakyTarget:
+        dim = 2
+
+        def evaluate(self, pts):
+            calls["n"] += 1
+            if calls["n"] == 5:
+                raise tg.EvaluationError("solver died", [0])
+            return RAT2.evaluate(pts)
+
+    ck = tmp_path / "ck.json"
+    with pytest.raises(tg.EvaluationError):
+        dr.run(cfg, FlakyTarget(), checkpoint_path=ck)
+    checked.clear()
+    dr.run(cfg, RAT2, checkpoint_path=ck, state=dr.load_state(ck))
+    assert checked[-1] == hist[-1].iteration
+    assert ck.read_bytes() == (tmp_path / "clean.json").read_bytes()
+
+
+@st.composite
+def lower_sets(draw, max_dim, max_size):
+    """Random lower sets of tensor levels, grown one margin member at a time."""
+    d = draw(st.integers(1, max_dim))
+    s = IndexSet(d, [(0,) * d])
+    for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
+        cands = margin(s)
+        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]})
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=lower_sets(max_dim=3, max_size=5),
+       rule=st.sampled_from(("leja", "rleja_double2", "clenshaw_curtis")),
+       batch=st.sampled_from(("minimal", 3, 8)), extra=st.integers(1, 40), data=st.data())
+def test_a_run_cut_after_any_record_resumes_to_the_same_files(theta, rule, batch, extra, data):
+    """A run from a random lower set, stopped right after a random record and
+    resumed from the file, writes the history, model and checkpoint bytes of
+    an uninterrupted run."""
+    d, ts = theta.dim, sg.TensorSet(theta, rule)
+    cfg = dr.RunConfig(rule=rule, d=d, batch=batch, max_iterations=1000,
+                       max_samples=sg.grid_size(ts) + extra, probe_count=20, probe_seed=1)
+    target = tg.builtin_target("rational", d, c0=d + 1.0, c=[1.0 / (k + 1) for k in range(d)])
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {}
+        for name in ("clean", "resumed"):
+            ck = Path(tmp) / name / "checkpoint.json"
+            ck.parent.mkdir()
+            state = dr.RunState(cfg, ts)
+            if name == "resumed":
+                # the clean run appended a record at each iteration after the first
+                cut = data.draw(st.integers(1, max(1, len(hist) - 1)), label="cut")
+                assert run_until_record(cfg, target, ck, cut, state=state) == (len(hist) > 1)
+                state = dr.load_state(ck)
+            interp, hist = dr.run(cfg, target, checkpoint_path=ck, state=state)
+            dr.write_history_csv(hist, d, ck.parent / "history.csv")
+            sg.save_interpolant(interp, ck.parent / "interpolant.json")
+            outputs[name] = {p.name: p.read_bytes() for p in ck.parent.iterdir()}
+        assert sorted(outputs["clean"]) == ["checkpoint.json", "history.csv", "interpolant.json"]
+        assert outputs["resumed"] == outputs["clean"]
 
 
 def test_history_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):
