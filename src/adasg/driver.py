@@ -22,8 +22,9 @@ cache entries and history rows added since.  `run()` writes a snapshot on
 its first save, before an abort and on its way out, so the file it leaves
 is one JSON object; every other save appends a record.  The Monte Carlo
 probe keeps its points' Newton basis and prefix products on the state
-(`_FixedPoints`), so each iteration multiplies out the prefixes its new
-rows bring.
+(`_FixedPoints`), one per fibre of the grid's last dimension, so each
+iteration multiplies out the prefixes its new rows bring, read off the
+fibre table the kept grid carries.
 """
 
 from __future__ import annotations
@@ -275,21 +276,22 @@ def _grow(
     return best, added[:kept]
 
 
-def _collect_samples(state: RunState, target: TargetSpec | None, grid: GridNodes) -> np.ndarray:
-    """The samples at the grid's nodes, in row order: the target is evaluated
-    at the nodes not in the cache, and the cache extended.  Without a target
-    every node must be cached."""
-    keys = list(map(tuple, grid.points.tolist()))
+def _collect_samples(state: RunState, target: TargetSpec | None, idx: np.ndarray,
+                     points: np.ndarray) -> np.ndarray:
+    """The samples at the nodes `points` of the grid indices `idx`, in row
+    order: the target is evaluated at the nodes not in the cache, and the
+    cache extended.  Without a target every node must be cached."""
+    keys = list(map(tuple, points.tolist()))
     missing_rows = [r for r, key in enumerate(keys) if key not in state.cache]
     if missing_rows and target is None:
         raise ValueError(f"the cache lacks samples at {len(missing_rows)} grid nodes")
     if missing_rows:
-        pts = grid.points[missing_rows]
+        pts = points[missing_rows]
         try:
             vals = target.evaluate(pts)
         except EvaluationError as err:
             rows = [missing_rows[i] for i in err.failed_ids] or missing_rows
-            first = tuple(grid.idx[rows[0]].tolist())
+            first = tuple(idx[rows[0]].tolist())
             raise EvaluationError(
                 f"target evaluation failed at {len(rows)} nodes "
                 f"(first: {first}): {err}; the run checkpoint is resumable",
@@ -317,7 +319,7 @@ def _build_grid(state: RunState, target: TargetSpec | None) -> None:
         run = _RunGrid(grid=GridNodes.empty(d), passes=np.zeros((d + 1, 0)), margin={(0,) * d})
         levels, added = ts.theta.members, None
     grid, new = _extend_grid(run.grid, ts.rule, levels)
-    samples = _collect_samples(state, target, GridNodes(grid.idx[new], grid.points[new]))
+    samples = _collect_samples(state, target, grid.idx[new], grid.points[new])
     passes = np.zeros((ts.dim + 1, len(grid)))
     passes[:, ~new] = run.passes
     passes[0, new] = samples

@@ -9,14 +9,17 @@ acts on the lower set of grid indices one dimension at a time.  The
 transforms (samples to surpluses, `_solve_rows`, for the new rows of a grid;
 surpluses to Legendre coefficients in `spectral`) apply one triangular 1-D
 matrix along every fibre, whose members they read from the grid's fibre
-table: built on first use, and carried forward by `_extend_grid`, which
-looks up the new rows only, so a run sorts nothing per iteration for it.
-Evaluation contracts the surpluses with the 1-D Newton basis over the prefix
-trie of the lex-sorted indices.  One routine builds that basis, point-major
-(`_newton_basis`), for evaluation, for the Newton table of the solve and for
-the Legendre change of basis.  Evaluation at points fixed for a whole run
-(the adaptive loop's probe, `_FixedPoints`) keeps the basis and the prefix
-products there between calls and shares the contraction (`_contract`) with
+tables: every grid carries one per dimension, built with the grid and
+carried forward by `_extend_grid`, which looks up the new rows only, so a
+run sorts nothing per iteration for them.  The fibres of the last dimension
+are the prefixes (j_1..j_{d-1}) of the grid indices, and their ids only grow
+while a grid grows.  Evaluation contracts the surpluses with the 1-D Newton
+basis over the trie of those prefixes, sorted lexically (`_trie`).  One
+routine builds that basis, point-major (`_newton_basis`), for evaluation,
+for the Newton table of the solve and for the Legendre change of basis.
+Evaluation at points fixed for a whole run (the adaptive loop's probe,
+`_FixedPoints`) keeps the basis and one product per prefix there between
+calls, by fibre id, and shares the contraction (`_contract`) with
 `evaluate_batch`, so both give the same bits.
 """
 
@@ -106,9 +109,15 @@ class GridNodes:
 
     idx: np.ndarray     # (N, d) int64
     points: np.ndarray  # (N, d)
-    # per dimension, the fibre table of idx (`_fibre_tables`): built on first
-    # read, and carried forward by `_extend_grid` once built
-    _fibres: list[_Fibres] | None = field(default=None, init=False, repr=False, compare=False)
+    # per dimension, the fibre table of idx: built here from empty tables
+    # unless passed, as `_extend_grid` passes the tables it carries forward
+    _fibres: list[_Fibres] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._fibres is None:
+            none = _Fibres(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64), {})
+            self._fibres = _extend_fibres([none] * self.idx.shape[1], self.idx,
+                                          np.zeros(0, dtype=np.int64), np.arange(len(self)))
 
     def __len__(self) -> int:
         return len(self.idx)
@@ -122,15 +131,6 @@ class GridNodes:
         """The grid indices as tuples, the keys of a sample map."""
         return tuple(map(tuple, self.idx.tolist()))
 
-    def _fibre_tables(self) -> list[_Fibres]:
-        """The fibre table of each dimension, built from empty ones on the
-        first call, by the code that carries a kept table forward."""
-        if self._fibres is None:
-            none = _Fibres(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64), {})
-            self._fibres = _extend_fibres([none] * self.idx.shape[1], self.idx,
-                                         np.zeros(0, dtype=np.int64), np.arange(len(self)))
-        return self._fibres
-
 
 def _extend_fibres(tables: list[_Fibres], idx: np.ndarray, moved: np.ndarray,
                    added: np.ndarray) -> list[_Fibres]:
@@ -140,18 +140,18 @@ def _extend_fibres(tables: list[_Fibres], idx: np.ndarray, moved: np.ndarray,
     rows look up their fibres by their other coordinates, and a fibre one
     of them opens takes the next id."""
     moved = np.concatenate((moved, [-1]))  # the padding stays -1
-    rows = idx[added].tolist()
+    rows = idx[added]
     out = []
     for k, old in enumerate(tables):
         ids = dict(old.ids)
-        fibre = [ids.setdefault(tuple(r[:k] + r[k + 1:]), len(ids)) for r in rows]
+        fibre = [ids.setdefault(key, len(ids)) for key in map(tuple, np.delete(rows, k, axis=1).tolist())]
         of = np.empty(len(idx), dtype=np.int64)
         of[moved[:-1]] = old.of
         of[added] = fibre
         F, L = old.members.shape
-        members = np.full((len(ids), max([L] + [r[k] for r in rows])), -1, dtype=np.int64)
+        members = np.full((len(ids), max(L, rows[:, k].max(initial=0))), -1, dtype=np.int64)
         members[:F, :L] = moved[old.members]
-        members[fibre, [r[k] - 1 for r in rows]] = added
+        members[fibre, rows[:, k] - 1] = added
         out.append(_Fibres(of, members, ids))
     return out
 
@@ -180,8 +180,8 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
     dimension k.  Each block's rows are numbered 0..size-1 and the number is
     read as mixed-radix digits, one per dimension; the rows are then merged
     into graded-lex order: by the index sum, then lexicographically.  The
-    rows of `grid` keep their relative order.  A fibre table built on
-    `grid` is carried forward: its rows renumbered, the new rows added.
+    rows of `grid` keep their relative order.  The fibre tables of `grid`
+    are carried forward: their rows renumbered, the new rows added.
     """
     d = grid.idx.shape[1]
     levels = np.array(levels, dtype=np.int64).reshape(-1, d)
@@ -198,11 +198,9 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
     idx = np.concatenate((grid.idx, added))
     order = np.lexsort(tuple(idx.T[::-1]) + (idx.sum(axis=1),))
     x = rules1d.family_nodes(rule, int(added.max()))
-    out = GridNodes(idx[order], np.concatenate((grid.points, x[added - 1]))[order])
-    new = order >= len(grid)
-    if grid._fibres is not None:
-        out._fibres = _extend_fibres(grid._fibres, out.idx, np.flatnonzero(~new), np.flatnonzero(new))
-    return out, new
+    idx, new = idx[order], order >= len(grid)
+    fibres = _extend_fibres(grid._fibres, idx, np.flatnonzero(~new), np.flatnonzero(new))
+    return GridNodes(idx, np.concatenate((grid.points, x[added - 1]))[order], fibres), new
 
 
 def grid_size(ts: TensorSet) -> int:
@@ -267,7 +265,7 @@ def _fibre_apply(grid: GridNodes, data: np.ndarray, mats: list[np.ndarray]) -> n
     """
     out = np.array(data, dtype=float)
     n = len(out)
-    for k, (table, mat) in enumerate(zip(grid._fibre_tables(), mats)):
+    for k, (table, mat) in enumerate(zip(grid._fibres, mats)):
         padded = np.append(out, 0.0)  # row -1 reads 0.0
         # chunks of rows, of at least two rows unless the grid has one:
         # numpy reduces a C-ordered (q, row) array over q left to right,
@@ -324,7 +322,7 @@ def _solve_rows(rule: str, grid: GridNodes, passes: np.ndarray, new: np.ndarray)
         c = idx[rows, k]
         if c.max() == 1:
             continue  # no new row has a member below it along dimension k
-        fibres = grid._fibre_tables()[k]
+        fibres = grid._fibres[k]
         for v in np.flatnonzero(np.bincount(c)[2:]) + 2:
             at = rows[c == v]
             terms = table[v - 1, :v - 1] * out[fibres.members[fibres.of[at], :v - 1]]
@@ -375,21 +373,16 @@ def _check_domain(Y: np.ndarray, allow_extrapolation: bool):
                               "(pass allow_extrapolation to override)")
 
 
-def _trie(interp: Interpolant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The prefix trie of the interpolant's grid indices, sorted lexically:
-    the sorted indices (N, d), the mask new[r, k] of the rows that start a
-    prefix (j_1..j_k) of length k = 0..d, and the surpluses laid out as
-    S[g, j_d - 1] by the prefixes g of length d - 1, in that order."""
-    idx = interp.grid.idx
-    order = np.lexsort(idx.T[::-1])
-    idx = idx[order]
-    new = np.zeros((len(idx), idx.shape[1] + 1), dtype=bool)
-    new[0] = True
-    new[1:, 1:] = np.logical_or.accumulate(idx[1:] != idx[:-1], axis=1)
-    top = np.cumsum(new[:, -2]) - 1
-    S = np.zeros((top[-1] + 1, idx[:, -1].max()))
-    S[top, idx[:, -1] - 1] = interp.surpluses[order]
-    return idx, new, S
+def _trie(grid: GridNodes, surpluses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prefixes (j_1..j_{d-1}) of the grid indices, one per fibre of the
+    last dimension and in the order of its ids (G, d - 1); the ids in the
+    lexical order of their prefixes; and the surpluses laid out as
+    S[g, j_d - 1] by the prefixes g in that order.  A fibre's prefix is read
+    off its bottom member, j_d = 1, which a lower set holds."""
+    fibres = grid._fibres[-1]
+    heads = grid.idx[fibres.members[:, 0], :-1]
+    order = np.lexsort(heads.T[::-1]) if heads.shape[1] else np.zeros(1, dtype=np.int64)
+    return heads, order, np.append(surpluses, 0.0)[fibres.members[order]]
 
 
 def _contract(S: np.ndarray, count: int, terms) -> np.ndarray:
@@ -411,12 +404,12 @@ def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = Fals
     """Surplus-form evaluation at an array of points with shape (P, d).
 
     The sum over grid indices j of s_j h_{j_1}(y_1) ... h_{j_d}(y_d) is
-    contracted one dimension at a time over the prefix trie of the
-    lex-sorted indices: each distinct prefix (j_1..j_k) carries the product
-    of its k basis values, its parent prefix's product times one row of the
-    point-major Newton basis, and the last dimension is one matrix product
-    with the surpluses laid out by (prefix of length d-1, j_d).  A run's
-    probe (`_FixedPoints`) reaches the same bits from products it keeps.
+    contracted one dimension at a time over the trie of the lex-sorted
+    prefixes (j_1..j_{d-1}): each distinct prefix (j_1..j_k) carries the
+    product of its k basis values, its parent prefix's product times one row
+    of the point-major Newton basis, and the last dimension is one matrix
+    product with the surpluses laid out by (prefix of length d-1, j_d).  A
+    run's probe (`_FixedPoints`) reaches the same bits from products it keeps.
     """
     Y = np.atleast_2d(np.asarray(points, dtype=float))
     if Y.shape[1] != interp.dim:
@@ -424,14 +417,19 @@ def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = Fals
     _check_domain(Y, allow_extrapolation)
     if len(interp.grid) == 0:
         return np.zeros(len(Y))
-    idx, new, S = _trie(interp)
-    prefix = np.cumsum(new, axis=0) - 1  # prefix[r, k]: id of row r's prefix of length k
+    heads, order, S = _trie(interp.grid, interp.surpluses)
+    heads = heads[order]
+    # new[g, k]: the sorted prefix g starts a prefix (j_1..j_k) of length k
+    new = np.zeros((len(heads), interp.dim), dtype=bool)
+    new[0] = True
+    new[1:, 1:] = np.logical_or.accumulate(heads[1:] != heads[:-1], axis=1)
+    prefix = np.cumsum(new, axis=0) - 1  # prefix[g, k]: id of its prefix of length k
     # per dimension k < d - 1: for each prefix of length k + 1, its parent and j_{k+1} - 1
     trie = []
     for k in range(interp.dim - 1):
         first = np.flatnonzero(new[:, k + 1])
-        trie.append((prefix[first, k], idx[first, k] - 1))
-    rule, m = interp.tensor_set.rule, int(idx.max())
+        trie.append((prefix[first, k], heads[first, k] - 1))
+    rule, m = interp.tensor_set.rule, int(interp.grid.idx.max())
 
     def terms(part):
         # nested nodes: one table's basis serves every dimension
@@ -451,48 +449,45 @@ class _FixedPoints:
     """Evaluation at fixed points of the interpolants of one growing run,
     bit for bit `evaluate_batch`, from state kept between calls: the
     points' Newton basis, built again only when the largest grid index
-    grows, and the product of each distinct prefix of length d - 1, computed
-    once, left to right along its path from 1.0 as `evaluate_batch` chains
-    it.  Holds the m x d x P basis and G x P doubles for the G prefixes, in
-    room for up to a quarter more, so that adding prefixes copies the rows
-    kept only when the room is full."""
+    grows, and row g of `products` for fibre g of the last dimension: the
+    product of its prefix's basis values, computed once, left to right from
+    1.0 as `evaluate_batch` chains it.  Fibre ids only grow while a grid
+    grows, so a call multiplies out the fibres past those kept; a grid whose
+    first fibres are not the prefixes kept starts over.  Holds the m x d x P
+    basis and G x P doubles for the G prefixes, in room for up to a quarter
+    more, so that adding prefixes copies the rows kept only when the room
+    is full."""
 
     def __init__(self, points: np.ndarray):
         self.points = points
         self.rule: str | None = None
-        self.basis = np.zeros((0,) + points.T.shape)   # [j, k, p]
-        self.rows: dict[MultiIndex, int] = {}          # prefix -> row of `products`
-        self.products = np.zeros((0, len(points)))     # rows past len(rows) are room
+        self.basis = np.zeros((0,) + points.T.shape)                   # [j, k, p]
+        self.heads = np.zeros((0, points.shape[1] - 1), dtype=np.int64)  # the prefixes multiplied out
+        self.products = np.zeros((0, len(points)))                      # rows past len(heads) are room
 
     def __call__(self, interp: Interpolant) -> np.ndarray:
         rule, (count, d) = interp.tensor_set.rule, self.points.shape
         if rule != self.rule:  # another node table: nothing kept holds
             self.rule, self.basis = rule, self.basis[:0]
-            self.rows, self.products = {}, self.products[:0]
-        idx, new, S = _trie(interp)
-        m = int(idx.max())
+            self.heads, self.products = self.heads[:0], self.products[:0]
+        heads, order, S = _trie(interp.grid, interp.surpluses)
+        m = int(interp.grid.idx.max())
         if m > len(self.basis):
             self.basis = _newton_basis(rule, m, self.points.T)
-        heads = idx[new[:, -2], :-1]
-        keys = list(map(tuple, heads.tolist()))
-        fresh = [g for g, key in enumerate(keys) if key not in self.rows]
-        if len(self.rows) + len(fresh) > len(keys):  # a prefix left the grid: start over
-            self.rows, self.products, fresh = {}, self.products[:0], range(len(keys))
-        if fresh:
-            used, need = len(self.rows), len(self.rows) + len(fresh)
-            if need > len(self.products):
-                room = np.empty((need + need // 4, count))
-                room[:used] = self.products[:used]
-                self.products = room
-            c = self.products[used:need]
-            c[:] = 1.0
-            J = heads[fresh] - 1
-            for k in range(d - 1):
-                c *= np.take(self.basis[:, k], J[:, k], axis=0)
-            self.rows.update((keys[g], used + r) for r, g in enumerate(fresh))
-        rows = np.array([self.rows[key] for key in keys])
+        used = len(self.heads)
+        if not np.array_equal(heads[:used], self.heads):  # another grid: start over
+            used, self.products = 0, self.products[:0]
+        need, self.heads = len(heads), heads
+        if need > len(self.products):
+            room = np.empty((need + need // 4, count))
+            room[:used] = self.products[:used]
+            self.products = room
+        c = self.products[used:need]
+        c[:] = 1.0
+        for k in range(d - 1):
+            c *= np.take(self.basis[:, k], heads[used:, k] - 1, axis=0)
         basis = self.basis[:S.shape[1], -1]
-        return _contract(S, count, lambda part: (self.products[rows, part], basis[:, part]))
+        return _contract(S, count, lambda part: (self.products[order, part], basis[:, part]))
 
 
 # ---------------------------------------------------------------------------

@@ -221,8 +221,13 @@ def external_evaluate(workdir, points, command: str | None = None,
         stale.unlink(missing_ok=True)
     write_points_csv(wd / "points.csv", pts)
     if command:
-        proc = subprocess.run(shlex.split(command), cwd=wd,
-                              capture_output=True, text=True, timeout=timeout)
+        try:
+            proc = subprocess.run(shlex.split(command), cwd=wd,
+                                  capture_output=True, text=True, timeout=timeout)
+        except subprocess.TimeoutExpired as err:
+            raise EvaluationError(f"external evaluator ran past its timeout of {timeout}s") from err
+        except OSError as err:
+            raise EvaluationError(f"external evaluator could not start: {err}") from err
         if proc.returncode != 0:
             raise EvaluationError(
                 f"external evaluator exited with {proc.returncode}: {proc.stderr.strip()}"

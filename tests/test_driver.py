@@ -978,13 +978,17 @@ def test_probe_vector_equals_the_oracle_bitwise_every_iteration(tmp_path, monkey
 
 
 def check_kept_products(kept, interp):
-    """One row per distinct prefix of length d - 1, each the product of its
-    basis values left to right from 1.0."""
-    prefixes = {j[:-1] for j in interp.grid.indices}
-    assert set(kept.rows) == prefixes and sorted(kept.rows.values()) == list(range(len(prefixes)))
+    """One row per distinct prefix of length d - 1, row g for fibre g of the
+    last dimension, each the product of its basis values left to right
+    from 1.0."""
+    fibres = interp.grid._fibres[-1]
+    prefixes = sorted(fibres.ids, key=fibres.ids.get)
+    assert sorted(fibres.ids.values()) == list(range(len(prefixes)))
+    assert set(prefixes) == {j[:-1] for j in interp.grid.indices}
+    assert kept.heads.tolist() == [list(prefix) for prefix in prefixes]
     assert len(prefixes) <= len(kept.products) <= len(prefixes) * 5 // 4 + 1
     rule = interp.tensor_set.rule
-    for prefix, row in kept.rows.items():
+    for row, prefix in enumerate(prefixes):
         ref = np.ones(len(kept.points))
         for k, j in enumerate(prefix):
             ref = ref * sg._newton_basis(rule, j, kept.points[:, k])[j - 1]
@@ -1006,10 +1010,13 @@ def test_kept_probe_products_hold_one_row_per_prefix(rule, d):
             dr._grow_phase(state)
         except dr.BudgetExhausted:
             break
-    # a tensor set replaced by a smaller one drops the prefixes that left;
-    # one on another rule's nodes keeps nothing
+    # a tensor set with as many prefixes but other ones (dimensions 1 and 2
+    # swapped) is caught by content; one replaced by a smaller one drops the
+    # prefixes that left; one on another rule's nodes keeps nothing
+    swapped = [sg.TensorSet(IndexSet(d, [(i[1], i[0]) + i[2:] for i in state.theta.theta.members]),
+                            rule)] if d > 1 else []
     small = dr.initial_tensor_set(cfg)
-    for ts in (small, sg.TensorSet(small.theta, "rleja_double2")):
+    for ts in swapped + [small, sg.TensorSet(small.theta, "rleja_double2")]:
         state.theta = ts
         dr._build_phase(state, target)
         check_kept_products(kept, state.interpolant)

@@ -531,12 +531,12 @@ def fibres_by_row(grid):
     members of each fibre by its other coordinates: the table without its
     fibre numbering."""
     return [(fib.members[fib.of].tolist(), {key: fib.members[f].tolist() for key, f in fib.ids.items()})
-            for fib in grid._fibre_tables()]
+            for fib in grid._fibres]
 
 
 def assert_fibres_are_the_rows_agreeing_off_k(grid):
     idx = grid.idx
-    for k, fib in enumerate(grid._fibre_tables()):
+    for k, fib in enumerate(grid._fibres):
         others = np.delete(idx, k, axis=1)
         for r in range(len(idx)):
             same = np.flatnonzero((others == others[r]).all(axis=1))
@@ -551,29 +551,24 @@ def assert_fibres_are_the_rows_agreeing_off_k(grid):
 @given(theta=lower_sets(max_size=8), rule=st.sampled_from(
     ("leja", "clenshaw_curtis", "fejer2", "rleja_double2", "leja_odd")), data=st.data())
 def test_kept_fibre_table_equals_a_table_built_from_scratch(theta, rule, data):
-    """Grow a lower set level by level from an empty grid whose table was
-    read: every step carries the table forward, and it holds the fibres of
-    a table built from scratch on the grown grid."""
+    """Grow a lower set level by level from an empty grid: every step
+    carries the table forward, and it holds the fibres of a table built
+    from scratch on the grown grid."""
     members = list(theta.members)  # graded-lex: every prefix is lower
     cuts = sorted(data.draw(st.lists(st.integers(0, len(members)), max_size=4)))
     grid = sg.GridNodes.empty(theta.dim)
-    grid._fibre_tables()
     for done, cut in zip([0] + cuts, cuts + [len(members)]):
         grid, _ = sg._extend_grid(grid, rule, members[done:cut])
-        assert grid._fibres is not None  # carried forward, not built on the read below
         scratch = sg.GridNodes(grid.idx, grid.points)
         assert fibres_by_row(grid) == fibres_by_row(scratch)
     assert_fibres_are_the_rows_agreeing_off_k(grid)
 
 
-def test_grid_builds_no_fibre_table_until_read():
+def test_grid_carries_its_fibre_tables():
     ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (0, 1)]), "leja")
     grid = sg.grid_nodes(ts)
-    assert grid._fibres is None
-    assert sg._extend_grid(grid, "leja", [(1, 1)])[0]._fibres is None
-    tables = grid._fibre_tables()
-    assert grid._fibre_tables() is tables
     assert_fibres_are_the_rows_agreeing_off_k(grid)
+    assert_fibres_are_the_rows_agreeing_off_k(sg._extend_grid(grid, "leja", [(1, 1)])[0])
 
 
 # the greedy max-/min-Lebesgue and min-delta tables take seconds to build;

@@ -158,6 +158,24 @@ def test_external_timeout(tmp_path):
         ext.evaluate(np.array([[0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("command, message", [
+    (f"{sys.executable} stub.py", "ran past its timeout of 0.5s"),
+    ("./no-such-evaluator", "could not start")], ids=["timeout", "no_start"])
+def test_external_command_failing_to_finish_aborts_run_with_checkpoint(tmp_path, command, message):
+    # a command past its timeout, or one that cannot start, used to escape as
+    # subprocess.TimeoutExpired or OSError and leave no checkpoint
+    write_stub(tmp_path / "stub.py", "import time\ntime.sleep(5)\n")
+    ext = tg.external_target(2, tmp_path, command=command, timeout=0.5)
+    with pytest.raises(tg.EvaluationError, match=message):
+        ext.evaluate(np.array([[0.0, 0.0]]))
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=3, max_samples=50)
+    ck = tmp_path / "checkpoint.json"
+    with pytest.raises(tg.EvaluationError, match=message):
+        dr.run(cfg, ext, checkpoint_path=ck)
+    state = dr.load_state(ck)
+    assert state.cache == {} and state.config == cfg
+
+
 def test_points_csv_precision_round_trip(tmp_path):
     pts = np.array([[1 / 3, -2 / 7], [0.1, 1e-17]])
     tg.write_points_csv(tmp_path / "points.csv", pts)
