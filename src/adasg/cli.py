@@ -135,12 +135,6 @@ def _cmd_run(args) -> int:
     state = None
     if checkpoint.exists():
         state = load_state(checkpoint)
-        if state.config.rule != config.rule or state.config.d != config.d:
-            raise ValueError(
-                f"checkpoint in {wd} was made with rule={state.config.rule}, "
-                f"d={state.config.d}; clear the workdir to start over"
-            )
-        state.config = config
         print(f"resuming from {checkpoint} at iteration {state.iteration}")
     interp, history = run(config, target, checkpoint_path=checkpoint, state=state)
     write_history_csv(history, config.d, wd / "history.csv")

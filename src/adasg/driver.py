@@ -18,13 +18,14 @@ sample budget stops it.
 The checkpoint is saved once per iteration and costs the new work only.
 The file is a snapshot of the whole state on its first line, followed by
 one record per later save: the iteration, the fit, and the tensor levels,
-cache entries and history rows added since.  `run()` writes a snapshot on
-its first save, before an abort and on its way out, so the file it leaves
-is one JSON object; every other save appends a record.  The Monte Carlo
-probe keeps its points' Newton basis and prefix products on the state
-(`_FixedPoints`), one per fibre of the grid's last dimension, so each
-iteration multiplies out the prefixes its new rows bring, read off the
-fibre table the kept grid carries.
+cache entries and history row of the one build since.  `run()` writes a
+snapshot on its first save, before an abort and on its way out, so the
+file it leaves is one JSON object; every other save appends a record.  As
+the first save of each run is whole, a resumed run never appends after a
+record a crash cut short.  The Monte Carlo probe keeps its points' Newton
+basis and prefix products on the state (`_FixedPoints`), one per fibre of
+the grid's last dimension, so each iteration multiplies out the prefixes
+its new rows bring, read off the fibre table the kept grid carries.
 """
 
 from __future__ import annotations
@@ -132,10 +133,8 @@ class _RunGrid:
     `passes` holds the surplus solve's values per pass (`_solve_rows`): row
     0 the samples, row d the surpluses.  The samples were read from `cache`;
     `step` is the tensor set the last grow step made from `theta`, with the
-    levels it admitted, and `added` the tensor set the build of `theta`
-    extended, with the levels it added (None after a build from scratch).
-    A state whose tensor set or cache was replaced since is built from
-    scratch.
+    levels it admitted, which the next build adds.  A state whose tensor set
+    or cache was replaced since is built from scratch.
     """
 
     theta: TensorSet | None = None
@@ -144,7 +143,6 @@ class _RunGrid:
     passes: np.ndarray | None = None
     margin: set[MultiIndex] = field(default_factory=set)   # the margin of theta
     step: tuple[TensorSet, list[MultiIndex]] | None = None
-    added: tuple[TensorSet, list[MultiIndex]] | None = None
 
 
 @dataclass
@@ -313,11 +311,10 @@ def _build_grid(state: RunState, target: TargetSpec | None) -> None:
     ts, run = state.theta, state.grid
     if run.step is not None and run.step[0] is ts and run.cache is state.cache:
         levels = run.step[1]
-        added = (run.theta, levels)
     else:
         d = ts.dim
         run = _RunGrid(grid=GridNodes.empty(d), passes=np.zeros((d + 1, 0)), margin={(0,) * d})
-        levels, added = ts.theta.members, None
+        levels = ts.theta.members
     grid, new = _extend_grid(run.grid, ts.rule, levels)
     samples = _collect_samples(state, target, grid.idx[new], grid.points[new])
     passes = np.zeros((ts.dim + 1, len(grid)))
@@ -327,7 +324,7 @@ def _build_grid(state: RunState, target: TargetSpec | None) -> None:
     for kept in (grid.idx, grid.points, passes):
         kept.flags.writeable = False  # the interpolant handed out shares them
     front = _grown_margin(run.margin, ts.theta, levels)
-    state.grid = _RunGrid(ts, state.cache, grid, passes, front, added=added)
+    state.grid = _RunGrid(ts, state.cache, grid, passes, front)
     state.interpolant = Interpolant(ts, grid, passes[0], passes[-1])
 
 
@@ -419,39 +416,54 @@ def run(
     """Iterate until the iteration or sample budget is exhausted.
 
     A fresh run starts from the configured initial set; passing `state`
-    resumes.  When a checkpoint path is given the state is saved once per
+    resumes it under `config`, which must have the state's rule and
+    dimension.  When a checkpoint path is given the state is saved once per
     iteration, after each build, and before an abort on an `EvaluationError`,
-    so failed runs are resumable.  The first save and the abort's write the
-    whole state (`save_state`), the others append a record of what is new
-    (`_Journal`), and the run writes the whole state again on its way out,
-    so the file it leaves is one JSON object.  The grow step is not saved:
-    it depends only on the tensor set, the fit and the config the saved
-    state holds, so a resumed run recomputes it bit for bit.
+    so failed runs are resumable.  The first save writes the whole state
+    (`save_state`); each later save appends a record of the one build since
+    (`_record`): the levels its grow step admitted, the cache entries it
+    added and its history row.  The abort's save and the run's last, on its
+    way out, write the whole state again, so the file a run leaves is one
+    JSON object.  The grow step is not saved: it depends only on the tensor
+    set, the fit and the config the saved state holds, so a resumed run
+    recomputes it bit for bit.
     """
     if target.dim != config.d:
         raise ValueError("target dimension does not match config")
     if state is None:
         state = RunState(config, initial_tensor_set(config))
-    journal = None if checkpoint_path is None else _Journal(checkpoint_path)
+    elif (state.config.rule, state.config.d) != (config.rule, config.d):
+        raise ValueError(f"the state was made with rule={state.config.rule}, d={state.config.d}; "
+                         f"the config has rule={config.rule}, d={config.d}")
+    state.config = config
+    saved = None  # the cache's length at the last save; None before the first
     while True:
         if not _built(state):
+            step = state.grid.step  # after a grow step, the levels this build adds
             try:
                 _build_phase(state, target)
             except EvaluationError:
-                if journal is not None:
-                    journal.snapshot(state)
+                if checkpoint_path is not None:
+                    save_state(state, checkpoint_path)
                 raise
             # the last build is saved on the way out
-            if journal is not None and state.iteration < config.max_iterations:
-                journal.save(state)
+            if checkpoint_path is not None and state.iteration < config.max_iterations:
+                if saved is None:
+                    save_state(state, checkpoint_path)
+                else:
+                    cache = state.cache
+                    entries = list(islice(reversed(cache.items()), len(cache) - saved))[::-1]
+                    record = _record(state, step[1], entries, state.history[-1:])
+                    _append_text("\n" + json.dumps(record), checkpoint_path)
+                saved = len(state.cache)
         if state.iteration >= config.max_iterations:
             break
         try:
             _grow_phase(state)
         except BudgetExhausted:
             break
-    if journal is not None:
-        journal.snapshot(state)
+    if checkpoint_path is not None:
+        save_state(state, checkpoint_path)
     assert state.interpolant is not None
     return state.interpolant, state.history
 
@@ -514,61 +526,6 @@ def _append_text(text: str, path) -> None:
     """Append `text` to the file at `path`; it is flushed when this returns."""
     with open(path, "a", newline="") as fh:
         fh.write(text)
-
-
-@dataclass
-class _Journal:
-    """The state the checkpoint at `path` holds, so that a save appends what
-    is new since the last one: its config, tensor set, cache and history,
-    with the cache's length and the history's when they were saved."""
-
-    path: object
-    config: RunConfig | None = None
-    theta: TensorSet | None = None
-    cache: dict | None = None
-    keys: int = 0
-    history: list | None = None
-    rows: int = 0
-
-    def snapshot(self, state: RunState) -> None:
-        save_state(state, self.path)
-        self._hold(state)
-
-    def save(self, state: RunState) -> None:
-        """Append one line to the file: the iteration, the fit and the tensor
-        levels, cache entries and history rows added since the last save.
-        The levels are those the last build added, the entries and rows the
-        tails of the cache's insertion order and of the history, so no pass
-        over the whole state is made.  A state that did not grow from the
-        one the file holds is written whole instead: another config, a
-        tensor set that is not the file's or one build past it, a replaced
-        cache or history, or one shorter than the file's."""
-        levels = self._levels(state)
-        cache, history = state.cache, state.history
-        if (levels is None or state.config is not self.config
-                or cache is not self.cache or len(cache) < self.keys
-                or history is not self.history or len(history) < self.rows):
-            self.snapshot(state)
-            return
-        keys = list(islice(reversed(cache), len(cache) - self.keys))[::-1]
-        record = _record(state, levels, [(k, cache[k]) for k in keys], history[self.rows:])
-        _append_text("\n" + json.dumps(record), self.path)
-        self._hold(state)
-
-    def _levels(self, state: RunState) -> list[MultiIndex] | None:
-        """The levels `state.theta` adds to the tensor set the file holds, read
-        from the build that added them; None if it did not grow from it."""
-        if state.theta is self.theta:
-            return []
-        grid = state.grid
-        if grid.theta is state.theta and grid.added is not None and grid.added[0] is self.theta:
-            return grid.added[1]
-        return None
-
-    def _hold(self, state: RunState) -> None:
-        self.config, self.theta = state.config, state.theta
-        self.cache, self.keys = state.cache, len(state.cache)
-        self.history, self.rows = state.history, len(state.history)
 
 
 def load_state(path) -> RunState:

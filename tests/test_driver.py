@@ -357,6 +357,34 @@ def test_checkpoint_resume_bitwise(tmp_path):
     assert np.array_equal(sg.evaluate_batch(interp_a, pts), sg.evaluate_batch(interp_b, pts))
 
 
+def test_a_resumed_run_takes_its_budget_from_the_config_it_is_given(tmp_path):
+    ck = tmp_path / "ck.json"
+    small = dr.RunConfig(rule="leja", d=2, max_iterations=1000, max_samples=20)
+    _, hist = dr.run(small, RAT2, checkpoint_path=ck)
+    assert hist[-1].node_count == 20
+    large = dataclasses.replace(small, max_samples=60)
+    _, resumed = dr.run(large, RAT2, state=dr.load_state(ck))
+    _, fresh = dr.run(large, RAT2)
+    assert resumed[-1].node_count == fresh[-1].node_count == 60
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    dr.write_history_csv(resumed, 2, pa)
+    dr.write_history_csv(fresh, 2, pb)
+    assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("rule, d", [("leja", 3), ("clenshaw_curtis", 2)])
+def test_a_state_of_another_rule_or_dimension_is_refused(rule, d):
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60)
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    dr.run(cfg, RAT2, state=state)
+    before = saved_as(state)
+    # built to its last iteration: without the check the run would return the old interpolant
+    other = dr.RunConfig(rule=rule, d=d, max_iterations=2, max_samples=60)
+    with pytest.raises(ValueError, match=rf"rule=leja, d=2; the config has rule={rule}, d={d}"):
+        dr.run(other, rational(d), state=state)
+    assert state.config is cfg and saved_as(state) == before
+
+
 class Crash(Exception):
     """Stands for the process dying at a chosen point of the loop."""
 
@@ -634,69 +662,28 @@ def saved_as(state) -> str:
 
 
 def test_a_record_encodes_no_config_and_a_new_config_writes_a_snapshot(tmp_path, monkeypatch):
-    """Saves append records, which hold no config, until the state adopts
-    another config, as a resume does: that save writes the whole state.
-    After every save the file loads as the live state."""
-    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=1000, max_samples=60, probe_count=None)
-    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    """Records hold no config: a run encodes it in its whole saves only.  A
+    run resumed under a new config writes the whole state first, so the file
+    holds the new config from its first save on."""
     path = tmp_path / "checkpoint.json"
-    journal = dr._Journal(path)
+    writes = []  # (kind, configs encoded since the last write, the file's config)
     encoded = []
     to_dict = dr._to_dict
     monkeypatch.setattr(dr, "_to_dict", lambda obj, **kw: encoded.append(obj) or to_dict(obj, **kw))
-    for it in range(6):
-        if it == 3:
-            state.config = dataclasses.replace(cfg, max_iterations=30)
-        dr._build_phase(state, RAT2)
-        encoded.clear()
-        journal.save(state)
-        assert sum(isinstance(obj, dr.RunConfig) for obj in encoded) == (it in (0, 3))
-        # the whole state at iterations 0 and 3, then one record per save
-        assert path.read_text().count("\n") == it % 3
-        assert saved_as(dr.load_state(path)) == saved_as(state)
-        dr._grow_phase(state)
-
-
-@pytest.mark.parametrize("change, lines", [
-    ("skip", [0, 1, 0, 1]), ("theta", [0, 1, 0, 1, 2]), ("cut", [0, 1, 0, 1, 2]),
-    ("shrink", [0, 1, 0, 1, 2]),
-    ("cache", [0, 1, 0, 0, 1]),  # the next build starts from scratch too
-], ids=("skip", "theta", "cut", "shrink", "cache"))
-def test_a_save_of_a_state_not_grown_from_the_file_writes_the_whole_state(
-        tmp_path, change, lines):
-    """After two builds since the last save, after the tensor set or the
-    cache was replaced, or with the cache or the history shorter than the
-    file holds, a save writes the whole state; later saves append again.
-    After every save the file loads as the live state."""
-    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=1000, max_samples=60, probe_count=None,
-                       initial_level=3.0)
-    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
-    x = rules1d.family_nodes("leja", 4).tolist()
-    extra = [(x[3], x[3]), (x[2], x[3])]  # nodes of the rule off the grid of these five builds
-    state.cache.update(dict.fromkeys(extra, 0.5))
-    path = tmp_path / "checkpoint.json"
-    journal = dr._Journal(path)
-    counts = []
-    for it in range(5):
-        dr._build_phase(state, RAT2)
-        if it == 2:
-            if change == "skip":
-                dr._grow_phase(state)
-                continue
-            elif change == "theta":
-                state.theta = sg.TensorSet(IndexSet(2, state.theta.theta.members), "leja")
-            elif change == "cut":
-                del state.history[:2]
-            elif change == "shrink":
-                for key in extra:
-                    del state.cache[key]
-            elif change == "cache":
-                state.cache = dict(state.cache)
-        journal.save(state)
-        counts.append(path.read_text().count("\n"))
-        assert saved_as(dr.load_state(path)) == saved_as(state)
-        dr._grow_phase(state)
-    assert counts == lines
+    for kind, name in (("whole", "save_state"), ("record", "_append_text")):
+        def logged(arg, path, kind=kind, write=getattr(dr, name)):
+            write(arg, path)
+            writes.append((kind, sum(isinstance(obj, dr.RunConfig) for obj in encoded),
+                           dr.load_state(path).config))
+            encoded.clear()
+        monkeypatch.setattr(dr, name, logged)
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=4, max_samples=60, probe_count=None)
+    dr.run(cfg, RAT2, checkpoint_path=path)
+    assert writes == [("whole", 1, cfg)] + [("record", 0, cfg)] * 3 + [("whole", 1, cfg)]
+    writes.clear()
+    new = dataclasses.replace(cfg, max_iterations=8)
+    dr.run(new, RAT2, checkpoint_path=path, state=dr.load_state(path))
+    assert writes == [("whole", 1, new)] + [("record", 0, new)] * 2 + [("whole", 1, new)]
 
 
 def run_until_record(cfg, target, path, n, state=None) -> bool:
@@ -781,15 +768,23 @@ def test_every_save_of_a_run_loads_as_the_live_state(tmp_path, monkeypatch):
     the save before an abort, and the saves of the resumed run), the file
     loads as a state whose whole save is that of the live state."""
     checked = []
-    for method in ("save", "snapshot"):
-        def check(journal, state, write=getattr(dr._Journal, method)):
-            write(journal, state)
-            assert saved_as(dr.load_state(journal.path)) == saved_as(state)
-            checked.append(state.iteration)
-        monkeypatch.setattr(dr._Journal, method, check)
+    live = {}
+    save, append = dr.save_state, dr._append_text
+
+    def check(path):
+        assert saved_as(dr.load_state(path)) == saved_as(live["state"])
+        checked.append(live["state"].iteration)
+
+    monkeypatch.setattr(dr, "save_state", lambda state, path: (save(state, path), check(path)))
+    monkeypatch.setattr(dr, "_append_text", lambda text, path: (append(text, path), check(path)))
+
+    def run(target, ck, state):
+        live["state"] = state
+        return dr.run(cfg, target, checkpoint_path=ck, state=state)
+
     cfg = dr.RunConfig(rule="leja", d=2, batch=2, max_iterations=1000, max_samples=90,
                        probe_count=40, probe_seed=3)
-    _, hist = dr.run(cfg, RAT2, checkpoint_path=tmp_path / "clean.json")
+    _, hist = run(RAT2, tmp_path / "clean.json", dr.RunState(cfg, dr.initial_tensor_set(cfg)))
     assert checked[-1] == hist[-1].iteration and len(checked) > len(hist)
     calls = {"n": 0}
 
@@ -804,11 +799,51 @@ def test_every_save_of_a_run_loads_as_the_live_state(tmp_path, monkeypatch):
 
     ck = tmp_path / "ck.json"
     with pytest.raises(tg.EvaluationError):
-        dr.run(cfg, FlakyTarget(), checkpoint_path=ck)
+        run(FlakyTarget(), ck, dr.RunState(cfg, dr.initial_tensor_set(cfg)))
     checked.clear()
-    dr.run(cfg, RAT2, checkpoint_path=ck, state=dr.load_state(ck))
+    run(RAT2, ck, dr.load_state(ck))
     assert checked[-1] == hist[-1].iteration
     assert ck.read_bytes() == (tmp_path / "clean.json").read_bytes()
+
+
+@pytest.mark.parametrize("keep", [lambda n: 0, lambda n: 1, lambda n: n // 2, lambda n: n - 1],
+                         ids=("none", "one", "half", "all_but_one"))
+def test_a_resumed_run_writes_its_first_save_whole_over_a_cut_record(tmp_path, monkeypatch,
+                                                                     keep):
+    """A checkpoint cut partway into its last record, as by a crash inside an
+    append: the resumed run's first save writes the whole state, so no save
+    leaves the cut line before another, and the run ends on the files of an
+    uninterrupted one."""
+    outputs = {}
+    for name in ("clean", "resumed"):
+        ck = tmp_path / name / "checkpoint.json"
+        ck.parent.mkdir()
+        state = None
+        if name == "resumed":
+            assert run_until_record(CUT_CFG, RAT2, ck, 6)
+            text = ck.read_text()
+            start = text.rindex("\n") + 1
+            ck.write_text(text[:start + keep(len(text) - start)])  # keep chars of the record
+            state = dr.load_state(ck)
+            assert state.iteration == 5
+            save, append = dr.save_state, dr._append_text
+
+            def check(path):
+                *lines, _ = Path(path).read_text().split("\n")
+                for line in lines:
+                    json.loads(line)
+
+            monkeypatch.setattr(dr, "save_state", lambda state, path: (save(state, path),
+                                                                       check(path)))
+            monkeypatch.setattr(dr, "_append_text", lambda text, path: (append(text, path),
+                                                                        check(path)))
+        interp, hist = dr.run(CUT_CFG, RAT2, checkpoint_path=ck, state=state)
+        monkeypatch.undo()
+        dr.write_history_csv(hist, 2, ck.parent / "history.csv")
+        sg.save_interpolant(interp, ck.parent / "interpolant.json")
+        outputs[name] = {p.name: p.read_bytes() for p in ck.parent.iterdir()}
+    assert sorted(outputs["clean"]) == ["checkpoint.json", "history.csv", "interpolant.json"]
+    assert outputs["resumed"] == outputs["clean"]
 
 
 @st.composite

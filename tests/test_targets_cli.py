@@ -424,6 +424,26 @@ def test_cli_run_checkpoint_guards_rule_change(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "b.cfg"), "--workdir", str(wd)]) == 1
 
 
+def test_cli_run_refuses_a_checkpoint_of_another_dimension(tmp_path, capsys):
+    base = textwrap.dedent("""
+        rule = leja
+        max_iterations = 3
+        max_samples = 60
+        probe_count = 0
+        target = expsum
+    """)
+    (tmp_path / "d2.cfg").write_text(base + "d = 2\n")
+    (tmp_path / "d3.cfg").write_text(base + "d = 3\n")
+    wd = tmp_path / "wd"
+    assert cli.main(["run", "--config", str(tmp_path / "d2.cfg"), "--workdir", str(wd)]) == 0
+    before = (wd / "checkpoint.json").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(tmp_path / "d3.cfg"), "--workdir", str(wd)]) == 1
+    err = capsys.readouterr().err
+    assert "rule=leja, d=2" in err and "rule=leja, d=3" in err
+    assert (wd / "checkpoint.json").read_bytes() == before
+
+
 def test_cli_run_external_target(tmp_path):
     write_stub(tmp_path / "stub.py")
     cfg = textwrap.dedent(f"""
