@@ -8,7 +8,6 @@ from .driver import (
     load_state,
     run,
     save_state,
-    step,
 )
 from .fitting import (
     FitParams,

@@ -132,11 +132,11 @@ def _cmd_run(args) -> int:
     wd = Path(args.workdir)
     wd.mkdir(parents=True, exist_ok=True)
     checkpoint = wd / "checkpoint.json"
-    state = None
-    if checkpoint.exists():
-        state = load_state(checkpoint)
-        print(f"resuming from {checkpoint} at iteration {state.iteration}")
+    state = load_state(checkpoint) if checkpoint.exists() else None
+    start = None if state is None else state.iteration
     interp, history = run(config, target, checkpoint_path=checkpoint, state=state)
+    if start is not None:  # announced once run() has accepted the state
+        print(f"resumed from {checkpoint} at iteration {start}")
     write_history_csv(history, config.d, wd / "history.csv")
     save_interpolant(interp, wd / "interpolant.json")
     last = history[-1]

@@ -1,19 +1,21 @@
 """The adaptive refinement loop: build interpolant, extract coefficients, fit
 decay parameters, grow the tensor set, repeat.
 
-The run keeps its grid between iterations (`_RunGrid`, never serialized):
-the grid indices, points and samples, the surplus solve's per-pass values
-and the margin of the tensor set.  Each iteration adds only the blocks of
-the tensor levels the last grow step admitted: it samples the target at
-their nodes (the coordinate cache guarantees nested rules never
-re-evaluate), solves their surpluses against the kept passes, and updates
-the margin from the admitted levels.  Old surpluses do not change when a
-lower set grows, and the new rows go through the operations of a solve of
-the whole grid, so a resumed run, which builds its grid from scratch, has
-the bits an uninterrupted one has.  The tensor set grows on tensor levels:
-a heap over the margin, keyed by the curved weight at which each level
-enters, admits levels in order of that weight until the batch rule or the
-sample budget stops it.
+Between iterations the run carries what a checkpoint holds: the tensor set,
+the sample cache, the fit and the history.  Within one `run()` call it also
+keeps its grid (`_RunGrid`, never serialized): the grid indices, points and
+samples, the surplus solve's per-pass values, the margin of the tensor set
+and the probe.  A call builds that grid once, for the tensor set it is
+given, and from then on adds only the blocks of the tensor levels each grow
+step admits: it samples the target at their nodes (the coordinate cache
+guarantees nested rules never re-evaluate), solves their surpluses against
+the kept passes, and updates the margin from the admitted levels.  Old
+surpluses do not change when a lower set grows, and the new rows go through
+the operations of a solve of the whole grid, so a resumed run, which
+builds its grid from scratch, has the bits an uninterrupted one has.  The
+tensor set grows on tensor levels: a heap over the margin, keyed by the
+curved weight at which each level enters, admits levels in order of that
+weight until the batch rule or the sample budget stops it.
 
 The checkpoint is saved once per iteration and costs the new work only.
 The file is a snapshot of the whole state on its first line, followed by
@@ -22,8 +24,8 @@ cache entries and history row of the one build since.  `run()` writes a
 snapshot on its first save, before an abort and on its way out, so the
 file it leaves is one JSON object; every other save appends a record.  As
 the first save of each run is whole, a resumed run never appends after a
-record a crash cut short.  The Monte Carlo probe keeps its points' Newton
-basis and prefix products on the state (`_FixedPoints`), one per fibre of
+record a crash cut short.  The Monte Carlo probe keeps its points' target
+values, Newton basis and prefix products (`_FixedPoints`), one per fibre of
 the grid's last dimension, so each iteration multiplies out the prefixes
 its new rows bring, read off the fibre table the kept grid carries.
 """
@@ -125,29 +127,30 @@ class Record:
     wall_time: float = 0.0  # informational only; never serialized
 
 
-@dataclass
 class _RunGrid:
-    """The grid of `theta`, kept between iterations and extended by the
-    levels each grow step admits; never serialized.
+    """What one `run()` call keeps between its iterations; never serialized.
 
-    `passes` holds the surplus solve's values per pass (`_solve_rows`): row
-    0 the samples, row d the surpluses.  The samples were read from `cache`;
-    `step` is the tensor set the last grow step made from `theta`, with the
-    levels it admitted, which the next build adds.  A state whose tensor set
-    or cache was replaced since is built from scratch.
+    It starts empty; the first build of the call extends it by every level
+    of the tensor set, and each later build by the levels the grow step
+    before it admitted.  `passes` holds the surplus solve's values per pass
+    (`_solve_rows`): row 0 the samples, row d the surpluses.  `probe` is
+    set by the first probe of the call: the probe points with the basis and
+    prefix products kept there (G x P doubles for the G distinct prefixes
+    of length d - 1 and P points, plus the m x d x P basis up to the largest
+    grid index m), and the target's values there.
     """
 
-    theta: TensorSet | None = None
-    cache: dict | None = None
-    grid: GridNodes | None = None
-    passes: np.ndarray | None = None
-    margin: set[MultiIndex] = field(default_factory=set)   # the margin of theta
-    step: tuple[TensorSet, list[MultiIndex]] | None = None
+    def __init__(self, d: int):
+        self.grid = GridNodes.empty(d)
+        self.passes = np.zeros((d + 1, 0))
+        self.margin: set[MultiIndex] = {(0,) * d}   # the margin of the levels built
+        self.probe: tuple[_FixedPoints, np.ndarray] | None = None
 
 
 @dataclass
 class RunState:
-    """Mutable state of an adaptive run between iterations."""
+    """Mutable state of an adaptive run between iterations: what a
+    checkpoint holds, and the interpolant of the last build."""
 
     config: RunConfig
     theta: TensorSet
@@ -156,15 +159,6 @@ class RunState:
     fit: FitParams | None = None
     interpolant: Interpolant | None = None
     history: list[Record] = field(default_factory=list)
-    # {(probe_count, probe_seed): (probe points with the basis and prefix
-    # products kept there, target values there)}: the probe evaluates the
-    # target once per run; the kept state holds G x P doubles for the G
-    # distinct prefixes of length d - 1 and P points, plus the m x d x P
-    # basis up to the largest grid index m; never serialized
-    probe: dict[tuple[int, int], tuple[_FixedPoints, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False)
-    # the grid of the last build, extended by the next; never serialized
-    grid: _RunGrid = field(default_factory=_RunGrid, init=False, repr=False, compare=False)
 
     @property
     def samples_used(self) -> int:
@@ -300,31 +294,21 @@ def _collect_samples(state: RunState, target: TargetSpec | None, idx: np.ndarray
     return np.array([state.cache[key] for key in keys])
 
 
-def _build_grid(state: RunState, target: TargetSpec | None) -> None:
-    """Bring the run grid to `state.theta` and set `state.interpolant`.
-
-    After a grow step only the blocks of the admitted levels are added:
-    their nodes are sampled and their surpluses solved against the kept
-    passes.  Otherwise, after a load or a replaced tensor set or cache, the
-    grid is built from scratch, every row new.
-    """
-    ts, run = state.theta, state.grid
-    if run.step is not None and run.step[0] is ts and run.cache is state.cache:
-        levels = run.step[1]
-    else:
-        d = ts.dim
-        run = _RunGrid(grid=GridNodes.empty(d), passes=np.zeros((d + 1, 0)), margin={(0,) * d})
-        levels = ts.theta.members
-    grid, new = _extend_grid(run.grid, ts.rule, levels)
+def _build_grid(state: RunState, kept: _RunGrid, levels, target: TargetSpec | None) -> None:
+    """Extend the run grid by the blocks of the tensor levels `levels`, which
+    bring it to `state.theta`, and set `state.interpolant`: the new nodes
+    are sampled and their surpluses solved against the kept passes."""
+    ts = state.theta
+    grid, new = _extend_grid(kept.grid, ts.rule, levels)
     samples = _collect_samples(state, target, grid.idx[new], grid.points[new])
     passes = np.zeros((ts.dim + 1, len(grid)))
-    passes[:, ~new] = run.passes
+    passes[:, ~new] = kept.passes
     passes[0, new] = samples
     _solve_rows(ts.rule, grid, passes, new)
-    for kept in (grid.idx, grid.points, passes):
-        kept.flags.writeable = False  # the interpolant handed out shares them
-    front = _grown_margin(run.margin, ts.theta, levels)
-    state.grid = _RunGrid(ts, state.cache, grid, passes, front)
+    for array in (grid.idx, grid.points, passes):
+        array.flags.writeable = False  # the interpolant handed out shares them
+    kept.grid, kept.passes = grid, passes
+    kept.margin = _grown_margin(kept.margin, ts.theta, levels)
     state.interpolant = Interpolant(ts, grid, passes[0], passes[-1])
 
 
@@ -337,18 +321,20 @@ def _fit_from(interp: Interpolant, config: RunConfig) -> FitParams:
     return _fit_rows(interp.grid.idx - 1, values, config.min_magnitude, config.fit_beta)
 
 
-def _probe_error(state: RunState, target: TargetSpec) -> float:
+def _probe_error(state: RunState, kept: _RunGrid, target: TargetSpec) -> float:
     """Max abs deviation of the current interpolant from the target on
     `probe_count` uniform random points of the hypercube, drawn from
-    `probe_seed`; the target's values there are taken once per run and kept
-    on the state, with the Newton basis and prefix products at the points,
-    so each iteration computes the products of its new prefixes only."""
-    count, seed = key = (state.config.probe_count, state.config.probe_seed)
-    if key not in state.probe:
-        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, state.config.d))
-        state.probe = {key: (_FixedPoints(pts), target.evaluate(pts))}
-    kept, values = state.probe[key]
-    return float(np.abs(kept(state.interpolant) - values).max())
+    `probe_seed`; the target's values there are taken once per `run()`
+    call and kept on the run grid, with the Newton basis and prefix
+    products at the points, so each iteration computes the products of its
+    new prefixes only."""
+    if kept.probe is None:
+        config = state.config
+        pts = np.random.default_rng(config.probe_seed).uniform(
+            -1.0, 1.0, size=(config.probe_count, config.d))
+        kept.probe = (_FixedPoints(pts), target.evaluate(pts))
+    points, values = kept.probe
+    return float(np.abs(points(state.interpolant) - values).max())
 
 
 def _built(state: RunState) -> bool:
@@ -356,12 +342,13 @@ def _built(state: RunState) -> bool:
     return bool(state.history) and state.history[-1].iteration == state.iteration
 
 
-def _build_phase(state: RunState, target: TargetSpec) -> None:
-    """Sample new nodes, rebuild the interpolant, fit, record."""
+def _build_phase(state: RunState, kept: _RunGrid, levels, target: TargetSpec) -> None:
+    """Add the blocks of `levels` to the grid, sampling their nodes, fit,
+    probe, record."""
     config = state.config
     t0 = time.perf_counter()
     prev_nodes = state.history[-1].node_count if state.history else 0
-    _build_grid(state, target)
+    _build_grid(state, kept, levels, target)
     fallback = state.fit if state.fit is not None else isotropic_params(config.d)
     if config.fit_enabled:
         try:
@@ -370,7 +357,7 @@ def _build_phase(state: RunState, target: TargetSpec) -> None:
             state.fit = fallback
     else:
         state.fit = fallback
-    probe = _probe_error(state, target) if config.probe_count else None
+    probe = _probe_error(state, kept, target) if config.probe_count else None
     state.history.append(Record(
         iteration=state.iteration,
         node_count=state.interpolant.node_count,
@@ -387,24 +374,15 @@ def _build_phase(state: RunState, target: TargetSpec) -> None:
     ))
 
 
-def _grow_phase(state: RunState) -> None:
+def _grow_phase(state: RunState, kept: _RunGrid) -> list[MultiIndex]:
     """Grow the tensor set to the next level of the fitted curved weights,
-    from the margin and node count of the kept grid.  A tensor set replaced
-    since the last build is built first, from the samples in the cache."""
-    if state.grid.theta is not state.theta:
-        _build_grid(state, None)
-    config, ts, run = state.config, state.theta, state.grid
-    _, added = _grow(state.fit, ts, run.margin, len(run.grid), config.batch, config.max_samples)
+    from the margin and node count of the run grid, which covers it; the
+    levels admitted, which the next build adds."""
+    config, ts = state.config, state.theta
+    _, added = _grow(state.fit, ts, kept.margin, len(kept.grid), config.batch, config.max_samples)
     state.theta = _grown(ts, added)
-    run.step = (state.theta, added)
     state.iteration += 1
-
-
-def step(state: RunState, target: TargetSpec) -> RunState:
-    """One loop body: sample, rebuild, fit, grow.  Mutates and returns `state`."""
-    _build_phase(state, target)
-    _grow_phase(state)
-    return state
+    return added
 
 
 def run(
@@ -417,16 +395,19 @@ def run(
 
     A fresh run starts from the configured initial set; passing `state`
     resumes it under `config`, which must have the state's rule and
-    dimension.  When a checkpoint path is given the state is saved once per
-    iteration, after each build, and before an abort on an `EvaluationError`,
-    so failed runs are resumable.  The first save writes the whole state
-    (`save_state`); each later save appends a record of the one build since
-    (`_record`): the levels its grow step admitted, the cache entries it
-    added and its history row.  The abort's save and the run's last, on its
-    way out, write the whole state again, so the file a run leaves is one
-    JSON object.  The grow step is not saved: it depends only on the tensor
-    set, the fit and the config the saved state holds, so a resumed run
-    recomputes it bit for bit.
+    dimension.  The call keeps its grid and probe (`_RunGrid`) while it
+    runs: it builds the grid of the state's tensor set once, a built
+    state's from the cache alone, and then extends it by the levels each
+    grow step admits.  When a checkpoint path is given the state is saved
+    once per iteration, after each build, and before an abort on an
+    `EvaluationError`, so failed runs are resumable.  The first save writes
+    the whole state (`save_state`); each later save appends a record of the
+    one build since (`_record`): the levels its grow step admitted, the
+    cache entries it added and its history row.  The abort's save and the
+    run's last, on its way out, write the whole state again, so the file a
+    run leaves is one JSON object.  The grow step is not saved: it depends
+    only on the tensor set, the fit and the config the saved state holds,
+    so a resumed run recomputes it bit for bit.
     """
     if target.dim != config.d:
         raise ValueError("target dimension does not match config")
@@ -436,12 +417,15 @@ def run(
         raise ValueError(f"the state was made with rule={state.config.rule}, d={state.config.d}; "
                          f"the config has rule={config.rule}, d={config.d}")
     state.config = config
+    kept = _RunGrid(config.d)
+    levels = state.theta.theta.members  # the first build adds every level
+    if _built(state):
+        _build_grid(state, kept, levels, None)  # from the cache, as the last build was
     saved = None  # the cache's length at the last save; None before the first
     while True:
         if not _built(state):
-            step = state.grid.step  # after a grow step, the levels this build adds
             try:
-                _build_phase(state, target)
+                _build_phase(state, kept, levels, target)
             except EvaluationError:
                 if checkpoint_path is not None:
                     save_state(state, checkpoint_path)
@@ -453,13 +437,13 @@ def run(
                 else:
                     cache = state.cache
                     entries = list(islice(reversed(cache.items()), len(cache) - saved))[::-1]
-                    record = _record(state, step[1], entries, state.history[-1:])
+                    record = _record(state, levels, entries, state.history[-1:])
                     _append_text("\n" + json.dumps(record), checkpoint_path)
                 saved = len(state.cache)
         if state.iteration >= config.max_iterations:
             break
         try:
-            _grow_phase(state)
+            levels = _grow_phase(state, kept)
         except BudgetExhausted:
             break
     if checkpoint_path is not None:
@@ -557,9 +541,6 @@ def load_state(path) -> RunState:
     _check_cache_nodes(state)
     state.fit = None if obj["fit"] is None else _from_dict(FitParams, obj["fit"])
     state.history = [_from_dict(Record, r) for r in obj["history"]]
-    if _built(state):
-        # a pending (grown, unsampled) theta is built by the next run instead
-        _build_grid(state, None)
     return state
 
 

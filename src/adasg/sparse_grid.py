@@ -17,9 +17,9 @@ while a grid grows.  Evaluation contracts the surpluses with the 1-D Newton
 basis over the trie of those prefixes, sorted lexically (`_trie`).  One
 routine builds that basis, point-major (`_newton_basis`), for evaluation,
 for the Newton table of the solve and for the Legendre change of basis.
-Evaluation at points fixed for a whole run (the adaptive loop's probe,
-`_FixedPoints`) keeps the basis and one product per prefix there between
-calls, by fibre id, and shares the contraction (`_contract`) with
+Evaluation at points fixed while one grid grows (the adaptive loop's
+probe, `_FixedPoints`) keeps the basis and one product per prefix there
+between calls, by fibre id, and shares the contraction (`_contract`) with
 `evaluate_batch`, so both give the same bits.
 """
 
@@ -446,38 +446,30 @@ def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = Fals
 
 
 class _FixedPoints:
-    """Evaluation at fixed points of the interpolants of one growing run,
+    """Evaluation at fixed points of the interpolants of one growing grid,
     bit for bit `evaluate_batch`, from state kept between calls: the
     points' Newton basis, built again only when the largest grid index
     grows, and row g of `products` for fibre g of the last dimension: the
     product of its prefix's basis values, computed once, left to right from
     1.0 as `evaluate_batch` chains it.  Fibre ids only grow while a grid
-    grows, so a call multiplies out the fibres past those kept; a grid whose
-    first fibres are not the prefixes kept starts over.  Holds the m x d x P
-    basis and G x P doubles for the G prefixes, in room for up to a quarter
-    more, so that adding prefixes copies the rows kept only when the room
-    is full."""
+    grows (`_extend_grid`), so a call multiplies out the fibres past the
+    `used` it has.  Holds the m x d x P basis and G x P doubles for the G
+    prefixes, in room for up to a quarter more, so that adding prefixes
+    copies the rows kept only when the room is full."""
 
     def __init__(self, points: np.ndarray):
         self.points = points
-        self.rule: str | None = None
-        self.basis = np.zeros((0,) + points.T.shape)                   # [j, k, p]
-        self.heads = np.zeros((0, points.shape[1] - 1), dtype=np.int64)  # the prefixes multiplied out
-        self.products = np.zeros((0, len(points)))                      # rows past len(heads) are room
+        self.basis = np.zeros((0,) + points.T.shape)   # [j, k, p]
+        self.used = 0                                  # the fibres multiplied out
+        self.products = np.zeros((0, len(points)))     # rows past `used` are room
 
     def __call__(self, interp: Interpolant) -> np.ndarray:
-        rule, (count, d) = interp.tensor_set.rule, self.points.shape
-        if rule != self.rule:  # another node table: nothing kept holds
-            self.rule, self.basis = rule, self.basis[:0]
-            self.heads, self.products = self.heads[:0], self.products[:0]
+        count, d = self.points.shape
         heads, order, S = _trie(interp.grid, interp.surpluses)
         m = int(interp.grid.idx.max())
         if m > len(self.basis):
-            self.basis = _newton_basis(rule, m, self.points.T)
-        used = len(self.heads)
-        if not np.array_equal(heads[:used], self.heads):  # another grid: start over
-            used, self.products = 0, self.products[:0]
-        need, self.heads = len(heads), heads
+            self.basis = _newton_basis(interp.tensor_set.rule, m, self.points.T)
+        used, need = self.used, len(heads)
         if need > len(self.products):
             room = np.empty((need + need // 4, count))
             room[:used] = self.products[:used]
@@ -486,6 +478,7 @@ class _FixedPoints:
         c[:] = 1.0
         for k in range(d - 1):
             c *= np.take(self.basis[:, k], heads[used:, k] - 1, axis=0)
+        self.used = need
         basis = self.basis[:S.shape[1], -1]
         return _contract(S, count, lambda part: (self.products[order, part], basis[:, part]))
 

@@ -1,5 +1,5 @@
-"""Target functions: built-in analytic families with known analyticity metadata,
-plus a file-based protocol for coupling external solvers.
+"""Target functions: built-in analytic families, plus a file-based protocol
+for coupling external solvers.
 
 The external protocol is batch polling over plain CSV files so that legacy or
 HPC codes can answer sample requests without linking anything: the driver
@@ -9,7 +9,6 @@ a `done` sentinel; partial files are never read.
 
 from __future__ import annotations
 
-import math
 import shlex
 import subprocess
 import time
@@ -42,7 +41,6 @@ class TargetSpec:
     kind: str                 # builtin name or "external"
     dim: int
     params: dict = field(default_factory=dict)
-    analyticity_rho: tuple[float, ...] | None = None
     workdir: str | None = None
     command: str | None = None
     timeout: float = DEFAULT_TIMEOUT
@@ -97,16 +95,8 @@ _BUILTINS = {
 }
 
 
-def bernstein_rho(singularity: float) -> float:
-    """Ellipse parameter of the largest analyticity ellipse for a real pole."""
-    s = abs(singularity)
-    if s <= 1.0:
-        raise ValueError("singularity inside [-1,1]")
-    return s + math.sqrt(s * s - 1.0)
-
-
 def builtin_target(name: str, d: int, **params) -> TargetSpec:
-    """Construct a built-in target; fills per-direction analyticity where known.
+    """Construct a built-in target.
 
     `c0` is a number, `nu` a mode index and every other parameter a vector
     of length d; the Gaussian peak's centre `t` defaults to the origin.
@@ -121,21 +111,14 @@ def builtin_target(name: str, d: int, **params) -> TargetSpec:
     wrong = [key for key, v in params.items() if key != "c0" and len(v) != d]
     if wrong:
         raise ValueError(f"{', '.join(wrong)} must have length d = {d}")
-    rho = None if name == "legendre_mode" else (math.inf,) * d
-    if name == "rational":
-        c0, c = params["c0"], params["c"]
-        if not c0 > sum(abs(v) for v in c):
-            raise ValueError("need c0 > sum |c_k| so the pole stays off the cube")
-        # 1D restriction: worst-case pole location over the other variables
-        rho = tuple(math.inf if ck == 0.0 else
-                    bernstein_rho((c0 - sum(abs(v) for j, v in enumerate(c) if j != k)) / abs(ck))
-                    for k, ck in enumerate(c))
-    return TargetSpec(name, d, params, rho)
+    if name == "rational" and not params["c0"] > sum(abs(v) for v in params["c"]):
+        raise ValueError("need c0 > sum |c_k| so the pole stays off the cube")
+    return TargetSpec(name, d, params)
 
 
 def external_target(d: int, workdir, command: str | None = None,
                     timeout: float = DEFAULT_TIMEOUT) -> TargetSpec:
-    return TargetSpec("external", d, {}, None, str(workdir), command, timeout)
+    return TargetSpec("external", d, {}, str(workdir), command, timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +220,8 @@ def external_evaluate(workdir, points, command: str | None = None,
         if time.monotonic() > deadline:
             raise EvaluationError(f"timed out after {timeout}s waiting for {done_path}")
         time.sleep(_POLL_INTERVAL)
+    if not values_path.exists():
+        raise EvaluationError(f"evaluator created {done_path} but no {values_path}")
     got = read_values_csv(values_path, len(pts))
     missing = [i for i in range(len(pts)) if i not in got]
     if missing:

@@ -1,4 +1,5 @@
 import builtins
+import copy
 import dataclasses
 import json
 import os
@@ -153,10 +154,9 @@ def test_next_level_climbs_past_its_first_growth_table(rule):
     assert sg.grid_size(grown) - 1 >= 60
 
 
-def check_run_grid(state):
-    """The kept grid of a built state against the from-scratch routes."""
-    run, ts = state.grid, state.theta
-    assert run.theta is ts and run.cache is state.cache
+def check_run_grid(state, run):
+    """The run grid of a built state against the from-scratch routes."""
+    ts = state.theta
     grid = sg.grid_nodes(ts)
     assert run.grid.idx.tobytes() == grid.idx.tobytes()
     assert run.grid.points.tobytes() == grid.points.tobytes()
@@ -180,76 +180,82 @@ def test_kept_grid_equals_the_from_scratch_build_every_iteration(rule, d, batch,
                        max_samples=budget, initial_level=1.0)
     target = tg.builtin_target("rational", d, c0=2.0 + d, c=[1.0 / (k + 1) for k in range(d)])
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    run, levels = dr._RunGrid(d), state.theta.theta.members
     for _ in range(cfg.max_iterations):
-        dr._build_phase(state, target)
-        check_run_grid(state)
+        dr._build_phase(state, run, levels, target)
+        check_run_grid(state, run)
         try:
-            dr._grow_phase(state)
+            levels = dr._grow_phase(state, run)
         except dr.BudgetExhausted:
             break
 
 
-def test_replaced_tensor_set_or_cache_is_built_from_scratch():
-    cfg = dr.RunConfig(rule="leja", d=2, batch=3, max_iterations=8, max_samples=80)
+def test_a_replaced_tensor_set_or_cache_runs_as_a_fresh_state(tmp_path):
+    """Between two `run()` calls on one state in memory, its tensor set is
+    replaced by one inside the sampled grid, then its cache: each next call
+    writes the files of a call on a fresh copy of that state.  A tensor set
+    with nodes the cache lacks is refused before the target is called."""
+    cfg = dr.RunConfig(rule="leja", d=2, batch=3, max_iterations=3, max_samples=80,
+                       probe_count=50, probe_seed=3)
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
-    for _ in range(3):
-        dr.step(state, RAT2)
-    # a tensor set from outside the grow step: the kept grid does not cover it
-    state.theta = sg.TensorSet(IndexSet(2, [(i, j) for i in range(4) for j in range(3)]), "leja")
-    dr._build_phase(state, RAT2)
-    check_run_grid(state)
-    dr._grow_phase(state)
-    # a replaced cache: every node is read from it again
-    state.cache = {key: 2.0 * v for key, v in state.cache.items()}
-    dr._build_phase(state, RAT2)
-    check_run_grid(state)
-    dr._grow_phase(state)
-    dr._build_phase(state, RAT2)
-    check_run_grid(state)
+    dr.run(cfg, RAT2, state=state)
+    for replaced in ("theta", "cache"):
+        if replaced == "theta":
+            state.theta = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (2, 0), (0, 1)]), "leja")
+        else:
+            state.cache = {key: 2.0 * v for key, v in state.cache.items()}
+        fresh = copy.deepcopy(state)
+        cfg = dataclasses.replace(cfg, max_iterations=cfg.max_iterations + 3)
+        files = {}
+        for name, s in (("kept", state), ("fresh", fresh)):
+            ck = tmp_path / replaced / name / "checkpoint.json"
+            ck.parent.mkdir(parents=True)
+            interp, hist = dr.run(cfg, RAT2, checkpoint_path=ck, state=s)
+            dr.write_history_csv(hist, 2, ck.parent / "history.csv")
+            sg.save_interpolant(interp, ck.parent / "interpolant.json")
+            files[name] = {p.name: p.read_bytes() for p in ck.parent.iterdir()}
+        assert sorted(files["kept"]) == ["checkpoint.json", "history.csv", "interpolant.json"]
+        assert files["kept"] == files["fresh"]
+    calls = []
 
+    class Counting:
+        dim = 2
 
-def test_grow_phase_on_a_replaced_tensor_set_grows_from_its_margin():
-    cfg = dr.RunConfig(rule="leja", d=2, batch=3, max_iterations=8, max_samples=80)
-    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
-    for _ in range(3):
-        dr.step(state, RAT2)
-    # a tensor set replaced by hand, inside the sampled grid: the kept grid
-    # is brought to it before the grow step reads its margin
-    ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (2, 0), (0, 1)]), "leja")
-    state.theta = ts
-    _, expected = next_level(state.fit, ts, cfg.batch, cfg.max_samples)
-    dr._grow_phase(state)
-    assert state.theta.theta == expected.theta
-    assert state.grid.step[0] is state.theta
-    dr._build_phase(state, RAT2)
-    check_run_grid(state)
-    # a replaced tensor set whose nodes were never sampled cannot be grown
+        def evaluate(self, pts):
+            calls.append(len(pts))
+            return RAT2.evaluate(pts)
+
     state.theta = sg.TensorSet(IndexSet(2, [(i, 0) for i in range(40)]), "leja")
     with pytest.raises(ValueError, match="cache lacks samples"):
-        dr._grow_phase(state)
+        dr.run(dataclasses.replace(cfg, max_iterations=20), Counting(), state=state)
+    assert calls == []
 
 
 def test_loaded_state_keeps_growing_from_the_grid_it_built(tmp_path):
     cfg = dr.RunConfig(rule="clenshaw_curtis", d=2, batch=4, max_iterations=5, max_samples=60)
     dr.run(cfg, RAT2, checkpoint_path=tmp_path / "ck.json")
     state = dr.load_state(tmp_path / "ck.json")
-    check_run_grid(state)
-    dr._grow_phase(state)
-    assert state.grid.step[0] is state.theta
-    dr._build_phase(state, RAT2)
-    check_run_grid(state)
+    # a built state's grid is built from the cache, as a `run()` call starts
+    run = dr._RunGrid(2)
+    dr._build_grid(state, run, state.theta.theta.members, None)
+    check_run_grid(state, run)
+    levels = dr._grow_phase(state, run)
+    dr._build_phase(state, run, levels, RAT2)
+    check_run_grid(state, run)
 
 
 def test_interpolant_of_a_run_cannot_write_into_the_kept_grid():
     cfg = dr.RunConfig(rule="leja", d=2, max_iterations=3, max_samples=60)
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
-    dr.step(state, RAT2)
+    run = dr._RunGrid(2)
+    dr._build_phase(state, run, state.theta.theta.members, RAT2)
+    levels = dr._grow_phase(state, run)
     interp = state.interpolant
     for array in (interp.samples, interp.surpluses, interp.grid.idx, interp.grid.points):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    dr._build_phase(state, RAT2)
-    check_run_grid(state)
+    dr._build_phase(state, run, levels, RAT2)
+    check_run_grid(state, run)
 
 
 def test_run_constant_target_falls_back_isotropic():
@@ -292,9 +298,11 @@ def test_theta_strictly_grows_and_nests():
     cfg = dr.RunConfig(rule="clenshaw_curtis", d=2, max_iterations=4,
                        max_samples=300)
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    run, levels = dr._RunGrid(2), state.theta.theta.members
     prev = None
     for _ in range(4):
-        dr.step(state, RAT2)
+        dr._build_phase(state, run, levels, RAT2)
+        levels = dr._grow_phase(state, run)
         if prev is not None:
             assert prev.issubset(state.theta.theta)
             assert len(state.theta.theta) > len(prev)
@@ -313,15 +321,16 @@ def test_union_consistency():
     cfg = dr.RunConfig(rule="leja", d=2, fit_source="surplus", max_iterations=5,
                        max_samples=200)
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    run, levels = dr._RunGrid(2), state.theta.theta.members
     for _ in range(3):
         before = state.theta
-        dr._build_phase(state, RAT2)
+        dr._build_phase(state, run, levels, RAT2)
         L, returned = next_level(state.fit, state.theta, cfg.batch,
                                  sample_budget=cfg.max_samples)
         w = CurvedWeights(state.fit.alpha, state.fit.beta)
         curved = sg.theta_opt(lambda_curved(w, L), cfg.rule)
         expected = IndexSet(2, set(before.theta) | set(curved.theta))
-        dr._grow_phase(state)
+        levels = dr._grow_phase(state, run)
         assert state.theta.theta == expected
         assert returned.theta == expected
 
@@ -398,11 +407,12 @@ def test_resume_after_a_crash_between_grow_and_build(tmp_path, monkeypatch):
     grow = dr._grow_phase
     calls = {"n": 0}
 
-    def grow_then_crash(state):
-        grow(state)
+    def grow_then_crash(state, run):
+        levels = grow(state, run)
         calls["n"] += 1
         if calls["n"] == 4:
             raise Crash
+        return levels
 
     monkeypatch.setattr(dr, "_grow_phase", grow_then_crash)
     with pytest.raises(Crash):
@@ -493,7 +503,10 @@ def test_checkpoint_bytes_and_round_trip(tmp_path):
     assert back.cache == state.cache and back.iteration == 1
     # wall_time is not serialized
     assert back.history == [dataclasses.replace(r, wall_time=0.0) for r in state.history]
-    assert back.interpolant.node_count == 2
+    # loading builds nothing; a run() call on the built state builds it from the cache
+    assert back.interpolant is None
+    assert dr.run(dataclasses.replace(cfg, max_iterations=1), rational(3),
+                  state=back)[0].node_count == 2
 
 
 def test_load_state_refuses_cache_off_the_node_table(tmp_path):
@@ -566,12 +579,13 @@ def test_saved_theta_levels_follow_the_grow_steps(tmp_path):
                        probe_count=None)
     target = rational(3)
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    run, levels = dr._RunGrid(3), state.theta.theta.members
     path = tmp_path / "checkpoint.json"
     for it in range(14):
-        dr._build_phase(state, target)
+        dr._build_phase(state, run, levels, target)
         dr.save_state(state, path)
         assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
-        dr._grow_phase(state)
+        levels = dr._grow_phase(state, run)
         dr.save_state(state, path)
         assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
         if it == 5:
@@ -580,6 +594,8 @@ def test_saved_theta_levels_follow_the_grow_steps(tmp_path):
             state.theta = dr._grown(dr.initial_tensor_set(cfg), [(0, 0, 3)])
             dr.save_state(state, path)
             assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
+        if it in (5, 9):  # a new state: its grid is built again, as a run() call starts
+            run, levels = dr._RunGrid(3), state.theta.theta.members
 
 
 def tear_writes(monkeypatch):
@@ -960,13 +976,13 @@ def test_probe_points_evaluated_once_per_run():
     # every node sampled once, the probe points once
     assert sum(sizes) == interp.node_count + 97 and sizes.count(97) == 1
     assert history[-1].probe_error == linf_error(interp, RAT2, 97, cfg.probe_seed)
-    # step() keeps the memo on the state as run() does
+    # two run() calls on one state evaluate the probe points once each
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
     sizes.clear()
-    for _ in range(3):
-        dr.step(state, Counting())
-    assert sizes.count(97) == 1
-    assert [r.probe_error for r in state.history] == [r.probe_error for r in history[:3]]
+    dr.run(dataclasses.replace(cfg, max_iterations=2), Counting(), state=state)
+    dr.run(cfg, Counting(), state=state)
+    assert sizes.count(97) == 2
+    assert [r.probe_error for r in state.history] == [r.probe_error for r in history]
 
 
 def rational(d):
@@ -1020,7 +1036,7 @@ def check_kept_products(kept, interp):
     prefixes = sorted(fibres.ids, key=fibres.ids.get)
     assert sorted(fibres.ids.values()) == list(range(len(prefixes)))
     assert set(prefixes) == {j[:-1] for j in interp.grid.indices}
-    assert kept.heads.tolist() == [list(prefix) for prefix in prefixes]
+    assert kept.used == len(prefixes)
     assert len(prefixes) <= len(kept.products) <= len(prefixes) * 5 // 4 + 1
     rule = interp.tensor_set.rule
     for row, prefix in enumerate(prefixes):
@@ -1036,26 +1052,16 @@ def test_kept_probe_products_hold_one_row_per_prefix(rule, d):
                        probe_count=200, probe_seed=3)
     target = rational(d)
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    run, levels = dr._RunGrid(d), state.theta.theta.members
     for _ in range(8):
-        dr._build_phase(state, target)
-        kept, _ = state.probe[(cfg.probe_count, cfg.probe_seed)]
+        dr._build_phase(state, run, levels, target)
+        kept, _ = run.probe
         check_kept_products(kept, state.interpolant)
         assert len(kept.basis) == state.interpolant.grid.idx.max()
         try:
-            dr._grow_phase(state)
+            levels = dr._grow_phase(state, run)
         except dr.BudgetExhausted:
             break
-    # a tensor set with as many prefixes but other ones (dimensions 1 and 2
-    # swapped) is caught by content; one replaced by a smaller one drops the
-    # prefixes that left; one on another rule's nodes keeps nothing
-    swapped = [sg.TensorSet(IndexSet(d, [(i[1], i[0]) + i[2:] for i in state.theta.theta.members]),
-                            rule)] if d > 1 else []
-    small = dr.initial_tensor_set(cfg)
-    for ts in swapped + [small, sg.TensorSet(small.theta, "rleja_double2")]:
-        state.theta = ts
-        dr._build_phase(state, target)
-        check_kept_products(kept, state.interpolant)
-        assert state.history[-1].probe_error == linf_error(state.interpolant, target, 200, 3)
 
 
 def test_probe_count_below_one_is_refused_before_any_sample():

