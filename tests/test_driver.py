@@ -190,11 +190,11 @@ def test_kept_grid_equals_the_from_scratch_build_every_iteration(rule, d, batch,
             break
 
 
-def test_a_replaced_tensor_set_or_cache_runs_as_a_fresh_state(tmp_path):
+def test_replaced_tensor_set_or_cache_is_built_from_scratch(tmp_path):
     """Between two `run()` calls on one state in memory, its tensor set is
     replaced by one inside the sampled grid, then its cache: each next call
-    writes the files of a call on a fresh copy of that state.  A tensor set
-    with nodes the cache lacks is refused before the target is called."""
+    builds its grid from scratch and writes the files of a call on a fresh
+    copy of that state."""
     cfg = dr.RunConfig(rule="leja", d=2, batch=3, max_iterations=3, max_samples=80,
                        probe_count=50, probe_seed=3)
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
@@ -216,6 +216,33 @@ def test_a_replaced_tensor_set_or_cache_runs_as_a_fresh_state(tmp_path):
             files[name] = {p.name: p.read_bytes() for p in ck.parent.iterdir()}
         assert sorted(files["kept"]) == ["checkpoint.json", "history.csv", "interpolant.json"]
         assert files["kept"] == files["fresh"]
+        check_run_grid(state, built_from_cache(state))
+
+
+def built_from_cache(state):
+    """The run grid of a built state, built from its cache as `run()` does."""
+    run = dr._RunGrid(state.theta.dim)
+    dr._build_grid(state, run, state.theta.theta.members, None)
+    return run
+
+
+def test_grow_phase_on_a_replaced_tensor_set_grows_from_its_margin():
+    """A tensor set replaced by hand inside the sampled grid: the next
+    `run()` call grows it from its own margin.  A tensor set with nodes the
+    cache lacks is refused before the target is called."""
+    cfg = dr.RunConfig(rule="leja", d=2, batch=3, max_iterations=3, max_samples=80)
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    dr.run(cfg, RAT2, state=state)
+    ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (2, 0), (0, 1)]), "leja")
+    state.theta = ts
+    _, expected = next_level(state.fit, ts, cfg.batch, cfg.max_samples)
+    interp, _ = dr.run(dataclasses.replace(cfg, max_iterations=cfg.max_iterations + 1), RAT2,
+                       state=state)
+    assert state.theta.theta == expected.theta
+    assert interp is state.interpolant
+    check_run_grid(state, built_from_cache(state))  # sets a from-scratch interpolant
+    assert interp.samples.tobytes() == state.interpolant.samples.tobytes()
+    assert interp.surpluses.tobytes() == state.interpolant.surpluses.tobytes()
     calls = []
 
     class Counting:
@@ -236,8 +263,7 @@ def test_loaded_state_keeps_growing_from_the_grid_it_built(tmp_path):
     dr.run(cfg, RAT2, checkpoint_path=tmp_path / "ck.json")
     state = dr.load_state(tmp_path / "ck.json")
     # a built state's grid is built from the cache, as a `run()` call starts
-    run = dr._RunGrid(2)
-    dr._build_grid(state, run, state.theta.theta.members, None)
+    run = built_from_cache(state)
     check_run_grid(state, run)
     levels = dr._grow_phase(state, run)
     dr._build_phase(state, run, levels, RAT2)
