@@ -97,18 +97,23 @@ def _fit_rows(degrees: np.ndarray, values: np.ndarray, min_magnitude: float,
     if n_used < 2 * d + 1:
         raise UnfittableError(f"only {n_used} usable coefficients")
     used = degrees[keep]
-    nus = used.astype(float)
     b = -np.log(mags[keep])
     min_distinct = 3 if include_beta else 2
-    included = [k for k in range(d) if len(set(used[:, k].tolist())) >= min_distinct]
+    # the distinct degrees of every dimension at once: row k of `seen`
+    # counts the degrees of dimension k
+    top = int(used.max()) + 1
+    seen = np.bincount((used + top * np.arange(d)).ravel(), minlength=d * top).reshape(d, top)
+    included = np.flatnonzero(np.count_nonzero(seen, axis=1) >= min_distinct).tolist()
     excluded = frozenset(range(d)) - frozenset(included)
     if not included:
         raise UnfittableError("every dimension is rank-deficient")
-    cols = [np.ones(n_used)]
-    cols += [nus[:, k] for k in included]
+    q = len(included)
+    A = np.empty((n_used, 1 + (2 if include_beta else 1) * q))
+    A[:, 0] = 1.0
+    A[:, 1:1 + q] = used[:, included]
     if include_beta:
-        cols += [np.log(nus[:, k] + 1.0) for k in included]
-    A = np.stack(cols, axis=1)
+        # the logs of a contiguous array, as each column's were
+        A[:, 1 + q:] = np.log(used[:, included] + 1.0)
     # lstsq's rank counts the singular values above eps * max(M, N) * s_max,
     # the cut-off of `np.linalg.matrix_rank`
     x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)

@@ -5,7 +5,11 @@ function m(l) giving the number of nodes at level l (m(-1) = 0 by convention).
 Closed-form sequences (Clenshaw-Curtis, Fejer-2, R-Leja families) are generated
 directly; the greedy families (Leja, max/min Lebesgue, min surplus-norm) are
 grown by optimizing their objective over a Chebyshev-distributed candidate
-grid followed by a golden-section refinement pass in the winning cell.
+grid followed by a golden-section refinement pass in the winning cell.  The
+first 60 Leja, 12 max-Lebesgue and 8 min-delta nodes ship as frozen tables
+(`_node_tables`), which the generator reproduces bit for bit; longer
+sequences are generated on from a table's end, and min-Lebesgue is always
+generated.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._node_tables import NODE_TABLES
 
 # node-generating family per kind; odd variants share their family's sequence
 _FAMILY = {
@@ -394,10 +400,14 @@ _SEQ_CACHE: dict[str, np.ndarray] = {}
 
 
 def family_nodes(kind: str, n: int) -> np.ndarray:
-    """First n nodes of the sequence backing `kind` (shared across variants)."""
+    """First n nodes of the sequence backing `kind` (shared across variants).
+    A greedy family starts from its shipped table, if it has one, and is
+    generated only past that table's end."""
     _check_kind(kind)
     family = _FAMILY[kind]
     cached = _SEQ_CACHE.get(family)
+    if cached is None and family in NODE_TABLES:
+        cached = _SEQ_CACHE[family] = np.array(NODE_TABLES[family])
     if cached is None or len(cached) < n:
         if family in _CLOSED_FORM_FAMILIES:
             # over-generate closed forms so repeated growth stays cheap

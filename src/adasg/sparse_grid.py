@@ -49,6 +49,8 @@ _MATRIX_CACHE_SIZE = 4
 # terms per chunk of rows in the fibre transform (`_fibre_apply`): ~8 MB of
 # doubles however long the fibres are
 _FIBRE_CHUNK_TERMS = 1 << 20
+# doubles per (prefixes, chunk of points) array of an evaluation (`_chunk`)
+_CHUNK_TERMS = 1 << 16
 
 
 class DomainError(ValueError):
@@ -216,10 +218,11 @@ def _degrees(grid: GridNodes) -> IndexSet:
     return _lower_set(grid.idx.shape[1], map(tuple, (grid.idx - 1).tolist()))
 
 
-def _newton_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _newton_products(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """P[j] = prod_{t<j} (y - x_t) for j < len(x) at an array y of points,
-    shape (len(x),) + y.shape: each row is the row before times y - x_{j-1}."""
-    P = np.empty((len(x),) + y.shape)
+    shape (len(x),) + y.shape, written into `out` if given: each row is the
+    row before times y - x_{j-1}."""
+    P = np.empty((len(x),) + y.shape) if out is None else out
     P[:1] = 1.0
     np.subtract(y, x[:-1].reshape((-1,) + (1,) * y.ndim), out=P[1:])
     for j in range(2, len(x)):
@@ -237,15 +240,16 @@ def _newton_denominators(rule: str, m: int) -> np.ndarray:
     return den
 
 
-def _newton_basis(rule: str, m: int, y: np.ndarray) -> np.ndarray:
+def _newton_basis(rule: str, m: int, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1-D Newton basis of the first m nodes x of `rule` at an array y of
-    points, point-major: H[j] = h_j(y), shape (m,) + y.shape.
+    points, point-major: H[j] = h_j(y), shape (m,) + y.shape, written into
+    `out` if given.
 
     h_j(y) = prod_{t<j} (y - x_t) / prod_{t<j} (x_j - x_t), so at the nodes
     themselves (y = x) H is unit upper triangular.  Row j depends on the
     nodes 0..j only: a longer node table gives the same rows, bit for bit.
     """
-    H = _newton_products(rules1d.family_nodes(rule, m), y)
+    H = _newton_products(rules1d.family_nodes(rule, m), y, out)
     H /= _newton_denominators(rule, m).reshape((m,) + (1,) * y.ndim)
     return H
 
@@ -385,18 +389,33 @@ def _trie(grid: GridNodes, surpluses: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return heads, order, np.append(surpluses, 0.0)[fibres.members[order]]
 
 
-def _contract(S: np.ndarray, count: int, terms) -> np.ndarray:
-    """sum_g c[g, p] (S @ h)[g, p] at `count` points, in chunks of points
-    over which the (prefixes, chunk) arrays hold ~64k doubles.  terms(chunk)
-    gives the chunk's prefix products c, one row per row of S, and its
-    last-dimension basis h[j, p] = h_j(y_{p,d}), j < S.shape[1]."""
+def _chunk(rows: int) -> int:
+    """Points per chunk of `_contract` for S with `rows` rows: the (rows,
+    chunk) arrays hold ~`_CHUNK_TERMS` doubles."""
+    return max(1, _CHUNK_TERMS // rows)
+
+
+def _contract(S: np.ndarray, count: int, terms, flat: np.ndarray) -> np.ndarray:
+    """sum_g c[g, p] (S @ h)[g, p] at `count` points, in chunks of
+    `_chunk(len(S))` points.  terms(part) gives the chunk's prefix products
+    c, one row per row of S, and its last-dimension basis h[j, p] =
+    h_j(y_{p,d}), j < S.shape[1]; `flat` holds S @ h of one chunk, at
+    least len(S) x min(chunk, count) doubles.
+
+    The chunk rule fixes the bits: BLAS may sum S @ h over another blocking
+    for another number of columns.  On OpenBLAS 0.3.31, S @ h in blocks of
+    500 points differed from one product over 2000 points, where blocks of
+    2-114 and of 1000 points matched.  The evaluation oracle of the tests
+    chunks by the same rule."""
     out = np.empty(count)
-    chunk = max(1, (1 << 16) // len(S))
+    chunk = _chunk(len(S))
     for start in range(0, count, chunk):
-        part = slice(start, start + chunk)
+        part = slice(start, min(start + chunk, count))
         c, h = terms(part)
+        T = flat[:c.size].reshape(c.shape)
         # BLAS reads h column-major, the layout whose sums these bits are
-        out[part] = np.einsum("gp,gp->p", c, S @ np.asfortranarray(h))
+        np.matmul(S, np.asfortranarray(h), out=T)
+        np.einsum("gp,gp->p", c, T, out=out[part])
     return out
 
 
@@ -410,6 +429,10 @@ def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = Fals
     of the point-major Newton basis, and the last dimension is one matrix
     product with the surpluses laid out by (prefix of length d-1, j_d).  A
     run's probe (`_FixedPoints`) reaches the same bits from products it keeps.
+
+    A call allocates one chunk's working set, the basis, one product buffer
+    per trie level, the parent gather and S @ h, and every chunk reuses it;
+    the last, partial chunk reads leading views of it.
     """
     Y = np.atleast_2d(np.asarray(points, dtype=float))
     if Y.shape[1] != interp.dim:
@@ -430,19 +453,27 @@ def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = Fals
         first = np.flatnonzero(new[:, k + 1])
         trie.append((prefix[first, k], heads[first, k] - 1))
     rule, m = interp.tensor_set.rule, int(interp.grid.idx.max())
+    count, d = Y.shape
+    n = min(_chunk(len(S)), count)
+    basis = np.empty(m * d * n)
+    levels = [np.empty(len(j) * n) for _, j in trie]
+    gather = np.empty(max((len(parent) for parent, _ in trie[1:]), default=0) * n)
+    ones = np.ones((1, n))  # the product of the empty prefix, d = 1
 
     def terms(part):
+        n = part.stop - part.start
         # nested nodes: one table's basis serves every dimension
-        H = _newton_basis(rule, m, Y[part].T)  # [j, k, p]
-        c = np.ones((1, H.shape[2]))
+        H = _newton_basis(rule, m, Y[part].T, basis[:m * d * n].reshape(m, d, n))  # [j, k, p]
+        c = ones[:, :n]
         for k, (parent, j) in enumerate(trie):
-            ck = np.take(H[:, k], j, axis=0)
+            ck = np.take(H[:, k], j, axis=0, out=levels[k][:len(j) * n].reshape(-1, n), mode="clip")
             if k:  # the first level's parent products are all 1.0
-                ck *= c[parent]
+                ck *= np.take(c, parent, axis=0, out=gather[:len(parent) * n].reshape(-1, n),
+                              mode="clip")
             c = ck
         return c, H[:S.shape[1], -1]
 
-    return _contract(S, len(Y), terms)
+    return _contract(S, count, terms, np.empty(len(S) * n))
 
 
 class _FixedPoints:
@@ -453,15 +484,24 @@ class _FixedPoints:
     product of its prefix's basis values, computed once, left to right from
     1.0 as `evaluate_batch` chains it.  Fibre ids only grow while a grid
     grows (`_extend_grid`), so a call multiplies out the fibres past the
-    `used` it has.  Holds the m x d x P basis and G x P doubles for the G
-    prefixes, in room for up to a quarter more, so that adding prefixes
-    copies the rows kept only when the room is full."""
+    `used` it has.
+
+    A call copies `products` into `lex`, in the lexical order of the
+    prefixes, with one gather, and contracts chunks of points from strided
+    slabs of it, with S @ h in the kept buffer `flat`: after the first call
+    it allocates nothing of G x chunk doubles.  Holds the m x d x P basis and
+    twice G x P doubles for the G prefixes (`products` and its lex copy),
+    both in room for up to a quarter more, so that adding prefixes copies
+    the rows kept only when the room is full; `flat` holds one full chunk,
+    `_CHUNK_TERMS` doubles, and grows by the same rule past that."""
 
     def __init__(self, points: np.ndarray):
         self.points = points
         self.basis = np.zeros((0,) + points.T.shape)   # [j, k, p]
         self.used = 0                                  # the fibres multiplied out
         self.products = np.zeros((0, len(points)))     # rows past `used` are room
+        self.lex = np.zeros((0, len(points)))          # products in lex order of prefix
+        self.flat = np.zeros(0)                        # S @ h of one chunk
 
     def __call__(self, interp: Interpolant) -> np.ndarray:
         count, d = self.points.shape
@@ -473,14 +513,22 @@ class _FixedPoints:
         if need > len(self.products):
             room = np.empty((need + need // 4, count))
             room[:used] = self.products[:used]
-            self.products = room
+            self.products, self.lex = room, np.empty_like(room)
+        size = need * min(_chunk(need), count)
+        if size > len(self.flat):
+            # G x min(chunk, P) <= _CHUNK_TERMS until G itself exceeds it
+            self.flat = np.empty(max(size + size // 4, _CHUNK_TERMS))
         c = self.products[used:need]
         c[:] = 1.0
         for k in range(d - 1):
             c *= np.take(self.basis[:, k], heads[used:, k] - 1, axis=0)
         self.used = need
+        # whole rows: a take from the columns of one chunk copies all of
+        # `products` first; mode="clip": the default mode buffers `out`, a
+        # hidden G x P copy
+        lex = np.take(self.products, order, axis=0, out=self.lex[:need], mode="clip")
         basis = self.basis[:S.shape[1], -1]
-        return _contract(S, count, lambda part: (self.products[order, part], basis[:, part]))
+        return _contract(S, count, lambda part: (lex[:, part], basis[:, part]), self.flat)
 
 
 # ---------------------------------------------------------------------------

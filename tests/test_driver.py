@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import tempfile
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -1052,6 +1053,39 @@ def test_probe_vector_equals_the_oracle_bitwise_every_iteration(tmp_path, monkey
     assert [r.probe_error for r in again] == [r.probe_error for r in history]
     for interp, pts, values in calls:
         assert values.tobytes() == oracles.evaluate_batch(interp, pts).tobytes()
+
+
+def test_probe_allocates_no_chunk_of_products_after_its_first_call(monkeypatch):
+    """The probe keeps the lex copy of its products and its S @ h buffer: at
+    the end of the benchmark's d = 8 run to 80 nodes, where it contracts two
+    chunks of points (G = 69..71), no call allocates half a (G, chunk) array
+    of doubles above what is live at its start (numpy reports its buffers to
+    tracemalloc)."""
+    calls = []
+    real = sg._FixedPoints.__call__
+
+    def call(self, interp):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        values = real(self, interp)
+        G, P = len(interp.grid._fibres[-1].members), len(self.points)
+        chunk = max(1, (1 << 16) // G)
+        calls.append((tracemalloc.get_traced_memory()[1] - start, G * min(chunk, P) * 8, P > chunk))
+        return values
+
+    monkeypatch.setattr(sg._FixedPoints, "__call__", call)
+    cfg = dr.RunConfig(rule="leja", d=8, max_iterations=1000, max_samples=80,
+                       probe_count=1000, probe_seed=5)
+    target = tg.builtin_target("rational", 8, c0=8.0, c=[1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1])
+    tracemalloc.start()
+    try:
+        dr.run(cfg, target)
+    finally:
+        tracemalloc.stop()
+    assert len(calls) > 3
+    for peak, chunk_bytes, two_chunks in calls[-3:]:
+        assert two_chunks
+        assert peak < chunk_bytes / 2, (peak, chunk_bytes)
 
 
 def check_kept_products(kept, interp):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adasg import rules1d as r1
+from adasg._node_tables import NODE_TABLES
 
 
 def test_growth_tables():
@@ -101,6 +102,29 @@ def test_nestedness_structural():
         hi = r1.family_nodes(kind, r1.growth(kind, level))
         lo = r1.family_nodes(kind, r1.growth(kind, level - 1))
         assert np.array_equal(hi[: len(lo)], lo)
+
+
+def test_shipped_node_tables_equal_the_generator(monkeypatch):
+    """The shipped greedy tables are the generator's output bit for bit
+    (`test_pins.py` hashes the tables; this ties them to the generator), a
+    longer sequence continues a table as a full regeneration does, and a
+    fresh cache reads every table without generating."""
+    monkeypatch.setattr(r1, "_SEQ_CACHE", {})
+    for family, table in NODE_TABLES.items():
+        n = len(table)
+        made = np.array(r1.greedy_sequence(family, n))
+        assert made.tobytes() == np.array(table).tobytes(), (
+            f"{family}: the generator now gives {tuple(map(float, made))!r}")
+        longer = r1.greedy_sequence(family, n + 2)
+        assert r1.family_nodes(family, n + 2).tobytes() == np.array(longer).tobytes(), family
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("greedy_sequence called for a shipped table")
+
+    monkeypatch.setattr(r1, "_SEQ_CACHE", {})
+    monkeypatch.setattr(r1, "greedy_sequence", refuse)
+    for family, table in NODE_TABLES.items():
+        assert r1.family_nodes(family, len(table)).tobytes() == np.array(table).tobytes()
 
 
 def test_rleja_odd_symmetric_levels():
