@@ -57,6 +57,7 @@ from .sparse_grid import (
     GridNodes,
     Interpolant,
     TensorSet,
+    _check_format,
     _extend_grid,
     _FixedPoints,
     _growth_table,
@@ -519,8 +520,7 @@ def load_state(path) -> RunState:
     with open(path, newline="") as fh:
         head, *lines = fh.read().split("\n")
     obj = json.loads(head)
-    if obj.get("format") != _STATE_FORMAT or obj.get("version") != _STATE_VERSION:
-        raise ValueError(f"not a version-{_STATE_VERSION} {_STATE_FORMAT} file")
+    _check_format(obj, path, _STATE_FORMAT, _STATE_VERSION, ("config",) + _RECORD_KEYS)
     for n, line in enumerate(lines, start=2):
         try:
             record = json.loads(line)

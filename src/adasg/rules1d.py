@@ -285,7 +285,7 @@ def _select_extremum(cands: np.ndarray, values: np.ndarray, fn, maximize: bool) 
         return 1.0
     if abs(y + 1.0) < 1e-14:
         return -1.0
-    return y
+    return float(y)
 
 
 def greedy_sequence(
@@ -293,12 +293,14 @@ def greedy_sequence(
     n: int,
     candidate_count: int | None = None,
     probe_count: int = DEFAULT_PROBE_COUNT,
-    start_nodes: list[float] | None = None,
+    start_nodes: list[float] | np.ndarray | None = None,
 ) -> list[float]:
-    """First n nodes of a greedy rule family, seeded with y_1 = 0.
+    """First n nodes of a greedy rule family, seeded with y_1 = 0, as
+    Python floats.
 
-    `start_nodes` continues a previously computed prefix of the same
-    sequence; the result is identical to a full regeneration.
+    `start_nodes`, a sequence or array, continues a previously computed
+    prefix of the same sequence; the result is identical to a full
+    regeneration.
     """
     if kind not in GREEDY_FAMILIES:
         raise ValueError(f"{kind!r} is not a greedy family")
@@ -311,7 +313,7 @@ def greedy_sequence(
     if candidate_count < 10**4:
         raise ValueError("candidate_count must be at least 10^4")
     cands = _candidates(candidate_count)
-    nodes = list(start_nodes) if start_nodes else [0.0]
+    nodes = [float(y) for y in (() if start_nodes is None else start_nodes)] or [0.0]
     if nodes[0] != 0.0:
         raise ValueError("greedy sequences are seeded with y_1 = 0")
     if kind.startswith("min_"):
@@ -413,8 +415,7 @@ def family_nodes(kind: str, n: int) -> np.ndarray:
             # over-generate closed forms so repeated growth stays cheap
             cached = _closed_form_nodes(family, max(n, 65))
         else:
-            prefix = list(cached) if cached is not None else None
-            cached = np.array(greedy_sequence(family, n, start_nodes=prefix))
+            cached = np.array(greedy_sequence(family, n, start_nodes=cached))
         _SEQ_CACHE[family] = cached
     return cached[:n].copy()
 

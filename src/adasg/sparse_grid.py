@@ -14,8 +14,10 @@ carried forward by `_extend_grid`, which looks up the new rows only, so a
 run sorts nothing per iteration for them.  The fibres of the last dimension
 are the prefixes (j_1..j_{d-1}) of the grid indices, and their ids only grow
 while a grid grows.  Evaluation contracts the surpluses with the 1-D Newton
-basis over the trie of those prefixes, sorted lexically (`_trie`).  One
-routine builds that basis, point-major (`_newton_basis`), for evaluation,
+basis over the trie of those prefixes, sorted lexically (`_trie`); below
+the last dimension a prefix whose last index is 1 shares its parent's
+product, since h_0 = 1.0 changes no bit (`_trie_plan`).  One routine
+builds that basis, point-major (`_newton_basis`), for evaluation,
 for the Newton table of the solve and for the Legendre change of basis.
 Evaluation at points fixed while one grid grows (the adaptive loop's
 probe, `_FixedPoints`) keeps the basis and one product per prefix there
@@ -419,6 +421,46 @@ def _contract(S: np.ndarray, count: int, terms, flat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _trie_plan(heads: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]],
+                                           np.ndarray, np.ndarray]:
+    """How `evaluate_batch` forms the products of the lex-sorted prefixes
+    `heads` (G, d - 1) of the grid indices from the flattened Newton basis,
+    whose row j*d + k holds h_j(y_{k+1}), in a table of product rows.
+
+    The prefixes of length 1 are plain basis rows, copied to the first rows
+    of the table.  A longer prefix, up to length d - 2, reads its parent's
+    row if its last index is 1, and otherwise one new row: its parent's row
+    times one basis row.  Every h_0 row holds 1.0, and x * 1.0 == x for
+    every double, so a shared row has the bits of the chained product.
+    Returns the basis rows of the first rows; the basis and parent rows of
+    the new rows of lengths 2..d-2, one pair per length, in table order;
+    and the basis and parent rows of the G prefixes of length d - 1, in
+    order (for d = 1, the empty prefix: h_0(y_1)).
+    """
+    G, d = heads.shape[0], heads.shape[1] + 1
+    # new[g, k]: the sorted prefix g starts a prefix (j_1..j_k) of length k
+    new = np.zeros((G, d), dtype=bool)
+    new[0] = True
+    new[1:, 1:] = np.logical_or.accumulate(heads[1:] != heads[:-1], axis=1)
+    prefix = np.cumsum(new, axis=0) - 1  # prefix[g, k]: id of its prefix of length k
+    first, row, inner = np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64), []
+    for k in range(d - 1):
+        at = np.flatnonzero(new[:, k + 1])
+        j, parent = heads[at, k] - 1, row[prefix[at, k]]
+        basis = j * d + k
+        if k == d - 2:
+            return first, inner, basis, parent
+        if k == 0:
+            first, row, top = basis, np.arange(len(basis)), len(basis)
+        else:
+            fresh = np.flatnonzero(j)
+            row = parent.copy()
+            row[fresh] = top + np.arange(len(fresh))
+            top += len(fresh)
+            inner.append((basis[fresh], parent[fresh]))
+    return first, inner, row, row
+
+
 def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = False) -> np.ndarray:
     """Surplus-form evaluation at an array of points with shape (P, d).
 
@@ -427,12 +469,16 @@ def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = Fals
     prefixes (j_1..j_{d-1}): each distinct prefix (j_1..j_k) carries the
     product of its k basis values, its parent prefix's product times one row
     of the point-major Newton basis, and the last dimension is one matrix
-    product with the surpluses laid out by (prefix of length d-1, j_d).  A
-    run's probe (`_FixedPoints`) reaches the same bits from products it keeps.
+    product with the surpluses laid out by (prefix of length d-1, j_d).
+    Below length d - 1 a prefix whose last index is 1 shares its parent's
+    product (`_trie_plan`): the factors skipped are h_0 = 1.0, so the bits
+    are those of the chained product.  A run's probe (`_FixedPoints`)
+    reaches the same bits from products it keeps.
 
-    A call allocates one chunk's working set, the basis, one product buffer
-    per trie level, the parent gather and S @ h, and every chunk reuses it;
-    the last, partial chunk reads leading views of it.
+    A call allocates one chunk's working set, the basis, the table of
+    shared products, the G products of length d - 1, the parent gather and
+    S @ h, and every chunk reuses it; the last, partial chunk reads leading
+    views of it.
     """
     Y = np.atleast_2d(np.asarray(points, dtype=float))
     if Y.shape[1] != interp.dim:
@@ -441,36 +487,35 @@ def evaluate_batch(interp: Interpolant, points, allow_extrapolation: bool = Fals
     if len(interp.grid) == 0:
         return np.zeros(len(Y))
     heads, order, S = _trie(interp.grid, interp.surpluses)
-    heads = heads[order]
-    # new[g, k]: the sorted prefix g starts a prefix (j_1..j_k) of length k
-    new = np.zeros((len(heads), interp.dim), dtype=bool)
-    new[0] = True
-    new[1:, 1:] = np.logical_or.accumulate(heads[1:] != heads[:-1], axis=1)
-    prefix = np.cumsum(new, axis=0) - 1  # prefix[g, k]: id of its prefix of length k
-    # per dimension k < d - 1: for each prefix of length k + 1, its parent and j_{k+1} - 1
-    trie = []
-    for k in range(interp.dim - 1):
-        first = np.flatnonzero(new[:, k + 1])
-        trie.append((prefix[first, k], heads[first, k] - 1))
     rule, m = interp.tensor_set.rule, int(interp.grid.idx.max())
+    first, inner, last, parents = _trie_plan(heads[order])
     count, d = Y.shape
     n = min(_chunk(len(S)), count)
+    rows = len(first) + sum(len(ids) for ids, _ in inner)
+    # the basis apart from the table of products, so that no take writes
+    # into the array it reads, which numpy would buffer
     basis = np.empty(m * d * n)
-    levels = [np.empty(len(j) * n) for _, j in trie]
-    gather = np.empty(max((len(parent) for parent, _ in trie[1:]), default=0) * n)
-    ones = np.ones((1, n))  # the product of the empty prefix, d = 1
+    table = np.empty(rows * n)
+    leaves = np.empty(len(S) * n)
+    gather = np.empty(len(S) * n)  # no shorter length has more new rows than G
 
     def terms(part):
         n = part.stop - part.start
         # nested nodes: one table's basis serves every dimension
         H = _newton_basis(rule, m, Y[part].T, basis[:m * d * n].reshape(m, d, n))  # [j, k, p]
-        c = ones[:, :n]
-        for k, (parent, j) in enumerate(trie):
-            ck = np.take(H[:, k], j, axis=0, out=levels[k][:len(j) * n].reshape(-1, n), mode="clip")
-            if k:  # the first level's parent products are all 1.0
-                ck *= np.take(c, parent, axis=0, out=gather[:len(parent) * n].reshape(-1, n),
-                              mode="clip")
-            c = ck
+        flat = H.reshape(m * d, n)
+        T = table[:rows * n].reshape(rows, n)
+        # mode="clip": the default mode buffers `out`
+        np.take(flat, first, axis=0, out=T[:len(first)], mode="clip")
+        start = len(first)
+        for ids, parent in inner:
+            stop = start + len(ids)
+            c = np.take(flat, ids, axis=0, out=T[start:stop], mode="clip")
+            c *= np.take(T, parent, axis=0, out=gather[:c.size].reshape(c.shape), mode="clip")
+            start = stop
+        c = np.take(flat, last, axis=0, out=leaves[:len(last) * n].reshape(-1, n), mode="clip")
+        if d > 2:  # below, every parent is the empty prefix, 1.0
+            c *= np.take(T, parents, axis=0, out=gather[:c.size].reshape(c.shape), mode="clip")
         return c, H[:S.shape[1], -1]
 
     return _contract(S, count, terms, np.empty(len(S) * n))
@@ -482,9 +527,10 @@ class _FixedPoints:
     points' Newton basis, built again only when the largest grid index
     grows, and row g of `products` for fibre g of the last dimension: the
     product of its prefix's basis values, computed once, left to right from
-    1.0 as `evaluate_batch` chains it.  Fibre ids only grow while a grid
-    grows (`_extend_grid`), so a call multiplies out the fibres past the
-    `used` it has.
+    1.0 over every factor: `evaluate_batch` skips the factors h_0 = 1.0,
+    and x * 1.0 == x for every double, so the bits are the same.  Fibre ids
+    only grow while a grid grows (`_extend_grid`), so a call multiplies out
+    the fibres past the `used` it has.
 
     A call copies `products` into `lex`, in the lexical order of the
     prefixes, with one gather, and contracts chunks of points from strided
@@ -568,11 +614,25 @@ def save_interpolant(interp: Interpolant, path) -> None:
     _write_text_atomic(json.dumps(obj), path)
 
 
+def _check_format(obj, path, fmt: str, version: int, keys: tuple[str, ...]) -> None:
+    """Refuse a JSON value unless it is an object of format `fmt` at
+    `version` that holds every key of `keys`.  A missing key is named with
+    the file; the format is checked before the keys past it, so a file of
+    another format is refused as such."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    for key in ("format", "version") + keys:
+        if key not in obj:
+            raise ValueError(f"{path}: no key {key!r}")
+        if key == "version" and (obj["format"] != fmt or obj["version"] != version):
+            raise ValueError(f"not a version-{version} {fmt} file")
+
+
 def load_interpolant(path) -> Interpolant:
     with open(path) as fh:
         obj = json.load(fh)
-    if obj.get("format") != _FORMAT or obj.get("version") != _VERSION:
-        raise ValueError(f"not a version-{_VERSION} {_FORMAT} file")
+    _check_format(obj, path, _FORMAT, _VERSION,
+                  ("rule", "dim", "theta", "grid_indices", "points", "samples", "surpluses"))
     ts = TensorSet(IndexSet(obj["dim"], [tuple(i) for i in obj["theta"]]), obj["rule"])
     grid = grid_nodes(ts)
     if grid.idx.tolist() != obj["grid_indices"]:

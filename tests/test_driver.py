@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 from itertools import islice
@@ -777,6 +778,33 @@ def test_a_malformed_record_before_the_last_names_its_line(tmp_path):
     # a last line that is JSON but no record was not cut short
     ck.write_text("\n".join(lines[:3] + ["[]"]))
     with pytest.raises(ValueError, match="line 4: not a checkpoint record"):
+        dr.load_state(ck)
+
+
+CHECKPOINT_KEYS = ("format", "version", "config") + dr._RECORD_KEYS
+
+
+@pytest.mark.parametrize("key", CHECKPOINT_KEYS)
+def test_load_state_names_the_file_and_a_missing_key(tmp_path, key):
+    ck = tmp_path / "ck.json"
+    dr.run(CUT_CFG, RAT2, checkpoint_path=ck)
+    obj = json.loads(ck.read_text())  # the whole state, saved as the run ends
+    assert tuple(obj) == CHECKPOINT_KEYS
+    del obj[key]
+    ck.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=re.escape(f"{ck}: no key {key!r}")):
+        dr.load_state(ck)
+
+
+def test_load_state_refuses_json_that_is_not_an_object_or_another_format(tmp_path):
+    ck = tmp_path / "ck.json"
+    for text in ("[]", "[1, 2]", "3", "null"):
+        ck.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{ck}: not a JSON object")):
+            dr.load_state(ck)
+    # the format is read before the keys past it
+    ck.write_text(json.dumps({"format": "adasg-interpolant", "version": 1}))
+    with pytest.raises(ValueError, match="not a version-1 adasg-checkpoint file"):
         dr.load_state(ck)
 
 

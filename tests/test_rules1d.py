@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from pathlib import Path
@@ -125,6 +126,19 @@ def test_shipped_node_tables_equal_the_generator(monkeypatch):
     monkeypatch.setattr(r1, "greedy_sequence", refuse)
     for family, table in NODE_TABLES.items():
         assert r1.family_nodes(family, len(table)).tobytes() == np.array(table).tobytes()
+
+
+def test_greedy_sequence_returns_python_floats():
+    """The seed, the snapped endpoints and the refined nodes are all Python
+    floats, also past a prefix passed as an array, so `repr` of the list is
+    a literal that reads back equal."""
+    for family, n in (("leja", 6), ("max_lebesgue", 4), ("min_delta", 3)):
+        got = r1.greedy_sequence(family, n)
+        more = r1.greedy_sequence(family, n + 1, start_nodes=np.array(got))
+        assert more[:n] == got
+        for nodes in (got, more):
+            assert all(type(y) is float for y in nodes), family
+            assert ast.literal_eval(repr(nodes)) == nodes
 
 
 def test_rleja_odd_symmetric_levels():

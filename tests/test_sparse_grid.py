@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 import json
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from adasg import driver as dr
 from adasg import rules1d as r1
 from adasg import sparse_grid as sg
+from adasg import targets as tg
 from adasg.multiindex import (
     CurvedWeights,
     IndexSet,
@@ -425,6 +430,86 @@ def test_evaluation_equals_the_trie_oracle_bitwise(rule, data, seed, count):
     assert got.shape == (len(Y),) and got.tobytes() == oracles.evaluate_batch(interp, Y).tobytes()
 
 
+@st.composite
+def mostly_flat_lower_sets(draw, max_dim=10, max_size=8):
+    """Random lower sets of tensor levels in up to `max_dim` dimensions, most
+    of which stay at level 0, so most prefixes of the grid indices end in
+    index 1: a lower set grown inside at most three dimensions, then by up
+    to two margin members in any dimension."""
+    d = draw(st.integers(1, max_dim))
+    active = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=3))
+    s = IndexSet(d, [(0,) * d])
+    inside = draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1))
+    anywhere = draw(st.lists(st.integers(0, 10**6), max_size=min(2, max_size - 1 - len(inside))))
+    for pick in inside:
+        cands = [c for c in margin(s) if all(c[k] == 0 for k in range(d) if k not in active)]
+        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]})
+    for pick in anywhere:
+        cands = margin(s)
+        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]})
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=st.sampled_from(("leja", "rleja_double2", "clenshaw_curtis")), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), count=st.sampled_from(sorted(POINT_COUNTS)),
+       outside=st.booleans())
+def test_evaluation_skipping_unit_factors_equals_the_oracle_bitwise(rule, data, seed, count,
+                                                                    outside):
+    """The prefixes ending in index 1 share their parent's product: the
+    oracle multiplies by h_0 = 1.0, which changes no bit, also off the cube,
+    at signed zeros, and where a row of NaN makes the value NaN."""
+    theta = data.draw(mostly_flat_lower_sets(max_size=5 if rule == "clenshaw_curtis" else 8))
+    rng = np.random.default_rng(seed)
+    ts = sg.TensorSet(theta, rule)
+    interp = sg.build_interpolant(ts, smooth_samples(rng, ts))
+    Y = rng.uniform(-3 if outside else -1, 3 if outside else 1,
+                    (POINT_COUNTS[count](trie_chunk(interp)), theta.dim))
+    Y[rng.random(Y.shape) < 0.1] = 0.0
+    Y[rng.random(Y.shape) < 0.1] = -0.0
+    if outside:
+        Y[rng.random(len(Y)) < 0.1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the extrapolation warning
+            got = sg.evaluate_batch(interp, Y, allow_extrapolation=True)
+    else:
+        got = sg.evaluate_batch(interp, Y)
+    ref = oracles.evaluate_batch(interp, Y)
+    nan = np.isnan(ref)
+    assert got.shape == ref.shape and np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+
+
+def inner_prefix_rows(grid):
+    """The prefixes (j_1..j_L) of the grid indices of lengths L = 1..d-2,
+    the number of them whose last index is not 1, and the rows the inner
+    levels of `evaluate_batch` compute per point: products of lengths
+    2..d-2 in its trie plan; those of length 1 are basis rows."""
+    d = grid.idx.shape[1]
+    prefixes = {tuple(j[:L]) for j in grid.idx.tolist() for L in range(1, d - 1)}
+    heads, order, _ = sg._trie(grid, np.zeros(len(grid)))
+    first, inner, last, _ = sg._trie_plan(heads[order])
+    assert len(last) == len(heads) and len(first) == len({p for p in prefixes if len(p) == 1})
+    return len(prefixes), sum(p[-1] != 1 for p in prefixes), sum(len(b) for b, _ in inner)
+
+
+def test_inner_levels_compute_one_row_per_prefix_not_ending_in_1():
+    # the final grids of the benchmark's d=8 run (80 nodes) and d=3 run (149
+    # nodes), and a d=2 grid, which has no inner levels
+    d8 = dr.RunConfig(rule="leja", d=8, fit_source="legendre", batch="minimal", max_iterations=1000,
+                      max_samples=80, probe_count=1000, probe_seed=20240101)
+    rat8 = tg.builtin_target("rational", 8, c0=8.0, c=(1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1))
+    grid = dr.run(d8, rat8)[0].grid
+    assert len(grid) == 80
+    # 3 of the 59 prefixes not ending in 1 have length 1: basis rows
+    assert inner_prefix_rows(grid) == (169, 59, 56)
+    d3 = dataclasses.replace(d8, d=3, max_samples=150)
+    grid = dr.run(d3, tg.builtin_target("rational", 3, c0=3.0, c=(1.0, 0.5, 0.25)))[0].grid
+    assert len(grid) == 149 and inner_prefix_rows(grid) == (9, 8, 0)
+    grid = sg.grid_nodes(sg.theta_opt(lambda_classic("total_degree", (1.0, 1.0), 8.0), "leja"))
+    assert inner_prefix_rows(grid) == (0, 0, 0)
+
+
 @pytest.mark.parametrize("members", [
     [(0,), (1,), (2,), (3,)],                                          # d = 1
     [(0, 0, 0)],                                                       # one node
@@ -620,6 +705,36 @@ def test_load_refuses_reordered_grid_indices(tmp_path):
     rows[1], rows[2] = rows[2], rows[1]
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="grid indices in file"):
+        sg.load_interpolant(path)
+
+
+INTERPOLANT_KEYS = ("format", "version", "rule", "dim", "theta", "grid_indices", "points",
+                    "samples", "surpluses")
+
+
+@pytest.mark.parametrize("key", INTERPOLANT_KEYS)
+def test_load_names_the_file_and_a_missing_key(tmp_path, key):
+    rng = np.random.default_rng(18)
+    ts = sg.TensorSet(random_lower_set(rng, 2, 4), "leja")
+    path = tmp_path / "model.json"
+    sg.save_interpolant(sg.build_interpolant(ts, random_samples(rng, ts)), path)
+    obj = json.loads(path.read_text())
+    assert tuple(obj) == INTERPOLANT_KEYS
+    del obj[key]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no key {key!r}")):
+        sg.load_interpolant(path)
+
+
+def test_load_refuses_json_that_is_not_an_object_or_another_format(tmp_path):
+    path = tmp_path / "model.json"
+    for text in ("[]", "[1, 2]", "3", "null", '"model"'):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a JSON object")):
+            sg.load_interpolant(path)
+    # the format is read before the keys past it
+    path.write_text(json.dumps({"format": "adasg-checkpoint", "version": 1}))
+    with pytest.raises(ValueError, match="not a version-1 adasg-interpolant file"):
         sg.load_interpolant(path)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import sys
 import tempfile
@@ -331,6 +332,22 @@ def test_cli_evaluate_refuses_nan_coordinates(tmp_path, capsys):
                    "--points", str(tmp_path / "pts.csv"), "--workdir", str(tmp_path)])
     assert rc == 1
     assert "outside [-1,1]^d" in capsys.readouterr().err
+    assert not (tmp_path / "evaluations.csv").exists()
+
+
+def test_cli_evaluate_names_a_missing_model_key(tmp_path, capsys):
+    saved_model(tmp_path / "model.json")
+    obj = json.loads((tmp_path / "model.json").read_text())
+    del obj["grid_indices"]
+    (tmp_path / "model.json").write_text(json.dumps(obj))
+    (tmp_path / "pts.csv").write_text("id,y_1,y_2\na,0.1,0.2\n")
+    args = ["evaluate", "--model", str(tmp_path / "model.json"),
+            "--points", str(tmp_path / "pts.csv"), "--workdir", str(tmp_path)]
+    assert cli.main(args) == 1
+    assert f"error: {tmp_path / 'model.json'}: no key 'grid_indices'" in capsys.readouterr().err
+    (tmp_path / "model.json").write_text("[]")
+    assert cli.main(args) == 1
+    assert "not a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "evaluations.csv").exists()
 
 
