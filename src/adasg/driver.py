@@ -25,18 +25,19 @@ snapshot on its first save, before an abort and on its way out, so the
 file it leaves is one JSON object; every other save appends a record.  As
 the first save of each run is whole, a resumed run never appends after a
 record a crash cut short.  The Monte Carlo probe keeps its points' target
-values, Newton basis and prefix products (`_FixedPoints`), one per fibre of
-the grid's last dimension, so each iteration multiplies out the prefixes
-its new rows bring, read off the fibre table the kept grid carries.
+values, Newton basis and prefix products (`_FixedPoints`), so each
+iteration multiplies out only the prefixes its new rows bring, read off the
+fibre table the kept grid carries.  A clock (`_Clock`) times the phases of
+each iteration into its record's `timings`.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import time
 from dataclasses import dataclass, field, fields
 from itertools import islice
+from time import perf_counter
 
 import numpy as np
 
@@ -125,7 +126,22 @@ class Record:
     corrected: tuple[int, ...]
     excluded: tuple[int, ...]
     probe_error: float | None
-    wall_time: float = 0.0  # informational only; never serialized
+    # never saved: the seconds of the build (`extend` to `probe`) and of each phase
+    wall_time: float = field(default=0.0, metadata={"saved": False})
+    timings: dict[str, float] = field(default_factory=dict, metadata={"saved": False})
+
+
+class _Clock:
+    """Consecutive `perf_counter` stamps: a lap ends one phase, starts the
+    next and adds its seconds to `laps`, so the phases sum to their span."""
+
+    def __init__(self):
+        self.last, self.laps = perf_counter(), {}
+
+    def lap(self, phase: str) -> None:
+        now = perf_counter()
+        self.laps[phase] = self.laps.get(phase, 0.0) + now - self.last
+        self.last = now
 
 
 class _RunGrid:
@@ -295,13 +311,17 @@ def _collect_samples(state: RunState, target: TargetSpec | None, idx: np.ndarray
     return np.array([state.cache[key] for key in keys])
 
 
-def _build_grid(state: RunState, kept: _RunGrid, levels, target: TargetSpec | None) -> None:
+def _build_grid(state: RunState, kept: _RunGrid, levels, target: TargetSpec | None,
+                clock: _Clock | None = None) -> None:
     """Extend the run grid by the blocks of the tensor levels `levels`, which
     bring it to `state.theta`, and set `state.interpolant`: the new nodes
     are sampled and their surpluses solved against the kept passes."""
+    clock = clock or _Clock()
     ts = state.theta
     grid, new = _extend_grid(kept.grid, ts.rule, levels)
+    clock.lap("extend")
     samples = _collect_samples(state, target, grid.idx[new], grid.points[new])
+    clock.lap("sample")
     passes = np.zeros((ts.dim + 1, len(grid)))
     passes[:, ~new] = kept.passes
     passes[0, new] = samples
@@ -311,14 +331,16 @@ def _build_grid(state: RunState, kept: _RunGrid, levels, target: TargetSpec | No
     kept.grid, kept.passes = grid, passes
     kept.margin = _grown_margin(kept.margin, ts.theta, levels)
     state.interpolant = Interpolant(ts, grid, passes[0], passes[-1])
+    clock.lap("extend")
 
 
-def _fit_from(interp: Interpolant, config: RunConfig) -> FitParams:
+def _fit_from(interp: Interpolant, config: RunConfig, clock: _Clock) -> FitParams:
     """Fit the decay to the surpluses or the Legendre coefficients, each keyed
     by degree: grid index j carries the degree j - 1 (for surpluses only on
     the unit-growth rules `RunConfig` admits).  The grid rows are in
     graded-lex order, the order of the fit's rows."""
     values = interp.surpluses if config.fit_source == "surplus" else grid_coeffs(interp)
+    clock.lap("coefficients")
     return _fit_rows(interp.grid.idx - 1, values, config.min_magnitude, config.fit_beta)
 
 
@@ -343,22 +365,24 @@ def _built(state: RunState) -> bool:
     return bool(state.history) and state.history[-1].iteration == state.iteration
 
 
-def _build_phase(state: RunState, kept: _RunGrid, levels, target: TargetSpec) -> None:
+def _build_phase(state: RunState, kept: _RunGrid, levels, target: TargetSpec,
+                 clock: _Clock | None = None) -> None:
     """Add the blocks of `levels` to the grid, sampling their nodes, fit,
-    probe, record."""
-    config = state.config
-    t0 = time.perf_counter()
+    probe, record, lapping `clock` for the record's timings."""
+    config, clock = state.config, clock or _Clock()
     prev_nodes = state.history[-1].node_count if state.history else 0
-    _build_grid(state, kept, levels, target)
+    _build_grid(state, kept, levels, target, clock)
     fallback = state.fit if state.fit is not None else isotropic_params(config.d)
     if config.fit_enabled:
         try:
-            state.fit = _fit_from(state.interpolant, config)
+            state.fit = _fit_from(state.interpolant, config, clock)
         except UnfittableError:
             state.fit = fallback
     else:
         state.fit = fallback
+    clock.lap("fit")
     probe = _probe_error(state, kept, target) if config.probe_count else None
+    clock.lap("probe")
     state.history.append(Record(
         iteration=state.iteration,
         node_count=state.interpolant.node_count,
@@ -371,7 +395,8 @@ def _build_phase(state: RunState, kept: _RunGrid, levels, target: TargetSpec) ->
         corrected=tuple(sorted(state.fit.corrected_dims)),
         excluded=tuple(sorted(state.fit.excluded_dims)),
         probe_error=probe,
-        wall_time=time.perf_counter() - t0,
+        wall_time=sum(clock.laps.values()),
+        timings=clock.laps,
     ))
 
 
@@ -423,10 +448,12 @@ def run(
     if _built(state):
         _build_grid(state, kept, levels, None)  # from the cache, as the last build was
     saved = None  # the cache's length at the last save; None before the first
+    clock = _Clock()
     while True:
         if not _built(state):
+            clock.laps = {}  # the laps of this iteration, through its grow step
             try:
-                _build_phase(state, kept, levels, target)
+                _build_phase(state, kept, levels, target, clock)
             except EvaluationError:
                 if checkpoint_path is not None:
                     save_state(state, checkpoint_path)
@@ -441,14 +468,18 @@ def run(
                     record = _record(state, levels, entries, state.history[-1:])
                     _append_text("\n" + json.dumps(record), checkpoint_path)
                 saved = len(state.cache)
+            clock.lap("checkpoint")
         if state.iteration >= config.max_iterations:
             break
         try:
             levels = _grow_phase(state, kept)
         except BudgetExhausted:
             break
+        finally:
+            clock.lap("grow")
     if checkpoint_path is not None:
         save_state(state, checkpoint_path)
+    clock.lap("checkpoint")
     assert state.interpolant is not None
     return state.interpolant, state.history
 
@@ -462,13 +493,14 @@ _RECORD_KEYS = ("iteration", "theta", "cache", "fit", "history")
 
 
 def _to_dict(obj, skip: tuple[str, ...] = ()) -> dict:
-    """A dataclass's fields in declaration order, as JSON-ready values.
+    """A dataclass's fields in declaration order, as JSON-ready values,
+    but for those in `skip` and those marked unsaved in their metadata.
 
     Tuples serialize as JSON arrays; frozensets are written as sorted lists.
     """
     out = {}
     for f in fields(obj):
-        if f.name not in skip:
+        if f.name not in skip and f.metadata.get("saved", True):
             value = getattr(obj, f.name)
             out[f.name] = sorted(value) if isinstance(value, frozenset) else value
     return out
@@ -489,19 +521,19 @@ def _from_dict(cls, obj: dict):
 
 def _record(state: RunState, levels, entries, rows) -> dict:
     """The iteration and fit of `state` with the given tensor levels, cache
-    entries and history rows (without wall times), as JSON-ready values."""
+    entries and history rows (without their timings), as JSON-ready values."""
     return {
         "iteration": state.iteration,
         "theta": [list(i) for i in levels],
         "cache": [[list(k), v] for k, v in entries],
         "fit": None if state.fit is None else _to_dict(state.fit),
-        "history": [_to_dict(r, skip=("wall_time",)) for r in rows],
+        "history": [_to_dict(r) for r in rows],
     }
 
 
 def save_state(state: RunState, path) -> None:
     """Write the whole state as one JSON object on one line, the cache sorted
-    by key and the history without wall times, atomically."""
+    by key and the history without timings, atomically."""
     head = {"format": _STATE_FORMAT, "version": _STATE_VERSION, "config": _to_dict(state.config)}
     body = _record(state, state.theta.theta.members, sorted(state.cache.items()), state.history)
     _write_text_atomic(json.dumps(head | body), path)

@@ -1,6 +1,7 @@
 import builtins
 import copy
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -1015,6 +1016,26 @@ def test_mc_linf_error_contracts():
     assert linf_error(exact, poly, 200, seed=9) <= 1e-9
 
 
+def test_the_phases_of_each_iteration_sum_to_its_span(tmp_path, monkeypatch):
+    """Every clock stamp of the run is one tick: each record's phases sum to
+    its own span, its wall time is the build's share of it, and the
+    iterations tile the run from its first stamp to its last."""
+    ticks = itertools.count()
+    monkeypatch.setattr(dr, "perf_counter", lambda: float(next(ticks)))
+    cfg = dr.RunConfig(rule="leja", d=3, max_iterations=1000, max_samples=60, probe_count=50)
+    _, history = dr.run(cfg, rational(3), checkpoint_path=tmp_path / "ck.json")
+    stamps = next(ticks)
+    assert len(history) > 3
+    for r in history:
+        assert set(r.timings) == {"extend", "sample", "coefficients", "fit", "probe", "checkpoint",
+                                  "grow"}
+        assert r.wall_time == sum(r.timings.values()) - r.timings["checkpoint"] - r.timings["grow"]
+    assert sum(sum(r.timings.values()) for r in history) == stamps - 1
+    # the timings are never saved
+    assert "timings" not in (tmp_path / "ck.json").read_text()
+    assert [r.timings for r in dr.load_state(tmp_path / "ck.json").history] == [{}] * len(history)
+
+
 def test_probe_points_evaluated_once_per_run():
     sizes = []
 
@@ -1117,39 +1138,63 @@ def test_probe_allocates_no_chunk_of_products_after_its_first_call(monkeypatch):
 
 
 def check_kept_products(kept, interp):
-    """One row per distinct prefix of length d - 1, row g for fibre g of the
-    last dimension, each the product of its basis values left to right
-    from 1.0."""
+    """One row per distinct prefix of length d - 1 in the slab of each chunk
+    of points, in lex order, each the product of its basis values left to
+    right from 1.0 at the chunk's points; the prefixes kept in lex order
+    with their fibre ids."""
     fibres = interp.grid._fibres[-1]
-    prefixes = sorted(fibres.ids, key=fibres.ids.get)
-    assert sorted(fibres.ids.values()) == list(range(len(prefixes)))
+    prefixes = sorted(fibres.ids)
     assert set(prefixes) == {j[:-1] for j in interp.grid.indices}
-    assert kept.used == len(prefixes)
-    assert len(prefixes) <= len(kept.products) <= len(prefixes) * 5 // 4 + 1
+    assert kept.keys == prefixes and kept.order.tolist() == [fibres.ids[p] for p in prefixes]
+    G, P = len(prefixes), len(kept.points)
+    assert kept.n == min(max(1, (1 << 16) // G), P)
+    assert G <= kept.room <= G * 5 // 4 + 1
     rule = interp.tensor_set.rule
-    for row, prefix in enumerate(prefixes):
-        ref = np.ones(len(kept.points))
-        for k, j in enumerate(prefix):
-            ref = ref * sg._newton_basis(rule, j, kept.points[:, k])[j - 1]
-        assert kept.products[row].tobytes() == ref.tobytes()
+    for start in range(0, P, kept.n):
+        k = min(kept.n, P - start)
+        slab = kept.slabs[start // kept.n, :G * k].reshape(G, k)
+        for row, prefix in enumerate(prefixes):
+            ref = np.ones(k)
+            for dim, j in enumerate(prefix):
+                ref = ref * sg._newton_basis(rule, j, kept.points[start:start + k, dim])[j - 1]
+            assert slab[row].tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("rule, d", [("leja", 1), ("leja", 3), ("clenshaw_curtis", 4)])
-def test_kept_probe_products_hold_one_row_per_prefix(rule, d):
+def kept_probes(rule, d, count, builds=8):
+    """The run's probe after each of its first `builds` builds, with the
+    interpolant it evaluated."""
     cfg = dr.RunConfig(rule=rule, d=d, batch=3, max_iterations=1000, max_samples=90,
-                       probe_count=200, probe_seed=3)
+                       probe_count=count, probe_seed=3)
     target = rational(d)
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
     run, levels = dr._RunGrid(d), state.theta.theta.members
-    for _ in range(8):
+    for _ in range(builds):
         dr._build_phase(state, run, levels, target)
-        kept, _ = run.probe
-        check_kept_products(kept, state.interpolant)
-        assert len(kept.basis) == state.interpolant.grid.idx.max()
+        yield run.probe[0], state.interpolant
         try:
             levels = dr._grow_phase(state, run)
         except dr.BudgetExhausted:
             break
+
+
+@pytest.mark.parametrize("rule, d", [("leja", 1), ("leja", 3), ("clenshaw_curtis", 4)])
+def test_kept_probe_products_hold_one_row_per_prefix(rule, d):
+    for kept, interp in kept_probes(rule, d, 200):
+        check_kept_products(kept, interp)
+        assert len(kept.basis) == interp.grid.idx.max()
+
+
+def test_kept_probe_slabs_follow_the_chunks_as_they_shrink():
+    """20000 points in chunks of 65536 // G: each new prefix shrinks the
+    chunks, the rows kept are laid out again in place or, when the room is
+    full, into new slabs, and the values keep the bits of the oracle."""
+    chunks, rooms = set(), set()
+    for kept, interp in kept_probes("leja", 5, 20000, builds=12):
+        check_kept_products(kept, interp)
+        chunks.add(kept.n)
+        rooms.add(kept.room)
+        assert kept(interp).tobytes() == oracles.evaluate_batch(interp, kept.points).tobytes()
+    assert len(chunks) >= 6 and min(chunks) < 20000 // 8 and len(rooms) >= 3
 
 
 def test_probe_count_below_one_is_refused_before_any_sample():

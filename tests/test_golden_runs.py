@@ -13,11 +13,23 @@ isotropic scheme runs with fitting off.
 probe contracts a trie of seven levels in two chunks of points.  `d1_rleja`
 is a d=1 run, whose trie has no level at all; these two were pinned before
 the probe kept its basis and prefix products between iterations.
+
+The bytes hold on one machine with one BLAS kernel: the fit's least-squares
+solve takes its bits from the kernel.  Across kernels the tensor sets, the
+node counts and `interpolant.json` are the same, and the fitted floats agree
+to a few ulps; the last test checks that against OpenBLAS's AVX2 kernel.
 """
 
+import csv
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adasg import cli
@@ -155,3 +167,49 @@ def test_cli_compare_writes_the_pinned_bytes(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["compare", "--config", str(tmp_path / "run.cfg"), "--workdir", str(out)]) == 0
     assert hashlib.sha256((out / "compare.csv").read_bytes()).hexdigest() == digest
+
+
+def history_columns(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], list(zip(*rows[1:]))
+
+
+def test_the_pinned_runs_agree_across_blas_kernels(tmp_path):
+    """The pinned configs rerun in a process with OpenBLAS forced to its
+    AVX2 kernel (Haswell; a BLAS that ignores the variable reruns its own
+    kernel): `interpolant.json` keeps its pinned bytes, the tensor sets and
+    node counts equal those of this process, and every float of
+    `history.csv` agrees to 1e-13 relative to the largest magnitude in its
+    column.  Elementwise, a small alpha of a surplus fit moved by 1.2e-13
+    relative, and the residual of an exact fit, 5.6e-16, by 0.9: rounding
+    at the scale of the column."""
+    args = []
+    for name, (config, _) in RUNS.items():
+        (tmp_path / f"{name}.cfg").write_text(textwrap.dedent(config))
+        args += [str(tmp_path / f"{name}.cfg"), str(tmp_path / "haswell" / name)]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys\nfrom adasg import cli\nfor c, w in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    assert cli.main(['run', '--config', c, '--workdir', w]) == 0\n")
+    subprocess.run([sys.executable, "-c", script] + args, env=env, check=True, timeout=600,
+                   capture_output=True)
+    for name, (_, digests) in RUNS.items():
+        here, there = tmp_path / "here" / name, tmp_path / "haswell" / name
+        assert cli.main(["run", "--config", str(tmp_path / f"{name}.cfg"), "--workdir", str(here)]) == 0
+        got = hashlib.sha256((there / "interpolant.json").read_bytes()).hexdigest()
+        assert got == digests["interpolant.json"]
+        thetas = [{tuple(i) for i in json.loads((out / "checkpoint.json").read_text())["theta"]}
+                  for out in (here, there)]
+        assert thetas[0] == thetas[1]
+        (head, cols), (head2, cols2) = history_columns(here / "history.csv"), \
+            history_columns(there / "history.csv")
+        assert head == head2
+        for key, a, b in zip(head, cols, cols2):
+            if key in ("iter", "n_used", "corrected", "excluded", "node_count"):
+                assert a == b, key
+            else:
+                a, b = (np.array([float(v) if v else np.nan for v in c]) for c in (a, b))
+                scale = np.nanmax(np.abs(a), initial=0.0)
+                assert np.allclose(a, b, rtol=0.0, atol=1e-13 * scale, equal_nan=True), key

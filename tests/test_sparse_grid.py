@@ -512,6 +512,32 @@ def test_inner_levels_compute_one_row_per_prefix_not_ending_in_1():
 
 @pytest.mark.parametrize("members", [
     [(0,), (1,), (2,), (3,)],                                          # d = 1
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (0, 0, 1)],
+])
+@pytest.mark.parametrize("count", ["one", "chunk-1", "chunk", "chunk+1", "3chunk+7"])
+def test_evaluation_is_the_same_whatever_the_layout_of_the_points(members, count):
+    """Each chunk's coordinates are copied before its basis is built: points
+    in Fortran order, a strided view of rows, a slice of the columns of a
+    wider array and a read-only array give the bytes of a C-ordered array."""
+    rng = np.random.default_rng(23)
+    ts = sg.TensorSet(IndexSet(len(members[0]), members), "leja")
+    interp = sg.build_interpolant(ts, smooth_samples(rng, ts))
+    Y = rng.uniform(-1, 1, (POINT_COUNTS[count](trie_chunk(interp)), ts.dim))
+    ref = sg.evaluate_batch(interp, Y).tobytes()
+    assert ref == oracles.evaluate_batch(interp, Y).tobytes()
+    rows = np.zeros((2 * len(Y), ts.dim))
+    rows[::2] = Y
+    wide = np.zeros((len(Y), ts.dim + 3))
+    wide[:, 2:-1] = Y
+    frozen = Y.copy()
+    frozen.flags.writeable = False
+    for points in (np.asfortranarray(Y), rows[::2], wide[:, 2:-1], frozen):
+        assert np.array_equal(points, Y)
+        assert sg.evaluate_batch(interp, points).tobytes() == ref
+
+
+@pytest.mark.parametrize("members", [
+    [(0,), (1,), (2,), (3,)],                                          # d = 1
     [(0, 0, 0)],                                                       # one node
     [(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (2, 0, 0)],           # m_2 = 1
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0)],           # m_3 = 1
