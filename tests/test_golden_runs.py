@@ -7,7 +7,8 @@ iterations.  The second grows a d=4 Clenshaw-Curtis grid by at least six
 nodes per iteration, so blocks of several rows, and fibres with several new
 members, are solved at once.  The later entries pin a surplus fit on Leja
 nodes, a fit with beta pinned to zero, and an `adasg compare` run, whose
-isotropic scheme runs with fitting off.
+isotropic scheme runs with fitting off.  `NODES` pins the two tables of
+`adasg nodes` for three rules.
 
 `d8_leja_spectral` is the benchmark's d=8 run through the CLI: its final
 probe contracts a trie of seven levels in two chunks of points.  `d1_rleja`
@@ -150,6 +151,17 @@ COMPARE = ("""
     probe_seed = 17
 """, "4f5737839750726866b4fe6d62db8f9f4a870bbf64a89832b723bf5c00a25420")
 
+# (rule, levels) -> sha256 of <rule>_levels.csv and <rule>_nodes.csv, each
+# written at --probe-count 20001
+NODES = {
+    ("clenshaw_curtis", 3): ("b86f66c4ccc43ef35d1614328ea064af81baeae09a2289dd7043df2ab9660820",
+                             "7cbc88730355f6fe6da4200a248399da8f43b622a0179b896544010b5a2c6642"),
+    ("leja", 5): ("4e0a60d9717628f6e34be27907ed85e33bb5c6d9c9a8fc534850555e28f5ddb1",
+                  "6ad2d73a835bef2ba7b399f93acf26e216546b4480ed2c88fc55129dd3e68e25"),
+    ("rleja_double2", 4): ("60cc66846617aa2d30b00fc308a7af6448dd39311587596b21f26bb09e2784bb",
+                           "879c70ab05ee00de4221c049d07e3f8fb6a064a811205c83aeb0ac8531ae0c4e"),
+}
+
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_cli_run_writes_the_pinned_bytes(name, tmp_path):
@@ -167,6 +179,15 @@ def test_cli_compare_writes_the_pinned_bytes(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["compare", "--config", str(tmp_path / "run.cfg"), "--workdir", str(out)]) == 0
     assert hashlib.sha256((out / "compare.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("rule, levels", sorted(NODES))
+def test_cli_nodes_writes_the_pinned_bytes(rule, levels, tmp_path):
+    assert cli.main(["nodes", "--rule", rule, "--levels", str(levels), "--probe-count", "20001",
+                     "--workdir", str(tmp_path)]) == 0
+    got = tuple(hashlib.sha256((tmp_path / f"{rule}_{name}.csv").read_bytes()).hexdigest()
+                for name in ("levels", "nodes"))
+    assert got == NODES[rule, levels]
 
 
 def history_columns(path):
