@@ -27,13 +27,11 @@ from .multiindex import (
     margin,
 )
 from .rules1d import (
-    NodeSequence,
     RULE_KINDS,
     greedy_sequence,
     growth,
     lambda_model,
     lebesgue_constant,
-    node_sequence,
 )
 from .sparse_grid import (
     DomainError,

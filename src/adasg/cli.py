@@ -109,19 +109,19 @@ def load_config(path) -> tuple[RunConfig, TargetSpec]:
 
 
 def _cmd_nodes(args) -> int:
-    kind = args.rule
-    levels = args.levels
-    seq = rules1d.node_sequence(kind, levels, measure_lambda=True,
-                                probe_count=args.probe_count)
+    kind, levels = args.rule, args.levels
+    if levels < 0:
+        raise ValueError("level must be >= 0")
+    growth = [rules1d.growth(kind, l) for l in range(levels + 1)]
+    nodes = rules1d.family_nodes(kind, growth[-1])
+    rows = "".join(f"{l},{m},{rules1d.lebesgue_constant(nodes[:m], args.probe_count):.17g},"
+                   f"{rules1d.lambda_model(kind, l):.17g}\n" for l, m in enumerate(growth))
     wd = Path(args.workdir)
     wd.mkdir(parents=True, exist_ok=True)
     levels_path = wd / f"{kind}_levels.csv"
-    rows = "".join(f"{l},{rules1d.growth(kind, l)},"
-                   f"{seq.lambda_table[l]:.17g},{rules1d.lambda_model(kind, l):.17g}\n"
-                   for l in range(levels + 1))
     _write_text_atomic("level,m_l,lambda_measured,lambda_model\n" + rows, levels_path)
     nodes_path = wd / f"{kind}_nodes.csv"
-    rows = "".join(f"{j},{y:.17g}\n" for j, y in enumerate(seq.nodes, start=1))
+    rows = "".join(f"{j},{y:.17g}\n" for j, y in enumerate(nodes, start=1))
     _write_text_atomic("j,y_j\n" + rows, nodes_path)
     print(f"wrote {levels_path} and {nodes_path}")
     return 0

@@ -109,6 +109,10 @@ class RunConfig:
             raise ValueError("dimension must be >= 1")
         if self.probe_count is not None and self.probe_count < 1:
             raise ValueError("probe_count must be None (no probe) or a positive integer")
+        if self.probe_count is not None and self.probe_seed < 0:
+            raise ValueError("probe_seed must be a non-negative integer")
+        if not np.isfinite(self.min_magnitude):
+            raise ValueError("min_magnitude must be finite")
 
 
 @dataclass
@@ -126,8 +130,7 @@ class Record:
     corrected: tuple[int, ...]
     excluded: tuple[int, ...]
     probe_error: float | None
-    # never saved: the seconds of the build (`extend` to `probe`) and of each phase
-    wall_time: float = field(default=0.0, metadata={"saved": False})
+    # never saved: the seconds of each phase
     timings: dict[str, float] = field(default_factory=dict, metadata={"saved": False})
 
 
@@ -176,10 +179,6 @@ class RunState:
     fit: FitParams | None = None
     interpolant: Interpolant | None = None
     history: list[Record] = field(default_factory=list)
-
-    @property
-    def samples_used(self) -> int:
-        return len(self.cache)
 
 
 def initial_tensor_set(config: RunConfig) -> TensorSet:
@@ -395,7 +394,6 @@ def _build_phase(state: RunState, kept: _RunGrid, levels, target: TargetSpec,
         corrected=tuple(sorted(state.fit.corrected_dims)),
         excluded=tuple(sorted(state.fit.excluded_dims)),
         probe_error=probe,
-        wall_time=sum(clock.laps.values()),
         timings=clock.laps,
     ))
 
@@ -492,15 +490,15 @@ _STATE_VERSION = 1
 _RECORD_KEYS = ("iteration", "theta", "cache", "fit", "history")
 
 
-def _to_dict(obj, skip: tuple[str, ...] = ()) -> dict:
+def _to_dict(obj) -> dict:
     """A dataclass's fields in declaration order, as JSON-ready values,
-    but for those in `skip` and those marked unsaved in their metadata.
+    but for those marked unsaved in their metadata.
 
     Tuples serialize as JSON arrays; frozensets are written as sorted lists.
     """
     out = {}
     for f in fields(obj):
-        if f.name not in skip and f.metadata.get("saved", True):
+        if f.metadata.get("saved", True):
             value = getattr(obj, f.name)
             out[f.name] = sorted(value) if isinstance(value, frozenset) else value
     return out

@@ -40,10 +40,6 @@ class FitParams:
         if any(not (a > 0.0) for a in self.alpha):
             raise ValueError("alpha entries must be positive after correction")
 
-    @property
-    def dim(self) -> int:
-        return len(self.alpha)
-
 
 def isotropic_params(d: int) -> FitParams:
     """The fallback used before any fit succeeds: alpha = 1, beta = 0."""

@@ -15,7 +15,6 @@ generated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -395,7 +394,7 @@ def _augmented_lebesgue(nodes: np.ndarray, cands: np.ndarray, probes: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# sequence cache and the NodeSequence record
+# sequence cache
 
 
 _SEQ_CACHE: dict[str, np.ndarray] = {}
@@ -418,34 +417,3 @@ def family_nodes(kind: str, n: int) -> np.ndarray:
             cached = np.array(greedy_sequence(family, n, start_nodes=cached))
         _SEQ_CACHE[family] = cached
     return cached[:n].copy()
-
-
-@dataclass
-class NodeSequence:
-    """A 1D rule instance: nodes up to some level plus operator-norm metadata."""
-
-    kind: str
-    nodes: np.ndarray
-    lebesgue_growth: tuple[float, float]
-    lambda_table: list[float] = field(default_factory=list)
-
-    @property
-    def level(self) -> int:
-        l = 0
-        while growth(self.kind, l) < len(self.nodes):
-            l += 1
-        return l
-
-
-def node_sequence(kind: str, level: int, measure_lambda: bool = False,
-                  probe_count: int = DEFAULT_PROBE_COUNT) -> NodeSequence:
-    """Build the rule's node sequence through `level`."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    m = growth(kind, level)
-    nodes = family_nodes(kind, m)
-    table = []
-    if measure_lambda:
-        for l in range(level + 1):
-            table.append(lebesgue_constant(nodes[: growth(kind, l)], probe_count))
-    return NodeSequence(kind, nodes, lebesgue_growth_model(kind), table)

@@ -223,7 +223,7 @@ def checkpoint_object(state):
         "theta": [list(i) for i in state.theta.theta.members],
         "cache": [[list(k), v] for k, v in sorted(state.cache.items())],
         "fit": None if state.fit is None else driver._to_dict(state.fit),
-        "history": [driver._to_dict(r, skip=("wall_time",)) for r in state.history],
+        "history": [driver._to_dict(r) for r in state.history],
     }
 
 

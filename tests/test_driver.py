@@ -343,7 +343,7 @@ def test_sample_accounting_matches_grid():
                        max_samples=200)
     state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
     dr.run(cfg, RAT2, state=state)
-    assert state.samples_used == state.interpolant.node_count
+    assert len(state.cache) == state.interpolant.node_count
 
 
 def test_union_consistency():
@@ -520,9 +520,10 @@ def test_checkpoint_bytes_and_round_trip(tmp_path):
     state = dr.RunState(cfg, ts, iteration=1, fit=fit,
                         cache={(0.0, 0.0, 0.0): 0.5, (1.0, 0.0, 0.0): 0.25})
     state.history = [
-        dr.Record(0, 1, 1, (1.0,) * 3, (0.0,) * 3, 0.0, 0.0, 0, (), (), 0.125, wall_time=1.5),
+        dr.Record(0, 1, 1, (1.0,) * 3, (0.0,) * 3, 0.0, 0.0, 0, (), (), 0.125,
+                  timings={"fit": 1.5}),
         dr.Record(1, 2, 1, fit.alpha, fit.beta, fit.c_const, fit.residual, fit.n_used,
-                  (0, 2), (1,), None, wall_time=2.5),
+                  (0, 2), (1,), None, timings={"probe": 2.5}),
     ]
     ck = tmp_path / "checkpoint.json"
     dr.save_state(state, ck)
@@ -530,8 +531,8 @@ def test_checkpoint_bytes_and_round_trip(tmp_path):
     back = dr.load_state(ck)
     assert back.config == cfg and back.fit == fit and back.theta == ts
     assert back.cache == state.cache and back.iteration == 1
-    # wall_time is not serialized
-    assert back.history == [dataclasses.replace(r, wall_time=0.0) for r in state.history]
+    # timings are not serialized
+    assert back.history == [dataclasses.replace(r, timings={}) for r in state.history]
     # loading builds nothing; a run() call on the built state builds it from the cache
     assert back.interpolant is None
     assert dr.run(dataclasses.replace(cfg, max_iterations=1), rational(3),
@@ -561,7 +562,7 @@ records = st.builds(
     dr.Record, st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6),
     st.tuples(floats, floats), st.tuples(floats, floats), floats, floats,
     st.integers(0, 10**6), st.sampled_from(((), (0,), (0, 1))), st.sampled_from(((), (1,))),
-    st.none() | floats, wall_time=floats)
+    st.none() | floats, timings=st.dictionaries(st.sampled_from(("fit", "probe")), floats))
 
 
 @settings(max_examples=80, deadline=None)
@@ -1018,8 +1019,7 @@ def test_mc_linf_error_contracts():
 
 def test_the_phases_of_each_iteration_sum_to_its_span(tmp_path, monkeypatch):
     """Every clock stamp of the run is one tick: each record's phases sum to
-    its own span, its wall time is the build's share of it, and the
-    iterations tile the run from its first stamp to its last."""
+    its own span, and the iterations tile the run from its first stamp to its last."""
     ticks = itertools.count()
     monkeypatch.setattr(dr, "perf_counter", lambda: float(next(ticks)))
     cfg = dr.RunConfig(rule="leja", d=3, max_iterations=1000, max_samples=60, probe_count=50)
@@ -1029,7 +1029,6 @@ def test_the_phases_of_each_iteration_sum_to_its_span(tmp_path, monkeypatch):
     for r in history:
         assert set(r.timings) == {"extend", "sample", "coefficients", "fit", "probe", "checkpoint",
                                   "grow"}
-        assert r.wall_time == sum(r.timings.values()) - r.timings["checkpoint"] - r.timings["grow"]
     assert sum(sum(r.timings.values()) for r in history) == stamps - 1
     # the timings are never saved
     assert "timings" not in (tmp_path / "ck.json").read_text()
@@ -1214,6 +1213,33 @@ def test_probe_count_below_one_is_refused_before_any_sample():
             dr.run(dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60,
                                 probe_count=count), Counting())
     assert points == []
+
+
+@pytest.mark.parametrize("field, value", [("probe_seed", -1), ("min_magnitude", float("nan")),
+                                          ("min_magnitude", float("inf")),
+                                          ("min_magnitude", -float("inf"))])
+def test_a_bad_seed_or_magnitude_is_refused_before_any_sample(field, value):
+    # a negative probe seed used to surface only once the probe drew its
+    # points, after the first grid was sampled; a non-finite magnitude floor
+    # made every fit drop every coefficient, so the run grew isotropically
+    points = []
+
+    class Counting:
+        dim = 2
+
+        def evaluate(self, pts):
+            points.append(len(pts))
+            return RAT2.evaluate(pts)
+
+    with pytest.raises(ValueError, match=field):
+        dr.run(dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60, probe_count=10,
+                            **{field: value}), Counting())
+    assert points == []
+
+
+def test_a_negative_probe_seed_is_kept_without_a_probe():
+    # the seed is drawn only by the probe
+    assert dr.RunConfig(rule="leja", d=2, probe_seed=-1).probe_seed == -1
 
 
 def test_evaluation_failure_aborts_with_resumable_checkpoint(tmp_path):

@@ -242,17 +242,6 @@ def test_rule_tables_are_pinned():
         assert all(v <= c * (l + 1) ** g + 1e-12 for l, v in enumerate(model)), kind
 
 
-def test_node_sequence_record():
-    seq = r1.node_sequence("clenshaw_curtis", 2, measure_lambda=True, probe_count=10**4)
-    assert len(seq.nodes) == 5
-    assert len(seq.lambda_table) == 3
-    assert all(v >= 1.0 for v in seq.lambda_table)
-    assert seq.level == 2
-    c, g = seq.lebesgue_growth
-    assert all(r1.lambda_model("clenshaw_curtis", l) <= c * (l + 1) ** g + 1e-12
-               for l in range(20))
-
-
 def test_unit_growth_flags():
     assert r1.unit_growth("leja") and r1.unit_growth("rleja")
     assert not r1.unit_growth("clenshaw_curtis")

@@ -268,7 +268,7 @@ def test_config_rejects_unknown_keys(tmp_path):
         cli.load_config(path)
 
 
-def test_cli_nodes_command(tmp_path):
+def test_cli_nodes_command(tmp_path, capsys):
     rc = cli.main(["nodes", "--rule", "leja", "--levels", "4",
                    "--probe-count", "20000", "--workdir", str(tmp_path)])
     assert rc == 0
@@ -279,7 +279,12 @@ def test_cli_nodes_command(tmp_path):
     assert abs(ys[3] - 1 / math.sqrt(3)) < 1e-6
     levels = (tmp_path / "leja_levels.csv").read_text().splitlines()
     assert levels[0] == "level,m_l,lambda_measured,lambda_model"
-    assert len(levels) == 6
+    rows = [line.split(",") for line in levels[1:]]
+    assert [int(r[0]) for r in rows] == list(range(5))
+    assert all(float(r[2]) >= 1.0 for r in rows)
+    rc = cli.main(["nodes", "--rule", "leja", "--levels", "-1", "--workdir", str(tmp_path / "neg")])
+    assert rc == 1
+    assert "level must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_run_and_evaluate_and_rerun_byte_identical(tmp_path):
@@ -519,6 +524,18 @@ def test_cli_run_refuses_a_non_finite_initial_level(tmp_path, capsys, level):
         rc = cli.main(["run", "--config", str(cfg), "--workdir", str(tmp_path / "out")])
     assert rc == 1
     assert "level must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, key", [("probe_seed = -1", "probe_seed"),
+                                       ("min_magnitude = nan", "min_magnitude"),
+                                       ("min_magnitude = inf", "min_magnitude")])
+def test_cli_run_refuses_a_config_value_before_any_sample(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"rule = leja\nd = 2\n{line}\n")
+    rc = cli.main(["run", "--config", str(cfg), "--workdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_dynamic_td_equals_curved_when_beta_zero():
