@@ -8,7 +8,9 @@ nodes per iteration, so blocks of several rows, and fibres with several new
 members, are solved at once.  The later entries pin a surplus fit on Leja
 nodes, a fit with beta pinned to zero, and an `adasg compare` run, whose
 isotropic scheme runs with fitting off.  `NODES` pins the two tables of
-`adasg nodes` for three rules.
+`adasg nodes` for three rules, `EVALUATE` the `adasg evaluate` table of the
+first run's model, and `POINTS` the request file of the external-evaluator
+protocol.
 
 `d8_leja_spectral` is the benchmark's d=8 run through the CLI: its final
 probe contracts a trie of seven levels in two chunks of points.  `d1_rleja`
@@ -34,6 +36,7 @@ import numpy as np
 import pytest
 
 from adasg import cli
+from adasg import targets as tg
 
 RUNS = {
     "d3_leja_ckpt": ("""
@@ -163,6 +166,22 @@ NODES = {
 }
 
 
+def labelled_points():
+    """Labelled ids and 200 points in [-3, 3]^3, one row of -0.0 and one
+    NaN coordinate."""
+    pts = np.random.default_rng(24).uniform(-3.0, 3.0, (200, 3))
+    pts[5], pts[7, 1] = -0.0, np.nan
+    return [f"p{i}" if i % 3 else f"id-{i:03d}" for i in range(len(pts))], pts
+
+
+# sha256 of `adasg evaluate --allow-extrapolation` at `labelled_points`, with
+# the interpolant of the `d3_leja_ckpt` run
+EVALUATE = "3a9313212371ccdc7dc75a34c4ae59d2e90cdc986d8eb8086aeca274d70b6b51"
+# sha256 of `targets.write_points_csv` of the points of `labelled_points`
+# with a row of (inf, -inf, 5e-324) appended
+POINTS = "624a777366c319a0d90d44fecef843839910867a6f74b4b054d05d829dc872e1"
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_cli_run_writes_the_pinned_bytes(name, tmp_path):
     config, digests = RUNS[name]
@@ -188,6 +207,27 @@ def test_cli_nodes_writes_the_pinned_bytes(rule, levels, tmp_path):
     got = tuple(hashlib.sha256((tmp_path / f"{rule}_{name}.csv").read_bytes()).hexdigest()
                 for name in ("levels", "nodes"))
     assert got == NODES[rule, levels]
+
+
+def test_cli_evaluate_writes_the_pinned_bytes(tmp_path):
+    (tmp_path / "run.cfg").write_text(textwrap.dedent(RUNS["d3_leja_ckpt"][0]))
+    model = tmp_path / "run" / "interpolant.json"
+    assert cli.main(["run", "--config", str(tmp_path / "run.cfg"), "--workdir",
+                     str(model.parent)]) == 0
+    ids, pts = labelled_points()
+    (tmp_path / "points.csv").write_text("id,y_1,y_2,y_3\n" + "".join(
+        f"{i}," + ",".join(repr(float(v)) for v in row) + "\n" for i, row in zip(ids, pts)))
+    out = tmp_path / "evaluations.csv"
+    with pytest.warns(UserWarning, match="outside"):
+        assert cli.main(["evaluate", "--model", str(model), "--points", str(tmp_path / "points.csv"),
+                         "--output", str(out), "--allow-extrapolation"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EVALUATE
+
+
+def test_write_points_csv_writes_the_pinned_bytes(tmp_path):
+    pts = np.vstack([labelled_points()[1], [np.inf, -np.inf, 5e-324]])
+    tg.write_points_csv(tmp_path / "points.csv", pts)
+    assert hashlib.sha256((tmp_path / "points.csv").read_bytes()).hexdigest() == POINTS
 
 
 def history_columns(path):
