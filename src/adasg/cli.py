@@ -2,8 +2,9 @@
 scheme comparison protocol.
 
 Config files are flat ``key = value`` text with ``#`` comments; vectors are
-comma-separated.  All emitted CSVs use 17 significant digits so re-runs with
-the same seed are byte-identical and round trips are lossless.
+comma-separated.  Every CSV it emits goes through one writer
+(`sparse_grid._write_csv`), which gives floats 17 significant digits, so
+re-runs with the same seed are byte-identical and round trips are lossless.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from . import rules1d
 from .driver import RunConfig, load_state, run, write_history_csv
-from .sparse_grid import _write_text_atomic, evaluate_batch, load_interpolant, save_interpolant
+from .sparse_grid import _write_csv, evaluate_batch, load_interpolant, save_interpolant
 from .targets import TargetSpec, builtin_target, external_target, read_labelled_points
 
 SCHEMES = ("isotropic", "dynamic_td", "dynamic_curved")
@@ -114,15 +115,13 @@ def _cmd_nodes(args) -> int:
         raise ValueError("level must be >= 0")
     growth = [rules1d.growth(kind, l) for l in range(levels + 1)]
     nodes = rules1d.family_nodes(kind, growth[-1])
-    rows = "".join(f"{l},{m},{rules1d.lebesgue_constant(nodes[:m], args.probe_count):.17g},"
-                   f"{rules1d.lambda_model(kind, l):.17g}\n" for l, m in enumerate(growth))
     wd = Path(args.workdir)
     wd.mkdir(parents=True, exist_ok=True)
-    levels_path = wd / f"{kind}_levels.csv"
-    _write_text_atomic("level,m_l,lambda_measured,lambda_model\n" + rows, levels_path)
-    nodes_path = wd / f"{kind}_nodes.csv"
-    rows = "".join(f"{j},{y:.17g}\n" for j, y in enumerate(nodes, start=1))
-    _write_text_atomic("j,y_j\n" + rows, nodes_path)
+    levels_path, nodes_path = wd / f"{kind}_levels.csv", wd / f"{kind}_nodes.csv"
+    _write_csv(levels_path, ("level", "m_l", "lambda_measured", "lambda_model"),
+               ((l, m, rules1d.lebesgue_constant(nodes[:m], args.probe_count),
+                 rules1d.lambda_model(kind, l)) for l, m in enumerate(growth)))
+    _write_csv(nodes_path, ("j", "y_j"), enumerate(nodes, start=1))
     print(f"wrote {levels_path} and {nodes_path}")
     return 0
 
@@ -152,10 +151,8 @@ def _cmd_evaluate(args) -> int:
     vals = evaluate_batch(interp, pts, allow_extrapolation=args.allow_extrapolation)
     out = Path(args.output) if args.output else Path(args.workdir) / "evaluations.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    header = "id," + ",".join(f"y_{k + 1}" for k in range(pts.shape[1])) + ",value\n"
-    rows = "".join(f"{i}," + ",".join(f"{x:.17g}" for x in row) + f",{v:.17g}\n"
-                   for i, row, v in zip(ids, pts, vals))
-    _write_text_atomic(header + rows, out)
+    _write_csv(out, ["id", *(f"y_{k + 1}" for k in range(pts.shape[1])), "value"],
+               ([i, *row, v] for i, row, v in zip(ids, pts, vals)))
     print(f"wrote {out}")
     return 0
 
@@ -195,8 +192,7 @@ def _cmd_compare(args) -> int:
     wd = Path(args.workdir)
     wd.mkdir(parents=True, exist_ok=True)
     out = wd / "compare.csv"
-    lines = "".join(f"{scheme},{nodes},{err:.17g}\n" for scheme, nodes, err in rows)
-    _write_text_atomic("scheme,nodes,error\n" + lines, out)
+    _write_csv(out, ("scheme", "nodes", "error"), rows)
     print(f"wrote {out}")
     return 0
 

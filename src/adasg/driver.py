@@ -63,6 +63,7 @@ from .sparse_grid import (
     _FixedPoints,
     _growth_table,
     _solve_rows,
+    _write_csv,
     _write_text_atomic,
     build_interpolant,  # noqa: F401 - perfbench's tracer tests patch it under this name
     grid_size,
@@ -588,22 +589,10 @@ def _check_cache_nodes(state: RunState) -> None:
 
 
 def write_history_csv(history: list[Record], d: int, path) -> None:
-    cols = (
-        ["iter"]
-        + [f"alpha_{k + 1}" for k in range(d)]
-        + [f"beta_{k + 1}" for k in range(d)]
-        + ["C_hat", "residual", "n_used", "corrected", "excluded",
-           "probe_error", "node_count"]
-    )
-    lines = [",".join(cols)]
-    for r in history:
-        row = [str(r.iteration)]
-        row += [f"{a:.17g}" for a in r.alpha]
-        row += [f"{b:.17g}" for b in r.beta]
-        row += [f"{r.c_const:.17g}", f"{r.residual:.17g}", str(r.n_used)]
-        row.append(";".join(str(k + 1) for k in r.corrected))
-        row.append(";".join(str(k + 1) for k in r.excluded))
-        row.append("" if r.probe_error is None else f"{r.probe_error:.17g}")
-        row.append(str(r.node_count))
-        lines.append(",".join(row))
-    _write_text_atomic("\n".join(lines) + "\n", path)
+    """One row per record; `corrected` and `excluded` list their dimensions
+    1-based and `;`-joined, and a missing probe error is an empty field."""
+    cols = (["iter"] + [f"alpha_{k + 1}" for k in range(d)] + [f"beta_{k + 1}" for k in range(d)]
+            + ["C_hat", "residual", "n_used", "corrected", "excluded", "probe_error", "node_count"])
+    _write_csv(path, cols, ([r.iteration, *r.alpha, *r.beta, r.c_const, r.residual, r.n_used,
+                             *(";".join(str(k + 1) for k in ks) for ks in (r.corrected, r.excluded)),
+                             r.probe_error, r.node_count] for r in history))

@@ -595,6 +595,18 @@ def _write_text_atomic(text: str, path) -> None:
         raise
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write the header and each row as one comma-separated line, atomically.
+    A float (numpy's float64 included) takes 17 significant digits, so that
+    reruns are byte-identical and a read gives back its bits; None is an
+    empty field, and anything else is written with `str`."""
+    def field(v):
+        return f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v)
+
+    lines = [",".join(header)] + [",".join(map(field, row)) for row in rows]
+    _write_text_atomic("\n".join(lines) + "\n", path)
+
+
 def save_interpolant(interp: Interpolant, path) -> None:
     obj = {
         "format": _FORMAT,

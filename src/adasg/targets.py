@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sparse_grid import _write_text_atomic
+from .sparse_grid import _write_csv
 from .spectral import legendre_1d
 
 # how long an external evaluator may take over one batch, and how often the
@@ -128,10 +128,8 @@ def external_target(d: int, workdir, command: str | None = None,
 def write_points_csv(path, points: np.ndarray) -> None:
     """Write the points numbered from 0; the file appears whole or not at all,
     so an evaluator that polls for it never reads a partial request."""
-    d = points.shape[1]
-    lines = ["id," + ",".join(f"y_{k + 1}" for k in range(d))]
-    lines += [f"{i}," + ",".join(f"{v:.17g}" for v in row) for i, row in enumerate(points)]
-    _write_text_atomic("\n".join(lines) + "\n", path)
+    _write_csv(path, ["id", *(f"y_{k + 1}" for k in range(points.shape[1]))],
+               ([i, *row] for i, row in enumerate(points)))
 
 
 def read_labelled_points(path) -> tuple[list[str], np.ndarray]:

@@ -1,8 +1,9 @@
 """Every top-level private name of the package has a caller in the package,
 every public function or class has one or is exported, the README's
 "Library API" section lists exactly the exported names, its "Command line"
-section names every config key and has an example that loads, and the
-public run state holds no kept run state."""
+section names every config key and has an example that loads, the public
+run state holds no kept run state, and the 17-digit float format of the
+CSV tables is written only in their one writer."""
 
 import ast
 import dataclasses
@@ -97,3 +98,15 @@ def test_run_state_holds_what_a_checkpoint_holds_and_the_last_interpolant():
     state = adasg.RunState(cfg, driver.initial_tensor_set(cfg))
     adasg.run(cfg, adasg.builtin_target("expsum", 2, c=(1.0, 0.5)), state=state)
     assert sorted(vars(state)) == sorted(RUN_STATE_FIELDS)
+
+
+def test_the_17_digit_float_format_is_written_only_in_the_csv_writer():
+    places = set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        functions = [node for node in ast.parse(text).body if isinstance(node, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if ".17g" in line:
+                places |= {(path.name, f.name) for f in functions
+                           if f.lineno <= lineno <= f.end_lineno} or {(path.name, None)}
+    assert places == {("sparse_grid.py", "_write_csv")}
