@@ -108,12 +108,15 @@ class RunConfig:
             raise ValueError("batch must be 'minimal' or a positive integer")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        if self.probe_count is not None and self.probe_count < 1:
+        if self.probe_count is not None and not (isinstance(self.probe_count, (int, np.integer))
+                                                 and self.probe_count >= 1):
             raise ValueError("probe_count must be None (no probe) or a positive integer")
-        if self.probe_count is not None and self.probe_seed < 0:
+        if self.probe_count is not None and not (isinstance(self.probe_seed, (int, np.integer))
+                                                 and self.probe_seed >= 0):
             raise ValueError("probe_seed must be a non-negative integer")
-        if not np.isfinite(self.min_magnitude):
-            raise ValueError("min_magnitude must be finite")
+        # a floor at or above the largest coefficient would leave no fit
+        if not -np.inf < self.min_magnitude < 1:
+            raise ValueError("min_magnitude must be finite and below 1")
 
 
 @dataclass

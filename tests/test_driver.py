@@ -1215,13 +1215,15 @@ def test_probe_count_below_one_is_refused_before_any_sample():
     assert points == []
 
 
-@pytest.mark.parametrize("field, value", [("probe_seed", -1), ("min_magnitude", float("nan")),
+@pytest.mark.parametrize("field, value", [("probe_seed", -1), ("probe_seed", 1.5),
+                                          ("probe_count", 2.5), ("min_magnitude", float("nan")),
                                           ("min_magnitude", float("inf")),
-                                          ("min_magnitude", -float("inf"))])
+                                          ("min_magnitude", -float("inf")), ("min_magnitude", 1.0)])
 def test_a_bad_seed_or_magnitude_is_refused_before_any_sample(field, value):
-    # a negative probe seed used to surface only once the probe drew its
-    # points, after the first grid was sampled; a non-finite magnitude floor
-    # made every fit drop every coefficient, so the run grew isotropically
+    # a negative or non-integer probe seed, and a non-integer probe count,
+    # used to surface only once the probe drew its points, after the first
+    # grid was sampled; a magnitude floor that is not finite, or not below
+    # 1, made every fit drop every coefficient, so the run grew isotropically
     points = []
 
     class Counting:
@@ -1232,8 +1234,8 @@ def test_a_bad_seed_or_magnitude_is_refused_before_any_sample(field, value):
             return RAT2.evaluate(pts)
 
     with pytest.raises(ValueError, match=field):
-        dr.run(dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60, probe_count=10,
-                            **{field: value}), Counting())
+        dr.run(dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60,
+                            **{"probe_count": 10, field: value}), Counting())
     assert points == []
 
 

@@ -528,7 +528,8 @@ def test_cli_run_refuses_a_non_finite_initial_level(tmp_path, capsys, level):
 
 @pytest.mark.parametrize("line, key", [("probe_seed = -1", "probe_seed"),
                                        ("min_magnitude = nan", "min_magnitude"),
-                                       ("min_magnitude = inf", "min_magnitude")])
+                                       ("min_magnitude = inf", "min_magnitude"),
+                                       ("min_magnitude = 1", "min_magnitude")])
 def test_cli_run_refuses_a_config_value_before_any_sample(tmp_path, capsys, line, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"rule = leja\nd = 2\n{line}\n")
