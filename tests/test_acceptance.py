@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 import oracles
+from strategies import random_lower_set
 from adasg import cli
 from adasg import driver as dr
 from adasg import fitting as ft
@@ -18,20 +19,12 @@ from adasg import rules1d as r1
 from adasg import sparse_grid as sg
 from adasg import targets as tg
 from adasg.cli import run_comparison
-from adasg.multiindex import IndexSet, lambda_classic, margin
+from adasg.multiindex import IndexSet, lambda_classic
 
 
 def report(num, ok, detail):
     print(f"\ncriterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
-
-
-def random_lower_set(rng, d, n):
-    s = IndexSet(d, [(0,) * d])
-    while len(s) < n:
-        cands = margin(s)
-        s = IndexSet(d, set(s.members) | {cands[rng.integers(len(cands))]})
-    return s
 
 
 def lower_sets_2d(width, height, max_size):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import lower_sets
 from adasg import driver as dr
 from adasg import rules1d
 from adasg import sparse_grid as sg
@@ -93,17 +94,6 @@ def test_next_level_grows_at_a_level_tie():
     expected = IndexSet(4, set(ts.theta) | set(curved.theta))
     assert grown.theta == expected
     assert len(grown.theta) > 1
-
-
-@st.composite
-def lower_sets(draw, max_dim=4, max_size=6):
-    """Random lower sets of tensor levels, grown one margin member at a time."""
-    d = draw(st.integers(1, max_dim))
-    s = IndexSet(d, [(0,) * d])
-    for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
-        cands = margin(s)
-        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]})
-    return s
 
 
 @settings(max_examples=150, deadline=None)
@@ -917,17 +907,6 @@ def test_a_resumed_run_writes_its_first_save_whole_over_a_cut_record(tmp_path, m
         outputs[name] = {p.name: p.read_bytes() for p in ck.parent.iterdir()}
     assert sorted(outputs["clean"]) == ["checkpoint.json", "history.csv", "interpolant.json"]
     assert outputs["resumed"] == outputs["clean"]
-
-
-@st.composite
-def lower_sets(draw, max_dim, max_size):
-    """Random lower sets of tensor levels, grown one margin member at a time."""
-    d = draw(st.integers(1, max_dim))
-    s = IndexSet(d, [(0,) * d])
-    for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
-        cands = margin(s)
-        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]})
-    return s
 
 
 @settings(max_examples=60, deadline=None)

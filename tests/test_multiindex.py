@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import random_lower_set
 from adasg.multiindex import (
     CLASSIC_KINDS,
     CurvedWeights,
@@ -36,16 +37,6 @@ def brute_completion(members):
     for nu in members:
         out.update(itertools.product(*[range(v + 1) for v in nu]))
     return out
-
-
-def random_lower_set(rng, d, n):
-    """Grow a lower set by repeatedly adding a random margin index."""
-    s = IndexSet(d, [(0,) * d])
-    while len(s) < n:
-        cands = margin(s)
-        pick = cands[rng.integers(len(cands))]
-        s = IndexSet(d, set(s.members) | {pick})
-    return s
 
 
 def test_is_lower_examples():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import lower_sets, random_lower_set
 from adasg import driver as dr
 from adasg import rules1d as r1
 from adasg import sparse_grid as sg
@@ -25,15 +26,6 @@ from adasg.multiindex import (
     lambda_curved,
     margin,
 )
-
-
-def random_lower_set(rng, d, n):
-    s = IndexSet(d, [(0,) * d])
-    while len(s) < n:
-        cands = margin(s)
-        pick = cands[rng.integers(len(cands))]
-        s = IndexSet(d, set(s.members) | {pick})
-    return s
 
 
 def random_samples(rng, ts):
@@ -283,21 +275,6 @@ def row_by_row_surpluses(rule, grid, values):
         for k in range(len(i)):
             H *= tables[k][idx[rows, k] - 1, i[k] - 1]
         s[r] = values[r] - s[rows] @ H
-    return s
-
-
-@st.composite
-def lower_sets(draw, max_dim=4, max_size=6):
-    """Random lower sets of tensor levels, grown one margin member at a time.
-
-    Six levels keep Clenshaw-Curtis at <= 33 nodes per dimension: from 129
-    nodes its Newton table (entries up to 1e16) leaves no two solves agreeing.
-    """
-    d = draw(st.integers(1, max_dim))
-    s = IndexSet(d, [(0,) * d])
-    for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
-        cands = margin(s)
-        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]})
     return s
 
 

@@ -6,17 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import lower_sets, random_lower_set
 from adasg import sparse_grid as sg
 from adasg import spectral as sp
-from adasg.multiindex import IndexSet, lambda_classic, margin
-
-
-def random_lower_set(rng, d, n):
-    s = IndexSet(d, [(0,) * d])
-    while len(s) < n:
-        cands = margin(s)
-        s = IndexSet(d, set(s.members) | {cands[rng.integers(len(cands))]})
-    return s
+from adasg.multiindex import IndexSet, lambda_classic
 
 
 def coeffs_over(interp, lam):
@@ -152,21 +145,6 @@ def test_coefficients_stable_under_over_refinement():
     ref = quadrature_coeffs(interp, lam, counts)
     for nu in lam.members:
         assert abs(ref[nu] - base[nu]) < 1e-12
-
-
-@st.composite
-def lower_sets(draw, max_dim=4, max_size=6):
-    """Random lower sets of tensor levels, grown one margin member at a time.
-
-    Six levels keep Clenshaw-Curtis at <= 33 nodes per dimension: from 129
-    nodes its Newton table (entries up to 1e16) leaves no two paths agreeing.
-    """
-    d = draw(st.integers(1, max_dim))
-    s = IndexSet(d, [(0,) * d])
-    for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
-        cands = margin(s)
-        s = IndexSet(d, set(s.members) | {cands[pick % len(cands)]})
-    return s
 
 
 @settings(max_examples=60, deadline=None)
