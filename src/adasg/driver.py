@@ -206,11 +206,6 @@ def initial_tensor_set(config: RunConfig) -> TensorSet:
     return ts
 
 
-def _grown(ts: TensorSet, added: list[MultiIndex]) -> TensorSet:
-    # the old members are valid and in order: only the admitted levels are sorted in
-    return TensorSet(ts.theta._grown(added), ts.rule)
-
-
 def _grow(
     fit: FitParams,
     ts: TensorSet,
@@ -332,7 +327,7 @@ def _build_grid(state: RunState, kept: _RunGrid, levels, target: TargetSpec | No
     for array in (grid.idx, grid.points, passes):
         array.flags.writeable = False  # the interpolant handed out shares them
     kept.grid, kept.passes = grid, passes
-    kept.margin = _grown_margin(kept.margin, ts.theta, levels)
+    _grown_margin(kept.margin, ts.theta, levels)
     state.interpolant = Interpolant(ts, grid, passes[0], passes[-1])
     clock.lap("extend")
 
@@ -375,14 +370,13 @@ def _build_phase(state: RunState, kept: _RunGrid, levels, target: TargetSpec,
     config, clock = state.config, clock or _Clock()
     prev_nodes = state.history[-1].node_count if state.history else 0
     _build_grid(state, kept, levels, target, clock)
-    fallback = state.fit if state.fit is not None else isotropic_params(config.d)
+    if state.fit is None:
+        state.fit = isotropic_params(config.d)  # kept if the fit fails or is off
     if config.fit_enabled:
         try:
             state.fit = _fit_from(state.interpolant, config, clock)
         except UnfittableError:
-            state.fit = fallback
-    else:
-        state.fit = fallback
+            pass
     clock.lap("fit")
     probe = _probe_error(state, kept, target) if config.probe_count else None
     clock.lap("probe")
@@ -408,7 +402,7 @@ def _grow_phase(state: RunState, kept: _RunGrid) -> list[MultiIndex]:
     levels admitted, which the next build adds."""
     config, ts = state.config, state.theta
     _, added = _grow(state.fit, ts, kept.margin, len(kept.grid), config.batch, config.max_samples)
-    state.theta = _grown(ts, added)
+    state.theta = TensorSet(ts.theta._grown(added), ts.rule)
     state.iteration += 1
     return added
 

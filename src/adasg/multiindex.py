@@ -157,8 +157,8 @@ def _grown_margin(front: set[MultiIndex], s: IndexSet, added) -> set[MultiIndex]
     """The margin of the lower set `s` from `front`, the margin of `s`
     without the members `added`: each added index leaves the margin, and
     each of its successors whose predecessors are all in `s` enters it.
-    O(len(added) d^2) set operations; `front` is not modified."""
-    front = set(front)
+    O(len(added) d^2) set operations; `front` is updated in place and
+    returned."""
     members = s._member_set
     for nu in added:
         front.discard(nu)

@@ -178,8 +178,10 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
     dimension k.  Each block's rows are numbered 0..size-1 and the number is
     read as mixed-radix digits, one per dimension; the rows are then merged
     into graded-lex order: by the index sum, then lexicographically.  The
-    rows of `grid` keep their relative order.  The fibre tables of `grid`
-    are carried forward: their rows renumbered, the new rows added.
+    rows of `grid` keep their relative order.  The points are read off the
+    rule's node table by grid index, which the nested tables make the
+    points `grid` holds.  The fibre tables of `grid` are carried forward:
+    their rows renumbered, the new rows added.
     """
     d = grid.idx.shape[1]
     levels = np.array(levels, dtype=np.int64).reshape(-1, d)
@@ -195,10 +197,9 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
     added = first[block] + number[:, None] // place[block] % size[block]
     idx = np.concatenate((grid.idx, added))
     order = np.lexsort(tuple(idx.T[::-1]) + (idx.sum(axis=1),))
-    x = rules1d.family_nodes(rule, int(added.max()))
     idx, new = idx[order], order >= len(grid)
     fibres = _extend_fibres(grid._fibres, idx, np.flatnonzero(~new), np.flatnonzero(new))
-    return GridNodes(idx, np.concatenate((grid.points, x[added - 1]))[order], fibres), new
+    return GridNodes(idx, rules1d.family_nodes(rule, int(idx.max()))[idx - 1], fibres), new
 
 
 def grid_size(ts: TensorSet) -> int:
@@ -207,11 +208,6 @@ def grid_size(ts: TensorSet) -> int:
     levels = np.array(ts.theta.members, dtype=np.int64).reshape(-1, ts.dim)
     m = _growth_table(ts.rule, int(levels.max(initial=0)))
     return int((m[levels + 1] - m[levels]).prod(axis=1).sum())
-
-
-def _degrees(grid: GridNodes) -> IndexSet:
-    """Degrees spanned on the grid: grid index j carries the degree j - 1."""
-    return _lower_set(grid.idx.shape[1], map(tuple, (grid.idx - 1).tolist()))
 
 
 def _newton_products(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -338,11 +334,6 @@ class Interpolant:
     grid: GridNodes
     samples: np.ndarray      # aligned with grid.idx
     surpluses: np.ndarray    # aligned with grid.idx
-
-    @property
-    def range(self) -> IndexSet:
-        """The degrees the interpolant spans, derived from the grid on each call."""
-        return _degrees(self.grid)
 
     @property
     def dim(self) -> int:

@@ -32,7 +32,7 @@ RAT2 = tg.builtin_target("rational", 2, c0=2.0, c=[1.0, 0.5])
 def next_level(fit, ts, batch="minimal", sample_budget=None):
     """The grow step on `ts` from its margin built afresh, and the grown set."""
     L, added = dr._grow(fit, ts, set(margin(ts.theta)), sg.grid_size(ts), batch, sample_budget)
-    return L, dr._grown(ts, added)
+    return L, sg.TensorSet(ts.theta._grown(added), ts.rule)
 
 
 def linf_error(interp, target, count, seed):
@@ -611,7 +611,8 @@ def test_saved_theta_levels_follow_the_grow_steps(tmp_path):
         if it == 5:
             state = dr.load_state(path)
         if it == 9:
-            state.theta = dr._grown(dr.initial_tensor_set(cfg), [(0, 0, 3)])
+            ts = dr.initial_tensor_set(cfg)
+            state.theta = sg.TensorSet(ts.theta._grown([(0, 0, 3)]), ts.rule)
             dr.save_state(state, path)
             assert path.read_text() == json.dumps(oracles.checkpoint_object(state))
         if it in (5, 9):  # a new state: its grid is built again, as a run() call starts

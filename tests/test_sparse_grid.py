@@ -309,19 +309,6 @@ def test_theta_opt_high_degrees_of_fast_growth_rules():
         assert set(ts.theta.members) == oracles.theta_opt_levels(lam, rule)
 
 
-def test_range_is_derived_from_the_grid(tmp_path):
-    rng = np.random.default_rng(17)
-    for rule in ("leja", "clenshaw_curtis", "rleja_double2"):
-        ts = sg.TensorSet(random_lower_set(rng, 3, 6), rule)
-        interp = sg.build_interpolant(ts, random_samples(rng, ts))
-        assert interp.range == oracles.degrees(ts)
-        path = tmp_path / f"{rule}.json"
-        sg.save_interpolant(interp, path)
-        assert sg.load_interpolant(path).range == oracles.degrees(ts)
-    with pytest.raises(AttributeError):
-        interp.range = oracles.degrees(ts)
-
-
 @pytest.mark.parametrize("dim, members", [
     (2, []),                            # the empty tensor set
     (1, [(0,)]),
