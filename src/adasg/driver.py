@@ -99,20 +99,27 @@ class RunConfig:
     min_magnitude: float = DEFAULT_MIN_MAGNITUDE
 
     def __post_init__(self):
+        # the integer fields are kept as Python ints (numpy's are converted),
+        # which a checkpoint saves as they are
+        for name in ("d", "batch", "max_iterations", "max_samples", "probe_count", "probe_seed"):
+            value = getattr(self, name)
+            if (name, value) in (("batch", "minimal"), ("probe_count", None)):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         rules1d.growth(self.rule, 0)
         if self.fit_source not in FIT_SOURCES:
             raise ValueError(f"fit_source must be one of {FIT_SOURCES}")
         if self.fit_source == "surplus" and not rules1d.unit_growth(self.rule):
             raise ValueError("surplus fitting requires a unit-growth rule")
-        if self.batch != "minimal" and not (isinstance(self.batch, int) and self.batch >= 1):
+        if self.batch != "minimal" and self.batch < 1:
             raise ValueError("batch must be 'minimal' or a positive integer")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        if self.probe_count is not None and not (isinstance(self.probe_count, (int, np.integer))
-                                                 and self.probe_count >= 1):
+        if self.probe_count is not None and self.probe_count < 1:
             raise ValueError("probe_count must be None (no probe) or a positive integer")
-        if self.probe_count is not None and not (isinstance(self.probe_seed, (int, np.integer))
-                                                 and self.probe_seed >= 0):
+        if self.probe_count is not None and self.probe_seed < 0:
             raise ValueError("probe_seed must be a non-negative integer")
         # a floor at or above the largest coefficient would leave no fit
         if not -np.inf < self.min_magnitude < 1:

@@ -1198,12 +1198,17 @@ def test_probe_count_below_one_is_refused_before_any_sample():
 @pytest.mark.parametrize("field, value", [("probe_seed", -1), ("probe_seed", 1.5),
                                           ("probe_count", 2.5), ("min_magnitude", float("nan")),
                                           ("min_magnitude", float("inf")),
-                                          ("min_magnitude", -float("inf")), ("min_magnitude", 1.0)])
+                                          ("min_magnitude", -float("inf")), ("min_magnitude", 1.0),
+                                          ("probe_count", True), ("probe_seed", True),
+                                          ("batch", True), ("max_iterations", 2.5),
+                                          ("max_samples", 40.0), ("d", 2.0)])
 def test_a_bad_seed_or_magnitude_is_refused_before_any_sample(field, value):
     # a negative or non-integer probe seed, and a non-integer probe count,
     # used to surface only once the probe drew its points, after the first
     # grid was sampled; a magnitude floor that is not finite, or not below
-    # 1, made every fit drop every coefficient, so the run grew isotropically
+    # 1, made every fit drop every coefficient, so the run grew isotropically;
+    # a bool or a float in an integer field was saved into the checkpoint as
+    # it was, or failed once the run used it
     points = []
 
     class Counting:
@@ -1213,10 +1218,21 @@ def test_a_bad_seed_or_magnitude_is_refused_before_any_sample(field, value):
             points.append(len(pts))
             return RAT2.evaluate(pts)
 
+    kwargs = dict(rule="leja", d=2, max_iterations=2, max_samples=60, probe_count=10)
     with pytest.raises(ValueError, match=field):
-        dr.run(dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=60,
-                            **{"probe_count": 10, field: value}), Counting())
+        dr.run(dr.RunConfig(**kwargs | {field: value}), Counting())
     assert points == []
+
+
+def test_numpy_integers_in_the_config_save_as_python_ints(tmp_path):
+    # numpy integers used to reach the first save, which could not encode them
+    ints = dict(max_iterations=4, max_samples=40, probe_count=10, probe_seed=7)
+    for name, convert in (("py", int), ("np", np.int64)):
+        cfg = dr.RunConfig(rule="leja", d=convert(2), batch=convert(3),
+                           **{key: convert(v) for key, v in ints.items()})
+        assert all(type(getattr(cfg, key)) is int for key in ("d", "batch", *ints))
+        dr.run(cfg, RAT2, checkpoint_path=tmp_path / f"{name}.json")
+    assert (tmp_path / "np.json").read_bytes() == (tmp_path / "py.json").read_bytes()
 
 
 def test_a_negative_probe_seed_is_kept_without_a_probe():
