@@ -58,10 +58,10 @@ from .sparse_grid import (
     GridNodes,
     Interpolant,
     TensorSet,
-    _check_format,
     _extend_grid,
     _FixedPoints,
     _growth_table,
+    _load_format,
     _solve_rows,
     _write_csv,
     _write_text_atomic,
@@ -554,8 +554,7 @@ def load_state(path) -> RunState:
     line that is not JSON is an append cut short and is dropped."""
     with open(path, newline="") as fh:
         head, *lines = fh.read().split("\n")
-    obj = json.loads(head)
-    _check_format(obj, path, _STATE_FORMAT, _STATE_VERSION, ("config",) + _RECORD_KEYS)
+    obj = _load_format(head, path, _STATE_FORMAT, _STATE_VERSION, ("config",) + _RECORD_KEYS)
     for n, line in enumerate(lines, start=2):
         try:
             record = json.loads(line)

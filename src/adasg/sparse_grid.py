@@ -613,11 +613,16 @@ def save_interpolant(interp: Interpolant, path) -> None:
     _write_text_atomic(json.dumps(obj), path)
 
 
-def _check_format(obj, path, fmt: str, version: int, keys: tuple[str, ...]) -> None:
-    """Refuse a JSON value unless it is an object of format `fmt` at
-    `version` that holds every key of `keys`.  A missing key is named with
-    the file; the format is checked before the keys past it, so a file of
-    another format is refused as such."""
+def _load_format(text: str, path, fmt: str, version: int, keys: tuple[str, ...]) -> dict:
+    """The JSON object `text`, read from the file at `path`, refused unless
+    it is an object of format `fmt` at `version` that holds every key of
+    `keys`.  Text that is not JSON, a value that is not an object and a
+    missing key are named with the file; the format is checked before the
+    keys past it, so a file of another format is refused as such."""
+    try:
+        obj = json.loads(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: not JSON ({err})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: not a JSON object")
     for key in ("format", "version") + keys:
@@ -625,13 +630,13 @@ def _check_format(obj, path, fmt: str, version: int, keys: tuple[str, ...]) -> N
             raise ValueError(f"{path}: no key {key!r}")
         if key == "version" and (obj["format"] != fmt or obj["version"] != version):
             raise ValueError(f"not a version-{version} {fmt} file")
+    return obj
 
 
 def load_interpolant(path) -> Interpolant:
     with open(path) as fh:
-        obj = json.load(fh)
-    _check_format(obj, path, _FORMAT, _VERSION,
-                  ("rule", "dim", "theta", "grid_indices", "points", "samples", "surpluses"))
+        obj = _load_format(fh.read(), path, _FORMAT, _VERSION,
+                           ("rule", "dim", "theta", "grid_indices", "points", "samples", "surpluses"))
     ts = TensorSet(IndexSet(obj["dim"], [tuple(i) for i in obj["theta"]]), obj["rule"])
     grid = grid_nodes(ts)
     if grid.idx.tolist() != obj["grid_indices"]:

@@ -722,6 +722,10 @@ def test_load_refuses_json_that_is_not_an_object_or_another_format(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a JSON object")):
             sg.load_interpolant(path)
+    for text in ("", "not json\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not JSON")):
+            sg.load_interpolant(path)
     # the format is read before the keys past it
     path.write_text(json.dumps({"format": "adasg-checkpoint", "version": 1}))
     with pytest.raises(ValueError, match="not a version-1 adasg-interpolant file"):
