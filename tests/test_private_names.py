@@ -1,9 +1,10 @@
 """Every top-level private name of the package has a caller in the package,
 every public function or class has one or is exported, the README's
 "Library API" section lists exactly the exported names, its "Command line"
-section names every config key and has an example that loads, the public
-run state holds no kept run state, and the 17-digit float format of the
-CSV tables is written only in their one writer."""
+section names every config key and has an example that loads, its
+"Library quick start" block runs as written, the public run state holds no
+kept run state, and the 17-digit float format of the CSV tables is written
+only in their one writer."""
 
 import ast
 import dataclasses
@@ -86,6 +87,14 @@ def test_the_readme_names_every_config_key_and_its_example_loads(tmp_path):
     (tmp_path / "run.cfg").write_text(textwrap.dedent(example))
     config, target = cli.load_config(tmp_path / "run.cfg")
     assert config.d == target.dim
+
+
+def test_the_readme_library_quick_start_runs():
+    block = _readme_section("Library quick start").split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    assert names["history"][-1].node_count == 222
+    assert names["values"].shape == (100,)
 
 
 RUN_STATE_FIELDS = ["config", "theta", "iteration", "cache", "fit", "interpolant", "history"]
