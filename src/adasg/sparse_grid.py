@@ -94,7 +94,8 @@ class _Fibres:
     """The dimension-k fibres of a lower grid-index set: the sets of rows that
     agree in every coordinate but k.  On a lower set each fibre holds the
     coordinates k = 1..l, and its member at c sits in column c - 1 of its
-    row of `members`; the columns past l hold -1."""
+    row of `members`; the columns past l hold -1, so `of` and coordinate k
+    fix `members`."""
 
     of: np.ndarray                # (N,) the fibre of each row
     members: np.ndarray           # (F, L) int64: rows by fibre and coordinate k, padded
@@ -115,7 +116,7 @@ class GridNodes:
         if self._fibres is None:
             none = _Fibres(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64), {})
             self._fibres = _extend_fibres([none] * self.idx.shape[1], self.idx,
-                                          np.zeros(0, dtype=np.int64), np.arange(len(self)))
+                                          np.ones(len(self), dtype=bool))
 
     def __len__(self) -> int:
         return len(self.idx)
@@ -130,26 +131,21 @@ class GridNodes:
         return tuple(map(tuple, self.idx.tolist()))
 
 
-def _extend_fibres(tables: list[_Fibres], idx: np.ndarray, moved: np.ndarray,
-                   added: np.ndarray) -> list[_Fibres]:
-    """The fibre tables of the grid-index set `idx`, from the `tables` of a
-    grid whose row r is row moved[r] of `idx`, and the rows `added` that
-    grid lacks.  The kept members are renumbered in one gather; the added
-    rows look up their fibres by their other coordinates, and a fibre one
-    of them opens takes the next id."""
-    moved = np.concatenate((moved, [-1]))  # the padding stays -1
-    rows = idx[added]
+def _extend_fibres(tables: list[_Fibres], idx: np.ndarray, new: np.ndarray) -> list[_Fibres]:
+    """The fibre tables of the grid-index set `idx`, from the `tables` of
+    its rows outside the mask `new`, in their order.  The old rows keep
+    their fibres; a new row looks its fibre up by its other coordinates,
+    and a fibre one of them opens takes the next id.  Then each row is
+    scattered to its fibre's row of `members`, in column j_k - 1."""
+    rows = idx[new]
     out = []
     for k, old in enumerate(tables):
         ids = dict(old.ids)
-        fibre = [ids.setdefault(key, len(ids)) for key in map(tuple, np.delete(rows, k, axis=1).tolist())]
         of = np.empty(len(idx), dtype=np.int64)
-        of[moved[:-1]] = old.of
-        of[added] = fibre
-        F, L = old.members.shape
-        members = np.full((len(ids), max(L, rows[:, k].max(initial=0))), -1, dtype=np.int64)
-        members[:F, :L] = moved[old.members]
-        members[fibre, rows[:, k] - 1] = added
+        of[~new] = old.of
+        of[new] = [ids.setdefault(key, len(ids)) for key in map(tuple, np.delete(rows, k, axis=1).tolist())]
+        members = np.full((len(ids), idx[:, k].max(initial=0)), -1, dtype=np.int64)
+        members[of, idx[:, k] - 1] = np.arange(len(idx))
         out.append(_Fibres(of, members, ids))
     return out
 
@@ -180,8 +176,8 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
     into graded-lex order: by the index sum, then lexicographically.  The
     rows of `grid` keep their relative order.  The points are read off the
     rule's node table by grid index, which the nested tables make the
-    points `grid` holds.  The fibre tables of `grid` are carried forward:
-    their rows renumbered, the new rows added.
+    points `grid` holds.  The fibre ids of `grid` are carried forward, and
+    the new rows look theirs up (`_extend_fibres`).
     """
     d = grid.idx.shape[1]
     levels = np.array(levels, dtype=np.int64).reshape(-1, d)
@@ -198,7 +194,7 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
     idx = np.concatenate((grid.idx, added))
     order = np.lexsort(tuple(idx.T[::-1]) + (idx.sum(axis=1),))
     idx, new = idx[order], order >= len(grid)
-    fibres = _extend_fibres(grid._fibres, idx, np.flatnonzero(~new), np.flatnonzero(new))
+    fibres = _extend_fibres(grid._fibres, idx, new)
     return GridNodes(idx, rules1d.family_nodes(rule, int(idx.max()))[idx - 1], fibres), new
 
 
@@ -498,9 +494,10 @@ class _FixedPoints:
     bit for bit `evaluate_batch`, from state kept between calls.
 
     Chunk c of `_chunk(G)` points keeps the products of the G prefixes in
-    lex order in a contiguous (G, k) slab at the start of row c of `slabs`.
-    Fibre ids only grow with the grid, so the fibres past the `keys` kept
-    bring the new prefixes, each bisected into place; their products are
+    lex order in a contiguous (G, k) slab at the start of row c of `slabs`;
+    `order` keeps that order as fibre ids.  Fibre ids only grow with the
+    grid, so the fibres past those in `order` bring the new prefixes, each
+    bisected into it by the prefixes read off the grid; their products are
     multiplied out from the kept basis left to right from 1.0 (x * 1.0 ==
     x: the bits of the shared rows), and each slab's tail moves down for
     them in 1-D copies, which numpy makes in place.  Holds the m x d x P
@@ -511,25 +508,24 @@ class _FixedPoints:
 
     def __init__(self, points: np.ndarray):
         self.points, self.basis = points, np.zeros((0,) + points.T.shape)
-        self.keys: list[MultiIndex] = []            # the prefixes, in lex order
-        self.order = np.zeros(0, dtype=np.int64)    # their fibre ids
+        self.order = np.zeros(0, dtype=np.int64)    # fibre ids, by their prefixes in lex order
         self.n = self.room = 0                      # points per chunk, prefixes per slab
         self.slabs, self.scratch = np.zeros((0, 0)), np.zeros(0)
 
     def __call__(self, interp: Interpolant) -> np.ndarray:
         count, d = self.points.shape
         grid, fibres = interp.grid, interp.grid._fibres[-1]
-        used, G, m = len(self.keys), len(fibres.members), int(grid.idx.max())
+        used, G, m = len(self.order), len(fibres.members), int(grid.idx.max())
         if m > len(self.basis):  # from contiguous coordinates, as `evaluate_batch` builds it
             self.basis = _newton_basis(interp.tensor_set.rule, m, np.ascontiguousarray(self.points.T))
-        heads = grid.idx[fibres.members[used:, 0], :-1].tolist()
         at, rows, flat = [], np.ones((G - used, count)), self.basis.reshape(-1, count)
-        for i, (key, fibre) in enumerate(sorted(zip(map(tuple, heads), range(used, G)))):
-            at.append(bisect.bisect(self.keys, key))  # its position among all G
-            self.keys.insert(at[i], key)
-            self.order = np.insert(self.order, at[i], fibre)
-            for k, j in enumerate(key):
-                rows[i] *= flat[(j - 1) * d + k]
+        if G > used:
+            heads = grid.idx[fibres.members[:, 0], :-1]  # the prefix of each fibre
+            for i, (key, fibre) in enumerate(sorted(zip(heads[used:].tolist(), range(used, G)))):
+                at.append(bisect.bisect(self.order, key, key=lambda f: heads[f].tolist()))
+                self.order = np.insert(self.order, at[i], fibre)
+                for k, j in enumerate(key):
+                    rows[i] *= flat[(j - 1) * d + k]
         S = np.append(interp.surpluses, 0.0)[fibres.members[self.order]]
         n, old, old_n = min(_chunk(G), count), self.slabs, self.n
         if G > self.room:  # n is the largest chunk until the room is full again
@@ -539,8 +535,8 @@ class _FixedPoints:
         # a row of room x (the n it was made for) per chunk the room allows:
         # as n shrinks, chunks move to later rows, so laid out again from
         # the last, each row is read before it is written
-        moved = used > 0 and (n != old_n or old is not self.slabs)
-        for c in reversed(range(-(-count // n) if moved else 0)):
+        relaid = used > 0 and (n != old_n or old is not self.slabs)
+        for c in reversed(range(-(-count // n) if relaid else 0)):
             start, k = c * n, min(n, count - c * n)
             kept = self.scratch[:used * k].reshape(used, k)
             for o in range(start // old_n, (start + k - 1) // old_n + 1):
