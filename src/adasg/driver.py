@@ -62,6 +62,7 @@ from .sparse_grid import (
     _FixedPoints,
     _growth_table,
     _load_format,
+    _read_text,
     _solve_rows,
     _write_csv,
     _write_text_atomic,
@@ -552,8 +553,7 @@ def load_state(path) -> RunState:
     """The state a checkpoint holds: its first line, the whole state as
     `save_state` wrote it, updated by each record after it in order.  A last
     line that is not JSON is an append cut short and is dropped."""
-    with open(path, newline="") as fh:
-        head, *lines = fh.read().split("\n")
+    head, *lines = _read_text(path).split("\n")
     obj = _load_format(head, path, _STATE_FORMAT, _STATE_VERSION, ("config",) + _RECORD_KEYS)
     for n, line in enumerate(lines, start=2):
         try:

@@ -609,6 +609,16 @@ def save_interpolant(interp: Interpolant, path) -> None:
     _write_text_atomic(json.dumps(obj), path)
 
 
+def _read_text(path) -> str:
+    """The text of the file at `path`, its line ends as written, refused
+    with the file's name unless its bytes are UTF-8."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 ({err})") from None
+
+
 def _load_format(text: str, path, fmt: str, version: int, keys: tuple[str, ...]) -> dict:
     """The JSON object `text`, read from the file at `path`, refused unless
     it is an object of format `fmt` at `version` that holds every key of
@@ -630,9 +640,8 @@ def _load_format(text: str, path, fmt: str, version: int, keys: tuple[str, ...])
 
 
 def load_interpolant(path) -> Interpolant:
-    with open(path) as fh:
-        obj = _load_format(fh.read(), path, _FORMAT, _VERSION,
-                           ("rule", "dim", "theta", "grid_indices", "points", "samples", "surpluses"))
+    obj = _load_format(_read_text(path), path, _FORMAT, _VERSION,
+                       ("rule", "dim", "theta", "grid_indices", "points", "samples", "surpluses"))
     ts = TensorSet(IndexSet(obj["dim"], [tuple(i) for i in obj["theta"]]), obj["rule"])
     grid = grid_nodes(ts)
     if grid.idx.tolist() != obj["grid_indices"]:

@@ -799,6 +799,9 @@ def test_load_state_refuses_json_that_is_not_an_object_or_another_format(tmp_pat
         ck.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{ck}: not JSON")):
             dr.load_state(ck)
+    ck.write_bytes(b"\xff\xfe")
+    with pytest.raises(ValueError, match=re.escape(f"{ck}: not UTF-8")):
+        dr.load_state(ck)
     # the format is read before the keys past it
     ck.write_text(json.dumps({"format": "adasg-interpolant", "version": 1}))
     with pytest.raises(ValueError, match="not a version-1 adasg-checkpoint file"):

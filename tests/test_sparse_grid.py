@@ -726,6 +726,9 @@ def test_load_refuses_json_that_is_not_an_object_or_another_format(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: not JSON")):
             sg.load_interpolant(path)
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8")):
+        sg.load_interpolant(path)
     # the format is read before the keys past it
     path.write_text(json.dumps({"format": "adasg-checkpoint", "version": 1}))
     with pytest.raises(ValueError, match="not a version-1 adasg-interpolant file"):
