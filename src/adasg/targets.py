@@ -9,6 +9,7 @@ a `done` sentinel; partial files are never read.
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 import time
@@ -118,6 +119,11 @@ def builtin_target(name: str, d: int, **params) -> TargetSpec:
 
 def external_target(d: int, workdir, command: str | None = None,
                     timeout: float = DEFAULT_TIMEOUT) -> TargetSpec:
+    """An external evaluator answering in `workdir`, run as `command` if
+    given, with `timeout` seconds (the config key `external_timeout`) per
+    batch: finite and above 0, or refused before any file is written."""
+    if not 0.0 < timeout < math.inf:  # NaN compares False
+        raise ValueError(f"external_timeout must be finite and above 0 seconds, got {timeout}")
     return TargetSpec("external", d, {}, str(workdir), command, timeout)
 
 

@@ -148,6 +148,30 @@ def test_external_timeout(tmp_path):
         ext.evaluate(np.array([[0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("command", [None, "./evaluate"])
+@pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_external_timeout_is_refused_unless_finite_and_positive(tmp_path, command, timeout):
+    # NaN never timed out a poll, and inf reached subprocess as an
+    # OverflowError after points.csv was written
+    with pytest.raises(ValueError, match="external_timeout must be finite and above 0"):
+        tg.external_target(2, tmp_path / "ext", command=command, timeout=timeout)
+    assert not (tmp_path / "ext").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
+def test_cli_run_refuses_an_external_timeout_before_any_file(tmp_path, capsys, value):
+    cfg = tmp_path / "ext.cfg"
+    cfg.write_text(f"d = 2\ntarget = external\nexternal_workdir = {tmp_path / 'ext'}\n"
+                   f"external_command = {sys.executable} stub.py\nexternal_timeout = {value}\n")
+    with pytest.raises(ValueError, match="external_timeout"):
+        cli.load_config(cfg)
+    with deadline():
+        rc = cli.main(["run", "--config", str(cfg), "--workdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "external_timeout" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "ext").exists()
+
+
 @pytest.mark.parametrize("command, body, message", [
     (f"{sys.executable} stub.py", "import time\ntime.sleep(5)\n", "ran past its timeout of 0.5s"),
     ("./no-such-evaluator", "", "could not start"),
