@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import random_lower_set
+from strategies import lower_sets, random_lower_set
 from adasg.multiindex import (
     CLASSIC_KINDS,
     CurvedWeights,
     IndexSet,
+    _grown_margin,
     is_lower,
     lambda_classic,
     lambda_curved,
@@ -283,3 +284,20 @@ def test_margin_invariants(drawn):
     for nu in front:
         # adding a margin member keeps the set lower
         assert brute_is_lower(set(s.members) | {nu})
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=lower_sets(max_dim=5, max_size=8), data=st.data())
+def test_grown_set_and_margin_equal_those_built_from_scratch(s, data):
+    """Levels admitted as the grow step admits them, margin levels and then
+    successors they admit, each keeping the set lower: the grown set has the
+    members of the set built anew, and the margin updated in place is its
+    margin."""
+    added = []
+    for pick in data.draw(st.lists(st.integers(0, 10**6), max_size=8)):
+        cands = margin(IndexSet(s.dim, s.members + tuple(added)))
+        added.append(cands[pick % len(cands)])
+    grown, want = s._grown(added), IndexSet(s.dim, s.members + tuple(added))
+    assert grown.members == want.members and grown._member_set == want._member_set
+    assert brute_is_lower(grown.members)
+    assert _grown_margin(set(margin(s)), grown, added) == set(margin(grown))

@@ -639,6 +639,23 @@ def test_kept_fibre_table_equals_a_table_built_from_scratch(theta, rule, data):
     assert_fibres_are_the_rows_agreeing_off_k(grid)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("rule", ["leja", "clenshaw_curtis", "rleja_double2"])
+def test_fibre_table_holds_the_rows_agreeing_off_k_after_every_extension(d, rule):
+    """Grow a random lower set from an empty grid in random steps, each
+    followed by an empty extension: after every step the carried table
+    holds exactly the fibres of its grid."""
+    rng = np.random.default_rng(d)
+    members = list(random_lower_set(rng, d, 8).members)  # graded-lex: every prefix is lower
+    cuts = sorted(rng.integers(1, len(members), size=3).tolist())
+    grid = sg.GridNodes.empty(d)
+    for done, cut in zip([0] + cuts, cuts + [len(members)]):
+        for levels in (members[done:cut], []):
+            grid, _ = sg._extend_grid(grid, rule, levels)
+            assert_fibres_are_the_rows_agreeing_off_k(grid)
+    assert grid.idx.tobytes() == sg.grid_nodes(sg.TensorSet(IndexSet(d, members), rule)).idx.tobytes()
+
+
 def test_grid_carries_its_fibre_tables():
     ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (0, 1)]), "leja")
     grid = sg.grid_nodes(ts)
