@@ -10,8 +10,6 @@ a `done` sentinel; partial files are never read.
 from __future__ import annotations
 
 import math
-import shlex
-import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,9 +120,13 @@ def external_target(d: int, workdir, command: str | None = None,
     """An external evaluator answering in `workdir`, run as `command` if
     given, with `timeout` seconds (the config key `external_timeout`) per
     batch: finite and above 0, or refused before any file is written."""
+    _check_timeout(timeout)
+    return TargetSpec("external", d, {}, str(workdir), command, timeout)
+
+
+def _check_timeout(timeout: float) -> None:
     if not 0.0 < timeout < math.inf:  # NaN compares False
         raise ValueError(f"external_timeout must be finite and above 0 seconds, got {timeout}")
-    return TargetSpec("external", d, {}, str(workdir), command, timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +197,10 @@ def external_evaluate(workdir, points, command: str | None = None,
 
     Writes `points.csv`, runs `command` (if configured) or polls until the
     evaluator has produced `values.csv` followed by the `done` sentinel, then
-    validates that every id was answered with a finite value.
+    validates that every id was answered with a finite value.  A `timeout`
+    that is not finite and above 0 is refused before any file is touched.
     """
+    _check_timeout(timeout)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         return np.zeros(0)
@@ -208,6 +212,10 @@ def external_evaluate(workdir, points, command: str | None = None,
         stale.unlink(missing_ok=True)
     write_points_csv(wd / "points.csv", pts)
     if command:
+        # imported here: only an evaluator run as a command needs them
+        import shlex
+        import subprocess
+
         try:
             proc = subprocess.run(shlex.split(command), cwd=wd,
                                   capture_output=True, text=True, timeout=timeout)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import textwrap
@@ -156,6 +158,31 @@ def test_external_timeout_is_refused_unless_finite_and_positive(tmp_path, comman
     with pytest.raises(ValueError, match="external_timeout must be finite and above 0"):
         tg.external_target(2, tmp_path / "ext", command=command, timeout=timeout)
     assert not (tmp_path / "ext").exists()
+
+
+@pytest.mark.parametrize("command", [None, "./evaluate"])
+@pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("path", ["target_spec", "external_evaluate"])
+def test_external_timeout_is_refused_on_every_path(tmp_path, path, timeout, command):
+    # a TargetSpec built directly and the public external_evaluate bypass
+    # external_target; with NaN or inf their poll for `done` never ended
+    wd = tmp_path / "ext"
+    with deadline(), pytest.raises(ValueError, match="external_timeout must be finite and above 0"):
+        if path == "target_spec":
+            tg.TargetSpec("external", 2, {}, str(wd), command, timeout).evaluate([[0.0, 0.0]])
+        else:
+            tg.external_evaluate(wd, [[0.0, 0.0]], command, timeout)
+    assert not (wd / "points.csv").exists()
+
+
+def test_import_loads_no_subprocess_machinery():
+    # only an external evaluator run as a command needs subprocess and shlex
+    src = str(Path(tg.__file__).resolve().parents[1])
+    code = "import sys, adasg, adasg.cli; print(sorted({'subprocess', 'shlex'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
