@@ -569,7 +569,7 @@ def load_state(path) -> RunState:
         for key in ("theta", "cache", "history"):
             obj[key] += record[key]
     config = _from_dict(RunConfig, obj["config"])
-    theta = TensorSet(IndexSet(config.d, [tuple(i) for i in obj["theta"]]), config.rule)
+    theta = TensorSet(IndexSet(config.d, obj["theta"]), config.rule)
     state = RunState(config, theta, obj["iteration"])
     state.cache = {tuple(k): float(v) for k, v in obj["cache"]}
     _check_cache_nodes(state)

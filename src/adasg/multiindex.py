@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 MultiIndex = tuple[int, ...]
 
@@ -28,18 +31,23 @@ class IndexSet:
     def __init__(self, dim: int, members: Iterable[MultiIndex]):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        mem = [tuple(int(v) for v in nu) for nu in members]
-        for nu in mem:
-            if len(nu) != dim:
-                raise ValueError(f"multi-index {nu} does not have dimension {dim}")
-            if any(v < 0 for v in nu):
-                raise ValueError(f"multi-index {nu} has a negative entry")
-        uniq = sorted(set(mem), key=graded_lex_key)
-        if len(uniq) != len(mem):
+        mem = [tuple(map(int, nu)) for nu in members]
+        bad = next((nu for nu in mem if len(nu) != dim or min(nu) < 0), None)
+        if bad is not None:
+            if len(bad) != dim:
+                raise ValueError(f"multi-index {bad} does not have dimension {dim}")
+            raise ValueError(f"multi-index {bad} has a negative entry")
+        member_set = frozenset(mem)
+        if len(member_set) != len(mem):
             raise ValueError("duplicate multi-indices")
+        # graded-lex order: lexical, then stably by the entry sum.  The list
+        # keeps the given order, so members given in order (a saved
+        # model's) are sorted in long runs
+        mem.sort()
+        mem.sort(key=sum)
         self.dim = dim
-        self.members = tuple(uniq)
-        self._member_set = frozenset(uniq)
+        self.members = tuple(mem)
+        self._member_set = member_set
         # True once the set is known to be lower; private, and set only by
         # `_grown` and `_lower_set`, whose callers build it lower by construction
         self._lower = False
@@ -132,8 +140,27 @@ def _entering(nu: MultiIndex, inside: Callable[[MultiIndex], bool]) -> Iterator[
 
 
 def is_lower(s: IndexSet) -> bool:
-    """True iff the set is downward closed (contains all componentwise predecessors)."""
-    return all(p in s._member_set for nu in s.members for p in _predecessors(nu))
+    """True iff the set is downward closed (contains all componentwise predecessors).
+
+    Each member's int64 row, read as raw bytes, is one key: rows are equal
+    iff their bytes are, so the check is exact for every d.  The keys are
+    ordered once, and every predecessor is looked up among them by bisection.
+    A lower set holds the members 0..v along the axis of an entry v, so an
+    entry past int64 is never lower."""
+    try:
+        rows = np.fromiter(itertools.chain.from_iterable(s.members), np.int64, len(s) * s.dim)
+    except OverflowError:
+        return False
+    rows = rows.reshape(len(s), s.dim)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * s.dim))).ravel()
+    order = np.argsort(keys)
+    for k in range(s.dim):
+        below = rows[rows[:, k] > 0]
+        below[:, k] -= 1
+        at = np.searchsorted(keys, below.view(keys.dtype).ravel(), sorter=order)
+        if not (rows[order[at.clip(max=len(s) - 1)]] == below).all():
+            return False
+    return True
 
 
 def lower_completion(s: IndexSet) -> IndexSet:

@@ -642,7 +642,7 @@ def _load_format(text: str, path, fmt: str, version: int, keys: tuple[str, ...])
 def load_interpolant(path) -> Interpolant:
     obj = _load_format(_read_text(path), path, _FORMAT, _VERSION,
                        ("rule", "dim", "theta", "grid_indices", "points", "samples", "surpluses"))
-    ts = TensorSet(IndexSet(obj["dim"], [tuple(i) for i in obj["theta"]]), obj["rule"])
+    ts = TensorSet(IndexSet(obj["dim"], obj["theta"]), obj["rule"])
     grid = grid_nodes(ts)
     if grid.idx.tolist() != obj["grid_indices"]:
         raise ValueError("grid indices in file do not match the tensor set")

@@ -52,6 +52,19 @@ def test_is_lower_matches_bruteforce():
         d = int(rng.integers(1, 4))
         members = {tuple(rng.integers(0, 4, d)) for _ in range(rng.integers(1, 8))}
         assert is_lower(IndexSet(d, members)) == brute_is_lower(members)
+    for d in range(1, 9):
+        assert is_lower(IndexSet(d, []))
+        for _ in range(10):
+            members = {tuple(rng.integers(0, 3, d)) for _ in range(rng.integers(1, 8))}
+            assert is_lower(IndexSet(d, members)) == brute_is_lower(members)
+        # near-lower sets: a lower set with one member removed is lower
+        # exactly when that member has no successor in it
+        full = random_lower_set(rng, d, 12).members
+        for drop in range(len(full)):
+            members = full[:drop] + full[drop + 1:]
+            assert is_lower(IndexSet(d, members)) == brute_is_lower(members), (full, drop)
+    # an entry past int64 needs that many members below it
+    assert not is_lower(IndexSet(2, [(0, 0), (1 << 64, 0)]))
 
 
 def test_lower_completion_examples():

@@ -715,6 +715,52 @@ def test_load_refuses_reordered_grid_indices(tmp_path):
         sg.load_interpolant(path)
 
 
+def theta_with_a_duplicate(theta):
+    theta.append(theta[-1])
+
+
+def theta_with_a_negative_entry(theta):
+    theta[-1][0] = -1
+
+
+def theta_with_a_row_of_the_wrong_length(theta):
+    theta[-1].append(0)
+
+
+def theta_without_the_origin(theta):
+    theta.remove([0, 0])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (theta_with_a_duplicate, "duplicate multi-indices"),
+    (theta_with_a_negative_entry, "has a negative entry"),
+    (theta_with_a_row_of_the_wrong_length, "does not have dimension 2"),
+    (theta_without_the_origin, "tensor set must be downward closed")])
+def test_load_refuses_a_theta_that_is_not_a_lower_set(tmp_path, edit, message):
+    rng = np.random.default_rng(17)
+    ts = sg.TensorSet(random_lower_set(rng, 2, 5), "leja")
+    path = tmp_path / "model.json"
+    sg.save_interpolant(sg.build_interpolant(ts, random_samples(rng, ts)), path)
+    obj = json.loads(path.read_text())
+    edit(obj["theta"])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=message):
+        sg.load_interpolant(path)
+
+
+def test_load_reads_theta_in_any_order(tmp_path):
+    rng = np.random.default_rng(19)
+    ts = sg.TensorSet(random_lower_set(rng, 3, 9), "leja")
+    path, backwards, again = (tmp_path / name for name in ("model.json", "backwards.json",
+                                                           "again.json"))
+    sg.save_interpolant(sg.build_interpolant(ts, random_samples(rng, ts)), path)
+    obj = json.loads(path.read_text())
+    obj["theta"].reverse()
+    backwards.write_text(json.dumps(obj))
+    sg.save_interpolant(sg.load_interpolant(backwards), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 INTERPOLANT_KEYS = ("format", "version", "rule", "dim", "theta", "grid_indices", "points",
                     "samples", "surpluses")
 
