@@ -1,7 +1,8 @@
-"""Checksums of outputs that a refactor of the rules or the config loader must
-not move: the greedy node tables, one refined minimum of the min-Lebesgue
-objective, and what `load_config` makes of a fixed corpus of config files
-(the config, and the target fields a file sets).
+"""Checksums of outputs that a refactor of the rules, the config loader or the
+index-set construction must not move: the greedy node tables, one refined
+minimum of the min-Lebesgue objective, what `load_config` makes of a fixed
+corpus of config files (the config, and the target fields a file sets), and
+the curved sets `lambda_curved` makes of a fixed corpus of weights and levels.
 
 The digests were computed before the refactors they guard and are not
 re-derived: a failure here means the code changed an output.
@@ -14,6 +15,7 @@ import numpy as np
 
 from adasg import cli
 from adasg import rules1d as r1
+from adasg.multiindex import CurvedWeights, curved_tail_min, lambda_curved
 
 NODE_TABLES = {
     ("leja", 60): "1e5de29904f8e8e53492422d36290f6009a7b38eeff961c370ea68bf7ebd4853",
@@ -21,6 +23,7 @@ NODE_TABLES = {
     ("min_delta", 8): "749f05fee1abe47bc7d375d61523d0dfa474317ef4875254f40f700f2267b841",
 }
 MIN_LEBESGUE_4 = "18a7588416b7758d8ec1148323df21ead58b5935a1ade14a84877ed9f8231ef1"
+CURVED_SETS = "9a4e85d2bf9f32690c8267fa0ef779a39f6f9a9bb6ea8529cc7d262da4bf6761"
 CONFIG_CORPUS = "41ea89fe2e6f01020e9eae3003eb5069e75b16aaf01f95d4b7a57d83722d1587"
 
 
@@ -129,3 +132,33 @@ def test_config_files_load_as_pinned(tmp_path):
             outcomes.append(type(err).__name__)
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == CONFIG_CORPUS
+
+
+def _curved_corpus(count=300, seed=20261020):
+    """Curved weights and levels drawn from a fixed seed: d = 1..4, alpha in
+    [0.3, 2], beta either in [0, alpha] or in [-4 alpha, alpha], and a level
+    up to 5 above the least weight.  Half the levels are then moved exactly
+    onto the tail-minimum sum of a member of the set they select, summed
+    left to right as membership is, so ties at the level are exercised."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        alpha = [rng.uniform(0.3, 2.0) for _ in range(d)]
+        low = rng.choice([0.0, -4.0])
+        beta = [a * rng.uniform(low, 1.0) for a in alpha]
+        w = CurvedWeights(alpha, beta)
+        floor = sum(curved_tail_min(a, b, 0) for a, b in zip(alpha, beta))
+        L = floor + rng.uniform(-0.5, 5.0)
+        if rng.random() < 0.5:
+            members = lambda_curved(w, L).members
+            if members:
+                nu = rng.choice(members)
+                L = 0.0
+                for a, b, t in zip(alpha, beta, nu):
+                    L += curved_tail_min(a, b, t)
+        yield w, L
+
+
+def test_curved_sets_are_pinned():
+    sets = [repr(lambda_curved(w, L).members) for w, L in _curved_corpus()]
+    assert hashlib.sha256("\n".join(sets).encode()).hexdigest() == CURVED_SETS
