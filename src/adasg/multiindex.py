@@ -197,13 +197,6 @@ def curved_weight_1d(alpha_k: float, beta_k: float, t: int) -> float:
     return alpha_k * t + beta_k * math.log(t + 1)
 
 
-def _dip_end(alpha_k: float, beta_k: float) -> int:
-    # First integer t at which alpha*t + beta*log(t+1) is guaranteed non-decreasing.
-    if beta_k >= 0.0:
-        return 0
-    return max(0, math.ceil(-beta_k / alpha_k - 1.0))
-
-
 def curved_tail_min(alpha_k: float, beta_k: float, start: int) -> float:
     """Minimum of alpha*t + beta*log(t+1) over integers t >= start."""
     if beta_k >= 0.0:
@@ -218,16 +211,16 @@ def curved_tail_min(alpha_k: float, beta_k: float, start: int) -> float:
 
 def _sublevel_set(
     g: Sequence[Callable[[int], float]],
-    dip_ends: Sequence[int],
     L: float,
     combine: Callable[[float, float], float] = operator.add,
     start: float = 0.0,
-) -> list[MultiIndex]:
-    """Members of {nu : combine(...combine(start, g[0](nu_0))..., g[d-1](nu_{d-1})) <= L}.
+) -> IndexSet:
+    """The lower set {nu : combine(...combine(start, g[0](nu_0))..., g[d-1](nu_{d-1})) <= L}.
 
     The membership value is folded left to right, one coordinate at a
     time, by `combine` (+, max or *), which must be non-decreasing in each
-    argument; each g[k] is non-decreasing beyond dip_ends[k].  A level that
+    argument, and each g[k] must be non-decreasing, so the set is lower and
+    each coordinate's scan stops at its first degree past L.  A level that
     is not finite is refused: at inf the scan never ends, and at NaN no
     index is a member.
     """
@@ -238,7 +231,7 @@ def _sublevel_set(
     # these minima push it past L.  They are combined left to right, in the
     # order of the membership fold, so by monotone rounding the bound never
     # exceeds a member's value and no member is pruned.
-    lows = [min(g[k](t) for t in range(dip_ends[k] + 1)) for k in range(d)]
+    lows = [gk(0) for gk in g]
     out: list[MultiIndex] = []
     prefix = [0] * d
 
@@ -253,20 +246,18 @@ def _sublevel_set(
                 out.append(tuple(prefix))
             return
         gk = g[k]
-        dip = dip_ends[k]
         t = 0
         while True:
             w = combine(partial, gk(t))
-            if bound(k, w) <= L:
-                prefix[k] = t
-                scan(k + 1, w)
-            elif t >= dip:
+            if not bound(k, w) <= L:  # NaN ends the scan too
                 break
+            prefix[k] = t
+            scan(k + 1, w)
             t += 1
         prefix[k] = 0
 
     scan(0, start)
-    return out
+    return _lower_set(d, out)
 
 
 def _check_alpha(alpha: Sequence[float]):
@@ -275,16 +266,18 @@ def _check_alpha(alpha: Sequence[float]):
 
 
 def lambda_curved(w: CurvedWeights, L: float) -> IndexSet:
-    """Lower completion of {nu : alpha.nu + beta.log(nu+1) <= L}.
+    """Lower completion of {nu : alpha.nu + beta.log(nu+1) <= L}: the sublevel
+    set of the tail minima `curved_tail_min(alpha_k, beta_k, nu_k)`, the
+    non-decreasing weights the grow step admits tensor levels by.
 
-    Membership uses literal floating-point <= with no tolerance.  Negative
-    beta entries make the per-coordinate weight dip before increasing; the
-    scan runs past the dip so no member is missed.
+    nu is in the completion iff some mu >= nu has weight <= L.  Each tail
+    minimum is the weight at some mu_k >= nu_k and at most that at any
+    other, so by monotone rounding the float sums decide alike.  Membership
+    uses literal floating-point <= with no tolerance.
     """
     _check_alpha(w.alpha)
-    g = [functools.partial(curved_weight_1d, a, b) for a, b in zip(w.alpha, w.beta)]
-    dips = [_dip_end(a, b) for a, b in zip(w.alpha, w.beta)]
-    return lower_completion(IndexSet(w.dim, _sublevel_set(g, dips, float(L))))
+    g = [functools.partial(curved_tail_min, a, b) for a, b in zip(w.alpha, w.beta)]
+    return _sublevel_set(g, float(L))
 
 
 # per kind: the weight of coordinate k at degree t, and the fold of the
@@ -309,5 +302,5 @@ def lambda_classic(kind: str, alpha: Sequence[float], L: float) -> IndexSet:
         raise ValueError(f"unknown classic kind {kind!r}; expected one of {CLASSIC_KINDS}")
     weight, combine, start = _CLASSIC[kind]
     g = [functools.partial(weight, a) for a in alpha]
-    return _lower_set(len(alpha), _sublevel_set(g, [0] * len(alpha), float(L), combine, start))
+    return _sublevel_set(g, float(L), combine, start)
 
