@@ -513,12 +513,15 @@ def _to_dict(obj) -> dict:
 def _from_dict(cls, obj: dict):
     """Inverse of `_to_dict`: JSON arrays become frozensets for fields whose
     default is a frozenset and tuples otherwise; absent fields keep their
-    default."""
+    default.  A value that is not an object, or an unknown or missing field,
+    is a TypeError."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected an object, got {obj!r}")
     default = {f.name: f.default for f in fields(cls)}
     kwargs = {}
     for name, value in obj.items():
         if isinstance(value, list):
-            value = frozenset(value) if isinstance(default[name], frozenset) else tuple(value)
+            value = frozenset(value) if isinstance(default.get(name), frozenset) else tuple(value)
         kwargs[name] = value
     return cls(**kwargs)
 
@@ -552,9 +555,13 @@ def _append_text(text: str, path) -> None:
 def load_state(path) -> RunState:
     """The state a checkpoint holds: its first line, the whole state as
     `save_state` wrote it, updated by each record after it in order.  A last
-    line that is not JSON is an append cut short and is dropped."""
+    line that is not JSON is an append cut short and is dropped.  A field
+    that does not make its part of the state is refused with the file."""
     head, *lines = _read_text(path).split("\n")
     obj = _load_format(head, path, _STATE_FORMAT, _STATE_VERSION, ("config",) + _RECORD_KEYS)
+    for key in ("theta", "cache", "history"):
+        if not isinstance(obj[key], list):
+            raise ValueError(f"{path}: malformed {key!r}: not a list")
     for n, line in enumerate(lines, start=2):
         try:
             record = json.loads(line)
@@ -568,14 +575,27 @@ def load_state(path) -> RunState:
         obj["iteration"], obj["fit"] = record["iteration"], record["fit"]
         for key in ("theta", "cache", "history"):
             obj[key] += record[key]
-    config = _from_dict(RunConfig, obj["config"])
-    theta = TensorSet(IndexSet(config.d, obj["theta"]), config.rule)
-    state = RunState(config, theta, obj["iteration"])
-    state.cache = {tuple(k): float(v) for k, v in obj["cache"]}
+
+    def read(key, make):
+        try:
+            return make(obj[key])
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ValueError(f"{path}: malformed {key!r}: {err}") from None
+
+    config = read("config", lambda v: _from_dict(RunConfig, v))
+    theta = read("theta", lambda v: TensorSet(IndexSet(config.d, v), config.rule))
+    state = RunState(config, theta, read("iteration", _iteration))
+    state.cache = read("cache", lambda v: {tuple(k): float(x) for k, x in v})
     _check_cache_nodes(state)
-    state.fit = None if obj["fit"] is None else _from_dict(FitParams, obj["fit"])
-    state.history = [_from_dict(Record, r) for r in obj["history"]]
+    state.fit = read("fit", lambda v: None if v is None else _from_dict(FitParams, v))
+    state.history = read("history", lambda v: [_from_dict(Record, r) for r in v])
     return state
+
+
+def _iteration(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise TypeError(f"expected a non-negative integer, got {value!r}")
+    return value
 
 
 def _check_cache_nodes(state: RunState) -> None:

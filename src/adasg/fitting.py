@@ -37,6 +37,9 @@ class FitParams:
     def __post_init__(self):
         if self.corrected_dims & self.excluded_dims:
             raise ValueError("corrected and excluded dimensions must be disjoint")
+        if not all(map(math.isfinite, (*self.alpha, *self.beta, self.c_const))):
+            raise ValueError(f"fit parameters must be finite, got alpha={self.alpha}, "
+                             f"beta={self.beta}, c_const={self.c_const}")
         if any(not (a > 0.0) for a in self.alpha):
             raise ValueError("alpha entries must be positive after correction")
 

@@ -111,6 +111,8 @@ class CurvedWeights:
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         if len(self.alpha) != len(self.beta):
             raise ValueError("alpha and beta must have the same length")
+        if not all(map(math.isfinite, self.alpha + self.beta)):
+            raise ValueError(f"curved weights must be finite, got alpha={self.alpha}, beta={self.beta}")
 
     @property
     def dim(self) -> int:
@@ -261,8 +263,8 @@ def _sublevel_set(
 
 
 def _check_alpha(alpha: Sequence[float]):
-    if any(not (a > 0.0) for a in alpha):
-        raise ValueError("alpha entries must be strictly positive")
+    if any(not (0.0 < a < math.inf) for a in alpha):
+        raise ValueError(f"alpha entries must be finite and strictly positive, got {tuple(alpha)}")
 
 
 def lambda_curved(w: CurvedWeights, L: float) -> IndexSet:

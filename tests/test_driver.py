@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 import os
 import re
 import tempfile
@@ -787,6 +788,58 @@ def test_load_state_names_the_file_and_a_missing_key(tmp_path, key):
     ck.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match=re.escape(f"{ck}: no key {key!r}")):
         dr.load_state(ck)
+
+
+def _drop(key):
+    return lambda obj: obj.pop(key)
+
+
+# each edit of the whole-state object makes one field malformed: the field
+# and the edit
+MALFORMED_FIELDS = {
+    "fit is a number": ("fit", lambda obj: obj.update(fit=5)),
+    "fit lacks a key": ("fit", lambda obj: _drop("alpha")(obj["fit"])),
+    "fit alpha is NaN": ("fit", lambda obj: obj["fit"].update(alpha=[math.nan, 1.0])),
+    "fit c_const is infinite": ("fit", lambda obj: obj["fit"].update(c_const=math.inf)),
+    "history row lacks a key": ("history", lambda obj: _drop("n_used")(obj["history"][0])),
+    "history row is a list": ("history", lambda obj: obj["history"].__setitem__(0, [1])),
+    "unknown config key": ("config", lambda obj: obj["config"].update(bogus=[1])),
+    "config is a list": ("config", lambda obj: obj.update(config=[])),
+    "cache entry of two numbers": ("cache", lambda obj: obj["cache"].__setitem__(0, [1, 2])),
+    "cache is an object": ("cache", lambda obj: obj.update(cache={})),
+    "iteration is a string": ("iteration", lambda obj: obj.update(iteration="3")),
+    "iteration is negative": ("iteration", lambda obj: obj.update(iteration=-1)),
+    "theta row is a string": ("theta", lambda obj: obj["theta"].__setitem__(1, "ab")),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FIELDS)
+def test_load_state_names_the_file_and_a_malformed_field(tmp_path, case):
+    # an AttributeError, a TypeError or a state that failed later in the run
+    ck = tmp_path / "ck.json"
+    dr.run(CUT_CFG, RAT2, checkpoint_path=ck)
+    obj = json.loads(ck.read_text())
+    key, edit = MALFORMED_FIELDS[case]
+    edit(obj)
+    ck.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=re.escape(f"{ck}: malformed {key!r}")):
+        dr.load_state(ck)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("initial_beta", (math.nan, 0.0), "curved weights must be finite"),
+    ("initial_beta", (-math.inf, 0.0), "curved weights must be finite"),
+    ("initial_alpha", (math.inf, 1.0), "curved weights must be finite"),
+])
+def test_initial_curved_set_refuses_non_finite_weights(field, value, message):
+    # a NaN or infinite beta died converting to an integer, and an infinite
+    # alpha was reported as an empty polynomial space
+    cfg = dr.RunConfig(rule="leja", d=2, initial_kind="curved", **{field: value})
+    with pytest.raises(ValueError, match=message):
+        dr.initial_tensor_set(cfg)
+    if field == "initial_alpha":
+        with pytest.raises(ValueError, match="alpha entries must be finite"):
+            dr.initial_tensor_set(dataclasses.replace(cfg, initial_kind="total_degree"))
 
 
 def test_load_state_refuses_json_that_is_not_an_object_or_another_format(tmp_path):

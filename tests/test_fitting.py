@@ -154,6 +154,15 @@ def test_isotropic_fallback_params():
     assert fp.alpha == (1.0, 1.0, 1.0) and fp.beta == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("alpha, beta, c_const", [
+    ((math.inf, 1.0), (0.0, 0.0), 0.0), ((1.0, 1.0), (math.nan, 0.0), 0.0),
+    ((1.0, 1.0), (0.0, -math.inf), 0.0), ((1.0, 1.0), (0.0, 0.0), math.nan),
+])
+def test_fit_params_refuse_non_finite_entries(alpha, beta, c_const):
+    with pytest.raises(ValueError, match="fit parameters must be finite"):
+        ft.FitParams(alpha, beta, c_const)
+
+
 def fit_bits(fit):
     """A fit, or the message of the refusal, with every float as its bits."""
     if isinstance(fit, ft.UnfittableError):

@@ -171,6 +171,23 @@ def test_lambda_curved_rejects_nonpositive_alpha():
         lambda_curved(CurvedWeights((0.0, 1.0), (0.0, 0.0)), 1.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    ((math.nan, 1.0), (0.0, 0.0)), ((1.0, math.inf), (0.0, 0.0)),
+    ((1.0, 1.0), (math.nan, 0.0)), ((1.0, 1.0), (0.0, -math.inf)), ((1.0, 1.0), (math.inf, 0.0)),
+])
+def test_curved_weights_refuse_non_finite_entries(alpha, beta):
+    # a NaN or infinite beta ended the scan in "cannot convert float NaN to
+    # integer" or an OverflowError
+    with pytest.raises(ValueError, match="curved weights must be finite"):
+        CurvedWeights(alpha, beta)
+
+
+@pytest.mark.parametrize("kind", CLASSIC_KINDS)
+def test_classic_sets_refuse_an_infinite_alpha(kind):
+    with pytest.raises(ValueError, match="alpha entries must be finite and strictly positive"):
+        lambda_classic(kind, (1.0, math.inf), 2.0)
+
+
 def test_lambda_curved_nested_in_level():
     w = CurvedWeights((0.8, 1.7), (-0.9, 0.4))
     for L1, L2 in [(0.5, 1.0), (1.0, 3.0), (3.0, 3.0)]:
