@@ -23,15 +23,17 @@ SCHEMES = ("isotropic", "dynamic_td", "dynamic_curved")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    out = {}
+    out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ValueError(f"config lines {lines[key]} and {lineno} both set {key!r}")
+        out[key], lines[key] = value, lineno
     return out
 
 

@@ -319,6 +319,14 @@ def test_config_rejects_unknown_keys(tmp_path):
         cli.load_config(path)
 
 
+def test_config_refuses_a_key_given_twice(tmp_path):
+    # the last value won silently
+    path = tmp_path / "twice.cfg"
+    path.write_text("d = 2\nmax_samples = 40\n# a comment\nmax_samples = 60\n")
+    with pytest.raises(ValueError, match="config lines 2 and 4 both set 'max_samples'"):
+        cli.load_config(path)
+
+
 def test_cli_nodes_command(tmp_path, capsys):
     rc = cli.main(["nodes", "--rule", "leja", "--levels", "4",
                    "--probe-count", "20000", "--workdir", str(tmp_path)])
