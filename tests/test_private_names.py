@@ -3,8 +3,8 @@ every public function or class has one or is exported, the README's
 "Library API" section lists exactly the exported names, its "Command line"
 section names every config key and has an example that loads, its
 "Library quick start" block runs as written, the public run state holds no
-kept run state, and the 17-digit float format of the CSV tables is written
-only in their one writer."""
+kept run state, the 17-digit float format of the CSV tables is written
+only in their one writer, and every name a module imports is used in it."""
 
 import ast
 import dataclasses
@@ -119,3 +119,30 @@ def test_the_17_digit_float_format_is_written_only_in_the_csv_writer():
                 places |= {(path.name, f.name) for f in functions
                            if f.lineno <= lineno <= f.end_lineno} or {(path.name, None)}
     assert places == {("sparse_grid.py", "_write_csv")}
+
+
+def _imported_names(tree):
+    """(bound name, line) for each name an import binds, but `__future__`'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name.split(".")[0], alias.lineno)
+                        for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((alias.asname or alias.name, alias.lineno) for alias in node.names)
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # `__init__`'s imports are the package's exports; a line marked
+    # `# noqa: F401` keeps a name for callers outside the module
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in _imported_names(tree)
+                   if name not in loaded and "# noqa: F401" not in lines[line - 1]]
+    assert not unused, "imported names never used: " + ", ".join(unused)
