@@ -790,18 +790,14 @@ def test_load_state_names_the_file_and_a_missing_key(tmp_path, key):
         dr.load_state(ck)
 
 
-def _drop(key):
-    return lambda obj: obj.pop(key)
-
-
 # each edit of the whole-state object makes one field malformed: the field
 # and the edit
 MALFORMED_FIELDS = {
     "fit is a number": ("fit", lambda obj: obj.update(fit=5)),
-    "fit lacks a key": ("fit", lambda obj: _drop("alpha")(obj["fit"])),
+    "fit lacks a key": ("fit", lambda obj: obj["fit"].pop("alpha")),
     "fit alpha is NaN": ("fit", lambda obj: obj["fit"].update(alpha=[math.nan, 1.0])),
     "fit c_const is infinite": ("fit", lambda obj: obj["fit"].update(c_const=math.inf)),
-    "history row lacks a key": ("history", lambda obj: _drop("n_used")(obj["history"][0])),
+    "history row lacks a key": ("history", lambda obj: obj["history"][0].pop("n_used")),
     "history row is a list": ("history", lambda obj: obj["history"].__setitem__(0, [1])),
     "unknown config key": ("config", lambda obj: obj["config"].update(bogus=[1])),
     "config is a list": ("config", lambda obj: obj.update(config=[])),
