@@ -16,6 +16,10 @@ protocol.
 probe contracts a trie of seven levels in two chunks of points.  `d1_rleja`
 is a d=1 run, whose trie has no level at all; these two were pinned before
 the probe kept its basis and prefix products between iterations.
+`d16_leja_batch4` grows a d=16 grid by four nodes per iteration, with
+c_k = (k + 1)^-1.5: its first grow step admits 136 levels of one tied
+weight, and the budget cuts its last round to one node.  It was pinned
+before the grow step kept its margin as an array.
 
 The bytes hold on one machine with one BLAS kernel: the fit's least-squares
 solve takes its bits from the kernel.  Across kernels the tensor sets, the
@@ -138,6 +142,23 @@ RUNS = {
         "history.csv": "c25e1d39db8e4b0a7283fa1cdd127a39d07cf587f56a1225e78160e7b55925fe",
         "checkpoint.json": "89e80533f6c0ae7fed2b9b3b29cb52494be2e5bc9e36bed836fceef7b23276dc",
         "interpolant.json": "eba5f9d5fa237b10756f5bf647110c79920dca08324ef84189e44efb0c1f83a0",
+    }),
+    "d16_leja_batch4": ("""
+        rule = leja
+        d = 16
+        batch = 4
+        initial_level = 1
+        target = rational
+        target_c0 = 3
+        target_c = 1,0.3536,0.1925,0.125,0.0894,0.068,0.054,0.0442,0.037,0.0316,0.0274,0.0241,0.0213,0.0191,0.0172,0.0156
+        probe_count = 200
+        probe_seed = 19
+        max_iterations = 1000
+        max_samples = 190
+    """, {
+        "history.csv": "9b24b2d7be011d7e1a57e3d2ffe07fdb455b8b4697b5b8adf4c15452f4860cd7",
+        "checkpoint.json": "27617791749ac06ff378cfb33b9c26954b8a5d960677f98757b15ded6e36473e",
+        "interpolant.json": "eb0b17d085394103af1a9b49a1f5d7962492010ba49d2d1a03000e45940f039b",
     }),
 }
 
