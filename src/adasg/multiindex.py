@@ -134,10 +134,13 @@ def _predecessors(nu: MultiIndex) -> list[MultiIndex]:
 def _entering(nu: MultiIndex, inside: Callable[[MultiIndex], bool]) -> Iterator[MultiIndex]:
     """The successors of `nu` whose predecessors all pass `inside`: once `nu`
     joins a lower set for which `inside` tests membership, the successors
-    that enter its margin."""
+    that enter its margin.  The predecessors of nu + e_k are `nu` itself,
+    which is in, and nu + e_k - e_j for the j != k with nu_j > 0; only
+    those are checked."""
+    below = [j for j, v in enumerate(nu) if v > 0]
     for k in range(len(nu)):
         succ = nu[:k] + (nu[k] + 1,) + nu[k + 1:]
-        if all(inside(p) for p in _predecessors(succ)):
+        if all(inside(succ[:j] + (succ[j] - 1,) + succ[j + 1:]) for j in below if j != k):
             yield succ
 
 
