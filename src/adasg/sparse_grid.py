@@ -150,15 +150,25 @@ def _extend_fibres(tables: list[_Fibres], idx: np.ndarray, new: np.ndarray) -> l
     return out
 
 
+_GROWTH_TABLES: dict[str, np.ndarray] = {}
+
+
 def _growth_table(rule: str, top: int) -> np.ndarray:
-    """m[l + 1] = m(l) for the levels l = -1..top (m(-1) = 0), cut after the
-    first entry above 2^62, which no grid or degree reaches."""
-    m = [0]
-    for l in range(top + 1):
-        m.append(rules1d.growth(rule, l))
-        if m[-1] > 1 << 62:
-            break
-    return np.array(m, dtype=np.int64)
+    """m[l + 1] = m(l) for the levels l = -1..top at least (m(-1) = 0), cut
+    after the first entry above 2^62, which no grid or degree reaches.  One
+    read-only table per rule is kept; a level past its end rebuilds it to
+    at least twice its length."""
+    m = _GROWTH_TABLES.get(rule)
+    if m is None or (len(m) < top + 2 and m[-1] <= 1 << 62):
+        top = max(top, 2 * len(m) if m is not None else 64)
+        m = [0]
+        for l in range(top + 1):
+            m.append(rules1d.growth(rule, l))
+            if m[-1] > 1 << 62:
+                break
+        m = _GROWTH_TABLES[rule] = np.array(m, dtype=np.int64)
+        m.flags.writeable = False
+    return m
 
 
 def grid_nodes(ts: TensorSet) -> GridNodes:
