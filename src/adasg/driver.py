@@ -8,14 +8,17 @@ samples, the surplus solve's per-pass values, the margin of the tensor set
 and the probe.  A call builds that grid once, for the tensor set it is
 given, and from then on adds only the blocks of the tensor levels each grow
 step admits: it samples the target at their nodes (the coordinate cache
-guarantees nested rules never re-evaluate), solves their surpluses against
-the kept passes, and updates the margin from the admitted levels.  Old
-surpluses do not change when a lower set grows, and the new rows go through
-the operations of a solve of the whole grid, so a resumed run, which
-builds its grid from scratch, has the bits an uninterrupted one has.  The
-tensor set grows on tensor levels: a heap over the margin, keyed by the
-curved weight at which each level enters, admits levels in order of that
-weight until the batch rule or the sample budget stops it.
+guarantees nested rules never re-evaluate) and solves their surpluses
+against the kept passes.  Old surpluses do not change when a lower set
+grows, and the new rows go through the operations of a solve of the whole
+grid, so a resumed run, which builds its grid from scratch, has the bits an
+uninterrupted one has.  The tensor set grows on tensor levels: the grow
+step admits the levels of the margin and the successors they bring in, in
+order of the curved weight at which each level enters, until the batch rule
+or the sample budget stops it.  It keeps the margin as an (M, d) array and
+returns it grown by the levels it admits; a build computes the margin from
+scratch only on the first build of a call and after the budget cut the
+last round of a batch.
 
 The checkpoint is saved once per iteration and costs the new work only.
 The file is a snapshot of the whole state on its first line, followed by
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from time import perf_counter
@@ -165,17 +169,19 @@ class _RunGrid:
     It starts empty; the first build of the call extends it by every level
     of the tensor set, and each later build by the levels the grow step
     before it admitted.  `passes` holds the surplus solve's values per pass
-    (`_solve_rows`): row 0 the samples, row d the surpluses.  `probe` is
-    set by the first probe of the call: the probe points with the basis and
-    prefix products kept there (G x P doubles for the G distinct prefixes
-    of length d - 1 and P points, plus the m x d x P basis up to the largest
-    grid index m), and the target's values there.
+    (`_solve_rows`): row 0 the samples, row d the surpluses.  `margin`
+    holds the (M, d) int64 rows of the margin of the tensor set, which the
+    grow step returns; it is None until a build computes it from scratch.
+    `probe` is set by the first probe of the call: the probe points with
+    the basis and prefix products kept there (G x P doubles for the G
+    distinct prefixes of length d - 1 and P points, plus the m x d x P basis
+    up to the largest grid index m), and the target's values there.
     """
 
     def __init__(self, d: int):
         self.grid = GridNodes.empty(d)
         self.passes = np.zeros((d + 1, 0))
-        self.margin: set[MultiIndex] = {(0,) * d}   # the margin of the levels built
+        self.margin: np.ndarray | None = None
         self.probe: tuple[_FixedPoints, np.ndarray] | None = None
 
 
@@ -217,58 +223,83 @@ def initial_tensor_set(config: RunConfig) -> TensorSet:
 def _grow(
     fit: FitParams,
     ts: TensorSet,
-    front: set[MultiIndex],
+    front: np.ndarray,
     nodes: int,
     batch: int | str,
     sample_budget: int | None,
-) -> tuple[float, list[MultiIndex]]:
-    """The grow step on `ts`, whose margin is `front` and grid has `nodes`
-    nodes: the smallest level L whose curved tensor set
-    theta_opt(lambda_curved(w, L)) grows `ts` (or adds >= batch nodes), and
-    the tensor levels admitted.
+) -> tuple[float, list[MultiIndex], np.ndarray | None]:
+    """The grow step on `ts`, whose margin has the (M, d) rows `front` and
+    grid has `nodes` nodes: the smallest level L whose curved tensor set
+    theta_opt(lambda_curved(w, L)) grows `ts` (or adds >= batch nodes), the
+    tensor levels admitted, and the margin of `ts` grown by them (None when
+    the budget cut the last round).
 
     Tensor level i enters at W(i) = sum_k min_{t >= m(i_k - 1)}
     (alpha_k t + beta_k log(t + 1)), the least curved weight of a degree its
     interpolant adds.  W is non-decreasing in i, so that tensor set is
     {i : W(i) <= L} and grows through the margin, as the active set of
-    Gerstner & Griebel (Computing 2003): each round pops the smallest weight
-    L, admits every level with W <= L, and pushes each successor whose
-    predecessors are all in.  The node count runs along; the budget and the
-    batch rule are checked after each round.
+    Gerstner & Griebel (Computing 2003): each round takes the smallest
+    weight L, admits every level with W <= L, and brings in each successor
+    whose predecessors are all in.  Levels are admitted in (W, level)
+    order: the front, weighed by d gathers of the tail minima summed left to
+    right, is sorted once and merged with a heap of the successors.  The
+    node count runs along; the budget and the batch rule are checked after
+    each round.
     """
     rule, d = ts.rule, ts.dim
-    m: list[int] = []   # m[l + 1] = m(l)
+    m: list[int] = []  # m[l + 1] = m(l), up to one level past every tail
     tails: list[list[float]] = [[] for _ in range(d)]  # tails[k][l]: W's term at level l
 
-    def extend(top: int) -> None:
+    def extend(tops: list[int]) -> None:
         nonlocal m
-        m = _growth_table(rule, top + 1).tolist()
-        for k, tail in enumerate(tails):
-            tail += [curved_tail_min(fit.alpha[k], fit.beta[k], v) for v in m[len(tail):-1]]
+        top = max(len(m) - 3, *tops)
+        m = _growth_table(rule, top + 1)[:top + 3].tolist()
+        for a, b, tail, t in zip(fit.alpha, fit.beta, tails, tops):
+            tail += [curved_tail_min(a, b, v) for v in m[len(tail):t + 1]]
 
     def weight(i: MultiIndex) -> float:
         w = 0.0  # summed left to right, as lambda_curved sums membership
-        for k, ik in enumerate(i):
-            w += tails[k][ik]
+        for tail, ik in zip(tails, i):
+            w += tail[ik]
         return w
 
-    extend(max(map(max, front)))
+    extend([t + 1 for t in front.max(axis=0).tolist()])  # one past the front
+    w = np.zeros(len(front))
+    for k, tail in enumerate(tails):
+        w += np.array(tail)[front[:, k]]
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    tied = w[1:] == w[:-1]
+    if tied.any():  # each run of equal weights in level order, as tuples compare
+        at = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
+        order[at] = order[at][np.lexsort(tuple(front[order[at]].T[::-1]) + (w[at],))]
+    front = front[order]
+    end = (math.inf, ())  # after every level
+
+    def entry(r: int) -> tuple[float, MultiIndex]:
+        return (float(w[r]), tuple(front[r].tolist())) if r < len(front) else end
+
     members = ts.theta._member_set
     admitted: set[MultiIndex] = set()
 
     def inside(p: MultiIndex) -> bool:
         return p in members or p in admitted
 
-    heap = [(weight(i), i) for i in front]
-    heapq.heapify(heap)
+    heap = [end]  # the successors not admitted, above `end`, which is never popped
+    r, head = 0, entry(0)  # front[:r] is admitted; head is row r's entry
     base = nodes
     added: list[MultiIndex] = []
     best: float | None = None
     kept = 0  # levels added up to the last round within the budget
     while True:
-        L = heap[0][0]
-        while heap[0][0] <= L:
-            _, i = heapq.heappop(heap)
+        L = min(head, heap[0])[0]
+        while (nxt := min(head, heap[0]))[0] <= L:
+            if nxt is head:
+                r += 1
+                head = entry(r)
+            else:
+                heapq.heappop(heap)
+            i = nxt[1]
             admitted.add(i)
             added.append(i)
             size = 1
@@ -276,19 +307,21 @@ def _grow(
                 size *= m[ik + 1] - m[ik]
             nodes += size
             for succ in _entering(i, inside):
-                if max(succ) + 2 > len(m):  # its block needs m(max(succ))
-                    extend(2 * max(succ))
-                heapq.heappush(heap, (weight(succ), succ))
+                try:
+                    heapq.heappush(heap, (weight(succ), succ))
+                except IndexError:  # a tail ends below it
+                    extend([2 * ik for ik in succ])
+                    heapq.heappush(heap, (weight(succ), succ))
         if sample_budget is not None and nodes > sample_budget:
             if best is None:
                 raise BudgetExhausted(
                     f"smallest growth step needs {nodes} samples, budget is {sample_budget}"
                 )
-            break
+            return best, added[:kept], None
         best, kept = L, len(added)
         if batch == "minimal" or nodes - base >= int(batch):
-            break
-    return best, added[:kept]
+            rest = np.array([i for _, i in heap if i], dtype=np.int64).reshape(-1, d)
+            return best, added, np.concatenate((front[r:], rest))
 
 
 def _collect_samples(state: RunState, target: TargetSpec | None, idx: np.ndarray,
@@ -321,7 +354,10 @@ def _build_grid(state: RunState, kept: _RunGrid, levels, target: TargetSpec | No
                 clock: _Clock | None = None) -> None:
     """Extend the run grid by the blocks of the tensor levels `levels`, which
     bring it to `state.theta`, and set `state.interpolant`: the new nodes
-    are sampled and their surpluses solved against the kept passes."""
+    are sampled and their surpluses solved against the kept passes.  The
+    margin of `state.theta` is computed from scratch when the grid keeps
+    none: on the first build of a call, and after the budget cut the last
+    round of a batch."""
     clock = clock or _Clock()
     ts = state.theta
     grid, new = _extend_grid(kept.grid, ts.rule, levels)
@@ -335,7 +371,9 @@ def _build_grid(state: RunState, kept: _RunGrid, levels, target: TargetSpec | No
     for array in (grid.idx, grid.points, passes):
         array.flags.writeable = False  # the interpolant handed out shares them
     kept.grid, kept.passes = grid, passes
-    _grown_margin(kept.margin, ts.theta, levels)
+    if kept.margin is None:
+        front = _grown_margin({(0,) * ts.dim}, ts.theta, ts.theta.members)
+        kept.margin = np.array(list(front), dtype=np.int64).reshape(-1, ts.dim)
     state.interpolant = Interpolant(ts, grid, passes[0], passes[-1])
     clock.lap("extend")
 
@@ -409,7 +447,8 @@ def _grow_phase(state: RunState, kept: _RunGrid) -> list[MultiIndex]:
     from the margin and node count of the run grid, which covers it; the
     levels admitted, which the next build adds."""
     config, ts = state.config, state.theta
-    _, added = _grow(state.fit, ts, kept.margin, len(kept.grid), config.batch, config.max_samples)
+    _, added, kept.margin = _grow(state.fit, ts, kept.margin, len(kept.grid), config.batch,
+                                  config.max_samples)
     state.theta = TensorSet(ts.theta._grown(added), ts.rule)
     state.iteration += 1
     return added

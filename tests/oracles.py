@@ -4,13 +4,15 @@ None of these run in the library: each is a slower, independent route to a
 result the library computes another way.
 """
 
+import heapq
 import itertools
 import math
 
 import numpy as np
 
 from adasg import rules1d
-from adasg.multiindex import IndexSet, graded_lex_key
+from adasg.driver import BudgetExhausted
+from adasg.multiindex import IndexSet, curved_tail_min, graded_lex_key
 
 
 def enumerate_grid(ts):
@@ -114,6 +116,63 @@ def block_size(rule, i):
     for ik in i:
         prod *= rules1d.growth(rule, ik) - rules1d.growth(rule, ik - 1)
     return prod
+
+
+def grow(fit, ts, front, nodes, batch, sample_budget):
+    """The grow step as one heap over the margin `front` (a set of levels)
+    and the successors it brings in, keyed by (weight, level), each weight
+    summed left to right from the tail minima of a growth table computed
+    afresh; every predecessor of a successor is checked.  Returns the level
+    L and the levels admitted, in the order they were popped."""
+    rule, d = ts.rule, ts.dim
+    m = []  # m[l + 1] = m(l)
+    tails = [[] for _ in range(d)]  # tails[k][l]: the weight's term at level l
+
+    def extend(top):
+        nonlocal m
+        m = [0] + [rules1d.growth(rule, l) for l in range(top + 2)]
+        for k, tail in enumerate(tails):
+            tail += [curved_tail_min(fit.alpha[k], fit.beta[k], v) for v in m[len(tail):-1]]
+
+    def weight(i):
+        w = 0.0
+        for k, ik in enumerate(i):
+            w += tails[k][ik]
+        return w
+
+    members, admitted = set(ts.theta.members), set()
+
+    def entering(nu):
+        for k in range(d):
+            succ = nu[:k] + (nu[k] + 1,) + nu[k + 1:]
+            preds = [succ[:j] + (succ[j] - 1,) + succ[j + 1:] for j in range(d) if succ[j] > 0]
+            if all(p in members or p in admitted for p in preds):
+                yield succ
+
+    extend(max(map(max, front)))
+    heap = [(weight(i), i) for i in front]
+    heapq.heapify(heap)
+    base, added, best, kept = nodes, [], None, 0
+    while True:
+        L = heap[0][0]
+        while heap[0][0] <= L:
+            _, i = heapq.heappop(heap)
+            admitted.add(i)
+            added.append(i)
+            nodes += block_size(rule, i)
+            for succ in entering(i):
+                if max(succ) + 2 > len(m):
+                    extend(2 * max(succ))
+                heapq.heappush(heap, (weight(succ), succ))
+        if sample_budget is not None and nodes > sample_budget:
+            if best is None:
+                raise BudgetExhausted(
+                    f"smallest growth step needs {nodes} samples, budget is {sample_budget}")
+            break
+        best, kept = L, len(added)
+        if batch == "minimal" or nodes - base >= int(batch):
+            break
+    return best, added[:kept]
 
 
 def fibre_solve(rule, idx, values):

@@ -17,13 +17,13 @@ def random_lower_set(rng, d, n):
 
 
 @st.composite
-def lower_sets(draw, max_dim=4, max_size=6):
+def lower_sets(draw, max_dim=4, max_size=6, min_dim=1):
     """Random lower sets of tensor levels, grown one margin member at a time.
 
     Six levels keep Clenshaw-Curtis at <= 33 nodes per dimension: from 129
     nodes its Newton table (entries up to 1e16) leaves no two solves agreeing.
     """
-    d = draw(st.integers(1, max_dim))
+    d = draw(st.integers(min_dim, max_dim))
     s = IndexSet(d, [(0,) * d])
     for pick in draw(st.lists(st.integers(0, 10**6), max_size=max_size - 1)):
         cands = margin(s)

@@ -24,7 +24,8 @@ from adasg import rules1d
 from adasg import sparse_grid as sg
 from adasg import targets as tg
 from adasg.fitting import FitParams, isotropic_params
-from adasg.multiindex import CurvedWeights, IndexSet, is_lower, lambda_curved, margin
+from adasg.multiindex import (CurvedWeights, IndexSet, graded_lex_key, is_lower,
+                              lambda_curved, margin)
 
 
 RAT2 = tg.builtin_target("rational", 2, c0=2.0, c=[1.0, 0.5])
@@ -32,7 +33,8 @@ RAT2 = tg.builtin_target("rational", 2, c0=2.0, c=[1.0, 0.5])
 
 def next_level(fit, ts, batch="minimal", sample_budget=None):
     """The grow step on `ts` from its margin built afresh, and the grown set."""
-    L, added = dr._grow(fit, ts, set(margin(ts.theta)), sg.grid_size(ts), batch, sample_budget)
+    front = np.array(margin(ts.theta), dtype=np.int64).reshape(-1, ts.dim)
+    L, added, _ = dr._grow(fit, ts, front, sg.grid_size(ts), batch, sample_budget)
     return L, sg.TensorSet(ts.theta._grown(added), ts.rule)
 
 
@@ -135,6 +137,68 @@ def test_next_level_grown_set_equals_a_validated_one(theta, rule, data, batch):
     assert grown.theta._lower and is_lower(validated)
 
 
+@st.composite
+def tied_fits(draw, d):
+    """Fits whose weights tie often: isotropic, beta = 0, alpha and beta
+    each drawn from two values, or drawn freely."""
+    kind = draw(st.sampled_from(("isotropic", "no beta", "repeated", "free")))
+    if kind == "isotropic":
+        return isotropic_params(d)
+    if kind == "repeated":
+        alpha = draw(st.lists(st.sampled_from((0.7, 1.3)), min_size=d, max_size=d))
+        beta = draw(st.lists(st.sampled_from((0.0, -1.2)), min_size=d, max_size=d))
+    else:
+        alpha = draw(st.lists(st.floats(0.5, 3.0), min_size=d, max_size=d))
+        beta = ([0.0] * d if kind == "no beta"
+                else draw(st.lists(st.floats(-2.5, 1.5), min_size=d, max_size=d)))
+    return FitParams(tuple(alpha), tuple(beta), 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.one_of(lower_sets(max_dim=6, max_size=12),
+                       lower_sets(min_dim=12, max_dim=20, max_size=30)),
+       rule=st.sampled_from(("leja", "clenshaw_curtis", "rleja_double2")), data=st.data(),
+       batch=st.one_of(st.just("minimal"), st.integers(1, 12)),
+       spare=st.one_of(st.none(), st.integers(0, 40)))
+def test_grow_step_equals_the_heap_oracle(theta, rule, data, batch, spare):
+    """The grow step admits the levels the heap over the margin admits, in
+    its order, and returns the margin of the grown set; a budget that cuts
+    the last round of a batch returns no margin."""
+    d, ts = theta.dim, sg.TensorSet(theta, rule)
+    fit, nodes = data.draw(tied_fits(d)), sg.grid_size(ts)
+    budget = None if spare is None else nodes + spare
+    front = margin(theta)
+    rows = np.array(front, dtype=np.int64).reshape(-1, d)
+    try:
+        expected = oracles.grow(fit, ts, set(front), nodes, batch, budget)
+    except dr.BudgetExhausted as err:
+        with pytest.raises(dr.BudgetExhausted, match=re.escape(str(err))):
+            dr._grow(fit, ts, rows, nodes, batch, budget)
+        return
+    L, added, grown_margin = dr._grow(fit, ts, rows, nodes, batch, budget)
+    assert (L, added) == expected
+    if grown_margin is None:
+        assert budget is not None and batch != "minimal"
+    else:
+        assert grown_margin.dtype == np.int64
+        got = sorted(map(tuple, grown_margin.tolist()), key=graded_lex_key)
+        assert got == margin(theta._grown(added))
+
+
+def test_grow_step_extends_one_tail_and_keeps_the_longer_ones():
+    """Levels (0, 1..3) outgrow the second dimension's tail before the
+    front's (10, 0) is admitted, whose block needs the first dimension's
+    growth table up to level 10."""
+    ts = sg.TensorSet(IndexSet(2, [(l, 0) for l in range(10)]), "leja")
+    fit = FitParams((0.1, 0.3), (0.0, 0.0), 0.0)
+    front = np.array([(10, 0), (0, 1)], dtype=np.int64)
+    L, added, grown_margin = dr._grow(fit, ts, front, 10, 20, None)
+    assert (L, added) == oracles.grow(fit, ts, {(10, 0), (0, 1)}, 10, 20, None)
+    assert (10, 0) in added and (0, 3) in added
+    got = sorted(map(tuple, grown_margin.tolist()), key=graded_lex_key)
+    assert got == margin(ts.theta._grown(added))
+
+
 @pytest.mark.parametrize("rule", ["leja", "clenshaw_curtis"])
 def test_next_level_climbs_past_its_first_growth_table(rule):
     # from one level, 60 new nodes in one dimension take the levels well
@@ -158,7 +222,8 @@ def check_run_grid(state, run):
     assert state.interpolant.samples.tobytes() == samples.tobytes()
     ref = oracles.fibre_solve(ts.rule, grid.idx, samples)
     assert state.interpolant.surpluses.tobytes() == ref.tobytes()
-    assert sorted(run.margin) == sorted(margin(ts.theta))
+    assert run.margin.dtype == np.int64
+    assert sorted(map(tuple, run.margin.tolist())) == sorted(margin(ts.theta))
 
 
 # fast-growth rules stay at <= 63 nodes per dimension under a 60-node budget
