@@ -623,18 +623,46 @@ def load_state(path) -> RunState:
 
     config = read("config", lambda v: _from_dict(RunConfig, v))
     theta = read("theta", lambda v: TensorSet(IndexSet(config.d, v), config.rule))
-    state = RunState(config, theta, read("iteration", _iteration))
+    state = RunState(config, theta, read("iteration", _count))
     state.cache = read("cache", lambda v: {tuple(k): float(x) for k, x in v})
     _check_cache_nodes(state)
     state.fit = read("fit", lambda v: None if v is None else _from_dict(FitParams, v))
-    state.history = read("history", lambda v: [_from_dict(Record, r) for r in v])
+    state.history = read("history", lambda v: [_history_row(r, config.d, n)
+                                                for n, r in enumerate(v)])
     return state
 
 
-def _iteration(value) -> int:
+def _count(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise TypeError(f"expected a non-negative integer, got {value!r}")
     return value
+
+
+def _history_row(value, d: int, n: int) -> Record:
+    """History row `n` as `save_state` writes it: non-negative integer
+    counts, d numbers in alpha and beta, numbers for the fit's scalars, a
+    number or null for the probe error, and dimensions below d."""
+    row = _from_dict(Record, value)
+
+    def number(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    def count(x) -> bool:
+        return number(x) and isinstance(x, int) and x >= 0
+
+    def rates(v) -> bool:
+        return isinstance(v, tuple) and len(v) == d and all(map(number, v))
+
+    def dims(v) -> bool:
+        return isinstance(v, tuple) and all(count(k) and k < d for k in v)
+
+    for name, ok in (("iteration", count), ("node_count", count), ("new_node_count", count),
+                     ("alpha", rates), ("beta", rates), ("c_const", number), ("residual", number),
+                     ("n_used", count), ("corrected", dims), ("excluded", dims),
+                     ("probe_error", lambda x: x is None or number(x))):
+        if not ok(getattr(row, name)):
+            raise TypeError(f"row {n}: {name} is {getattr(row, name)!r}")
+    return row
 
 
 def _check_cache_nodes(state: RunState) -> None:
