@@ -175,9 +175,16 @@ def scheme_config(config: RunConfig, scheme: str) -> RunConfig:
 
 def run_comparison(config: RunConfig, target: TargetSpec, schemes) -> list[tuple[str, int, float]]:
     """Run each scheme with its own fresh sample cache; returns (scheme, nodes, error).
-    Every scheme name is checked before the first run."""
+    Every scheme name is checked before the first run: an empty list, a
+    scheme named twice and an unknown name are refused."""
     if not config.probe_count:
         raise ValueError("comparison requires probe_count for the error column")
+    schemes = list(schemes)
+    if not schemes:
+        raise ValueError(f"no scheme to compare; expected some of {SCHEMES}")
+    twice = next((s for s in schemes if schemes.count(s) > 1), None)
+    if twice is not None:
+        raise ValueError(f"scheme {twice!r} is named twice")
     configs = [scheme_config(config, scheme) for scheme in schemes]
     rows = []
     for scheme, scheme_cfg in zip(schemes, configs):

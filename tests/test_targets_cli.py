@@ -570,6 +570,24 @@ def test_cli_compare_schemes(tmp_path):
     assert schemes == {"isotropic", "dynamic_td", "dynamic_curved"}
 
 
+@pytest.mark.parametrize("schemes, message", [(",", "no scheme to compare"),
+                                             ("", "no scheme to compare"),
+                                             ("isotropic,dynamic_td,isotropic",
+                                              "scheme 'isotropic' is named twice")])
+def test_cli_compare_refuses_an_empty_or_repeated_scheme_before_any_run(tmp_path, capsys,
+                                                                         monkeypatch, schemes,
+                                                                         message):
+    # an empty list exited 0 with a header-only compare.csv
+    (tmp_path / "cmp.cfg").write_text("rule = leja\nd = 2\nprobe_count = 20\n")
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
+    rc = cli.main(["compare", "--config", str(tmp_path / "cmp.cfg"), "--schemes", schemes,
+                   "--workdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert runs == [] and not (tmp_path / "out").exists()
+
+
 def test_cli_error_exit_code(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 1
