@@ -623,7 +623,7 @@ def load_state(path) -> RunState:
 
     config = read("config", lambda v: _from_dict(RunConfig, v))
     theta = read("theta", lambda v: TensorSet(IndexSet(config.d, v), config.rule))
-    state = RunState(config, theta, read("iteration", _count))
+    state = RunState(config, theta, read("iteration", _iteration))
     state.cache = read("cache", lambda v: {tuple(k): float(x) for k, x in v})
     _check_cache_nodes(state)
     state.fit = read("fit", lambda v: None if v is None else _from_dict(FitParams, v))
@@ -632,8 +632,12 @@ def load_state(path) -> RunState:
     return state
 
 
-def _count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _iteration(value) -> int:
+    if not _is_count(value):
         raise TypeError(f"expected a non-negative integer, got {value!r}")
     return value
 
@@ -647,15 +651,13 @@ def _history_row(value, d: int, n: int) -> Record:
     def number(x) -> bool:
         return isinstance(x, (int, float)) and not isinstance(x, bool)
 
-    def count(x) -> bool:
-        return number(x) and isinstance(x, int) and x >= 0
-
     def rates(v) -> bool:
         return isinstance(v, tuple) and len(v) == d and all(map(number, v))
 
     def dims(v) -> bool:
-        return isinstance(v, tuple) and all(count(k) and k < d for k in v)
+        return isinstance(v, tuple) and all(_is_count(k) and k < d for k in v)
 
+    count = _is_count
     for name, ok in (("iteration", count), ("node_count", count), ("new_node_count", count),
                      ("alpha", rates), ("beta", rates), ("c_const", number), ("residual", number),
                      ("n_used", count), ("corrected", dims), ("excluded", dims),

@@ -864,13 +864,18 @@ MALFORMED_FIELDS = {
     "fit c_const is infinite": ("fit", lambda obj: obj["fit"].update(c_const=math.inf)),
     "history row lacks a key": ("history", lambda obj: obj["history"][0].pop("n_used")),
     "history row is a list": ("history", lambda obj: obj["history"].__setitem__(0, [1])),
-    "history node_count is a string": ("history", lambda obj: obj["history"][-1].update(node_count="7")),
+    "history node_count is a string":
+        ("history", lambda obj: obj["history"][-1].update(node_count="7")),
     "history iteration is true": ("history", lambda obj: obj["history"][0].update(iteration=True)),
-    "history alpha holds a string": ("history", lambda obj: obj["history"][1].update(alpha=["x", 1.0])),
-    "history beta is one number short": ("history", lambda obj: obj["history"][1].update(beta=[0.0])),
+    "history alpha holds a string":
+        ("history", lambda obj: obj["history"][1].update(alpha=["x", 1.0])),
+    "history beta is one number short":
+        ("history", lambda obj: obj["history"][1].update(beta=[0.0])),
     "history residual is null": ("history", lambda obj: obj["history"][0].update(residual=None)),
-    "history probe error is a string": ("history", lambda obj: obj["history"][0].update(probe_error="0.1")),
-    "history corrected dimension past d": ("history", lambda obj: obj["history"][0].update(corrected=[2])),
+    "history probe error is a string":
+        ("history", lambda obj: obj["history"][0].update(probe_error="0.1")),
+    "history corrected dimension past d":
+        ("history", lambda obj: obj["history"][0].update(corrected=[2])),
     "unknown config key": ("config", lambda obj: obj["config"].update(bogus=[1])),
     "config is a list": ("config", lambda obj: obj.update(config=[])),
     "cache entry of two numbers": ("cache", lambda obj: obj["cache"].__setitem__(0, [1, 2])),
