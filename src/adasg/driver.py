@@ -52,10 +52,10 @@ from .multiindex import (
     IndexSet,
     MultiIndex,
     _entering,
-    _grown_margin,
     curved_tail_min,
     lambda_classic,
     lambda_curved,
+    margin,
 )
 from .spectral import grid_coeffs
 from .sparse_grid import (
@@ -372,8 +372,7 @@ def _build_grid(state: RunState, kept: _RunGrid, levels, target: TargetSpec | No
         array.flags.writeable = False  # the interpolant handed out shares them
     kept.grid, kept.passes = grid, passes
     if kept.margin is None:
-        front = _grown_margin({(0,) * ts.dim}, ts.theta, ts.theta.members)
-        kept.margin = np.array(list(front), dtype=np.int64).reshape(-1, ts.dim)
+        kept.margin = np.array(margin(ts.theta), dtype=np.int64)
     state.interpolant = Interpolant(ts, grid, passes[0], passes[-1])
     clock.lap("extend")
 

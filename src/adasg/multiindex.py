@@ -181,21 +181,18 @@ def lower_completion(s: IndexSet) -> IndexSet:
 
 
 def margin(s: IndexSet) -> list[MultiIndex]:
-    """Indices outside a lower set whose predecessors all belong to it."""
-    return sorted(_grown_margin({(0,) * s.dim}, s, s.members), key=graded_lex_key)
-
-
-def _grown_margin(front: set[MultiIndex], s: IndexSet, added) -> set[MultiIndex]:
-    """The margin of the lower set `s` from `front`, the margin of `s`
-    without the members `added`: each added index leaves the margin, and
-    each of its successors whose predecessors are all in `s` enters it.
-    O(len(added) d^2) set operations; `front` is updated in place and
-    returned."""
+    """Indices outside a lower set whose predecessors all belong to it, in
+    graded-lex order.  Each is reached once, from its predecessor in its
+    first nonzero coordinate (from the origin, in every coordinate)."""
     members = s._member_set
-    for nu in added:
-        front.discard(nu)
-        front.update(succ for succ in _entering(nu, members.__contains__) if succ not in members)
-    return front
+    out = [] if members else [(0,) * s.dim]
+    for nu in s.members:
+        first = next((k for k, v in enumerate(nu) if v), s.dim - 1)
+        for k in range(first + 1):
+            succ = nu[:k] + (nu[k] + 1,) + nu[k + 1:]
+            if succ not in members and all(p in members for p in _predecessors(succ)):
+                out.append(succ)
+    return sorted(out, key=graded_lex_key)
 
 
 def curved_weight_1d(alpha_k: float, beta_k: float, t: int) -> float:
@@ -203,15 +200,12 @@ def curved_weight_1d(alpha_k: float, beta_k: float, t: int) -> float:
 
 
 def curved_tail_min(alpha_k: float, beta_k: float, start: int) -> float:
-    """Minimum of alpha*t + beta*log(t+1) over integers t >= start."""
-    if beta_k >= 0.0:
-        return curved_weight_1d(alpha_k, beta_k, start)
+    """Minimum of alpha*t + beta*log(t+1) over integers t >= start, alpha > 0.
+    The real minimum is at t* = -beta/alpha - 1, which is <= -1 for beta >= 0."""
     tstar = -beta_k / alpha_k - 1.0
     if tstar <= start:
         return curved_weight_1d(alpha_k, beta_k, start)
-    lo = max(start, math.floor(tstar))
-    hi = math.ceil(tstar)
-    return min(curved_weight_1d(alpha_k, beta_k, t) for t in (lo, hi))
+    return min(curved_weight_1d(alpha_k, beta_k, t) for t in (math.floor(tstar), math.ceil(tstar)))
 
 
 def _sublevel_set(
@@ -246,9 +240,8 @@ def _sublevel_set(
         return w
 
     def scan(k: int, partial: float):
-        if k == d:
-            if partial <= L:
-                out.append(tuple(prefix))
+        if k == d:  # the last coordinate's bound was its value
+            out.append(tuple(prefix))
             return
         gk = g[k]
         t = 0
@@ -259,7 +252,6 @@ def _sublevel_set(
             prefix[k] = t
             scan(k + 1, w)
             t += 1
-        prefix[k] = 0
 
     scan(0, start)
     return _lower_set(d, out)
