@@ -72,6 +72,17 @@ _TARGET_PARAMS = {
 _CONFIG_KEYS = {"target", *_RUN_KEYS, *_TARGET_PARAMS}
 
 
+def _parsed(kv: dict[str, str], keys: dict, prefix: str = ""):
+    """(name, value) for each key of `keys` the file sets that starts with
+    `prefix`; a value that does not parse is refused naming its key."""
+    for key, (name, parse) in keys.items():
+        if key in kv and key.startswith(prefix):
+            try:
+                yield name, parse(kv[key])
+            except ValueError as err:
+                raise ValueError(f"config key {key!r}: {err}") from None
+
+
 def load_config(path) -> tuple[RunConfig, TargetSpec]:
     """Parse a run config file into the driver config and the target spec.
 
@@ -88,7 +99,7 @@ def load_config(path) -> tuple[RunConfig, TargetSpec]:
         raise KeyError("d")
     name = kv.get("target", "expsum")
     run = {"rule": "leja", "probe_count": None if name == "external" else 1000}
-    run.update((field, parse(kv[key])) for key, (field, parse) in _RUN_KEYS.items() if key in kv)
+    run.update(_parsed(kv, _RUN_KEYS))
     config = RunConfig(**run)
     d = config.d
     if name == "external":
@@ -98,8 +109,7 @@ def load_config(path) -> tuple[RunConfig, TargetSpec]:
     else:
         make, prefix = functools.partial(builtin_target, name), "target_"
     params = {"c": (1.0,) * d} if name == "expsum" else {}
-    params.update((param, parse(kv[key])) for key, (param, parse) in _TARGET_PARAMS.items()
-                  if key in kv and key.startswith(prefix))
+    params.update(_parsed(kv, _TARGET_PARAMS, prefix))
     try:
         return config, make(d, **params)
     except KeyError as err:  # a parameter the file omits: name its key

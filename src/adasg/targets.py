@@ -151,16 +151,20 @@ def read_labelled_points(path) -> tuple[list[str], np.ndarray]:
         if ycols != [f"y_{k + 1}" for k in range(len(ycols))]:
             raise ValueError(f"bad points header: {header}")
         ids, rows = [], []
-        for n, line in enumerate(fh):
+        for n, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != len(header):
-                raise ValueError(f"{path} line {n + 2}: {len(parts)} fields, "
+                raise ValueError(f"{path} line {n}: {len(parts)} fields, "
                                  f"the header has {len(header)}")
+            try:
+                row = [float(v) for v in (parts[1:] if has_id else parts)]
+            except ValueError as err:
+                raise ValueError(f"{path} line {n}: {err}") from None
             ids.append(parts[0] if has_id else str(len(rows)))
-            rows.append([float(v) for v in (parts[1:] if has_id else parts)])
+            rows.append(row)
     return ids, np.array(rows, dtype=float).reshape(len(rows), len(ycols))
 
 

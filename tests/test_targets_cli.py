@@ -257,6 +257,13 @@ def test_points_ragged_row_names_its_line(tmp_path):
         tg.read_labelled_points(tmp_path / "ragged.csv")
 
 
+def test_points_coordinate_that_does_not_parse_names_its_line(tmp_path):
+    # the message named neither the file nor the line
+    (tmp_path / "bad.csv").write_text("id,y_1,y_2\na,0.5,0\nb,0.3,zz\n")
+    with pytest.raises(ValueError, match="bad.csv line 3: could not convert string to float: 'zz'"):
+        tg.read_labelled_points(tmp_path / "bad.csv")
+
+
 def test_config_parsing(tmp_path):
     cfg_text = textwrap.dedent("""
         # run configuration
@@ -324,6 +331,33 @@ def test_config_refuses_a_key_given_twice(tmp_path):
     path = tmp_path / "twice.cfg"
     path.write_text("d = 2\nmax_samples = 40\n# a comment\nmax_samples = 60\n")
     with pytest.raises(ValueError, match="config lines 2 and 4 both set 'max_samples'"):
+        cli.load_config(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("batch", "Minimal", "invalid literal for int() with base 10: 'Minimal'"),
+    ("d", "three", "invalid literal for int() with base 10: 'three'"),
+    ("fit_beta", "maybe", "expected a boolean, got 'maybe'"),
+    ("initial_alpha", "1,a", "could not convert string to float: 'a'"),
+    ("target_c", "1,x", "could not convert string to float: 'x'"),
+    ("target_c0", "many", "could not convert string to float: 'many'"),
+    ("target_nu", "1,2.5", "invalid literal for int() with base 10: '2.5'"),
+])
+def test_config_value_that_does_not_parse_names_its_key(tmp_path, key, value, message):
+    # the parser's own message named neither the key nor the file
+    kv = {"d": "2", "target": "rational", "target_c0": "3", "target_c": "1,0.5", key: value}
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
+    with pytest.raises(ValueError) as err:
+        cli.load_config(path)
+    assert str(err.value) == f"config key {key!r}: {message}"
+
+
+def test_config_external_timeout_that_does_not_parse_names_its_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"d = 2\ntarget = external\nexternal_workdir = {tmp_path}\n"
+                    "external_timeout = soon\n")
+    with pytest.raises(ValueError, match="config key 'external_timeout': could not convert"):
         cli.load_config(path)
 
 
