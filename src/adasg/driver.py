@@ -122,6 +122,10 @@ class RunConfig:
             raise ValueError("batch must be 'minimal' or a positive integer")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
+        if self.max_iterations < 0:  # 0 builds the initial grid only
+            raise ValueError("max_iterations must be a non-negative integer")
+        if self.max_samples < 1:
+            raise ValueError("max_samples must be a positive integer")
         if self.probe_count is not None and self.probe_count < 1:
             raise ValueError("probe_count must be None (no probe) or a positive integer")
         if self.probe_count is not None and self.probe_seed < 0:

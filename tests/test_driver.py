@@ -1334,7 +1334,9 @@ def test_probe_count_below_one_is_refused_before_any_sample():
                                           ("min_magnitude", -float("inf")), ("min_magnitude", 1.0),
                                           ("probe_count", True), ("probe_seed", True),
                                           ("batch", True), ("max_iterations", 2.5),
-                                          ("max_samples", 40.0), ("d", 2.0)])
+                                          ("max_samples", 40.0), ("d", 2.0),
+                                          ("max_iterations", -3), ("max_samples", 0),
+                                          ("max_samples", -1)])
 def test_a_bad_seed_or_magnitude_is_refused_before_any_sample(field, value):
     # a negative or non-integer probe seed, and a non-integer probe count,
     # used to surface only once the probe drew its points, after the first
@@ -1355,6 +1357,16 @@ def test_a_bad_seed_or_magnitude_is_refused_before_any_sample(field, value):
     with pytest.raises(ValueError, match=field):
         dr.run(dr.RunConfig(**kwargs | {field: value}), Counting())
     assert points == []
+
+
+@pytest.mark.parametrize("field, value", [("max_iterations", -3), ("max_samples", 0),
+                                          ("max_samples", -1)])
+def test_a_negative_iteration_count_or_no_samples_is_refused_by_the_config(field, value):
+    # a negative max_iterations ran like 0, and max_samples < 1 was refused
+    # only inside run(), by the initial grid's size
+    with pytest.raises(ValueError, match=f"^{field} must be a"):
+        dr.RunConfig(rule="leja", d=2, **{field: value})
+    dr.RunConfig(rule="leja", d=2, max_iterations=0)  # the initial grid only
 
 
 def test_numpy_integers_in_the_config_save_as_python_ints(tmp_path):
