@@ -78,9 +78,10 @@ def _parsed(kv: dict[str, str], keys: dict, prefix: str = ""):
     for key, (name, parse) in keys.items():
         if key in kv and key.startswith(prefix):
             try:
-                yield name, parse(kv[key])
+                value = parse(kv[key])
             except ValueError as err:
                 raise ValueError(f"config key {key!r}: {err}") from None
+            yield name, value
 
 
 def load_config(path) -> tuple[RunConfig, TargetSpec]:
