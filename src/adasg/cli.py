@@ -154,6 +154,7 @@ def _cmd_run(args) -> int:
     last = history[-1]
     err = "" if last.probe_error is None else f", probe error {last.probe_error:.3e}"
     print(f"finished after {len(history)} iterations, {last.node_count} nodes{err}")
+    print(f"stopped: {last.stop}")
     print(f"wrote {wd / 'history.csv'}, {wd / 'interpolant.json'}, {wd / 'checkpoint.json'}")
     return 0
 

@@ -52,7 +52,7 @@ from .multiindex import (
     IndexSet,
     MultiIndex,
     _entering,
-    curved_tail_min,
+    _tail_mins,
     lambda_classic,
     lambda_curved,
     margin,
@@ -64,10 +64,12 @@ from .sparse_grid import (
     TensorSet,
     _extend_grid,
     _FixedPoints,
+    _graded_lex,
     _growth_table,
     _load_format,
     _read_text,
     _solve_rows,
+    _with_room,
     _write_csv,
     _write_text_atomic,
     build_interpolant,  # noqa: F401 - perfbench's tracer tests patch it under this name
@@ -81,6 +83,9 @@ FIT_SOURCES = ("legendre", "surplus")
 
 class BudgetExhausted(RuntimeError):
     """No admissible growth step fits in the remaining sample budget."""
+
+    # why the run stopped, for its last record (`Record.stop`)
+    stop = "budget"
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,8 @@ class Record:
     probe_error: float | None
     # never saved: the seconds of each phase
     timings: dict[str, float] = field(default_factory=dict, metadata={"saved": False})
+    # never saved: on the last record of a run, why it stopped
+    stop: str | None = field(default=None, metadata={"saved": False})
 
 
 class _Clock:
@@ -172,8 +179,11 @@ class _RunGrid:
 
     It starts empty; the first build of the call extends it by every level
     of the tensor set, and each later build by the levels the grow step
-    before it admitted.  `passes` holds the surplus solve's values per pass
-    (`_solve_rows`): row 0 the samples, row d the surpluses.  `margin`
+    before it admitted.  Its rows keep the order they came in: each build
+    appends its own in graded-lex order (`_extend_grid`).  `passes` holds
+    the surplus solve's values per pass (`_solve_rows`), a column per row:
+    row 0 the samples, row d the surpluses; the columns past the grid's
+    rows are room for later builds.  `margin`
     holds the (M, d) int64 rows of the margin of the tensor set, which the
     grow step returns; it is None until a build computes it from scratch.
     `probe` is set by the first probe of the call: the probe points with
@@ -259,7 +269,7 @@ def _grow(
         top = max(len(m) - 3, *tops)
         m = _growth_table(rule, top + 1)[:top + 3].tolist()
         for a, b, tail, t in zip(fit.alpha, fit.beta, tails, tops):
-            tail += [curved_tail_min(a, b, v) for v in m[len(tail):t + 1]]
+            tail += _tail_mins(a, b, m[len(tail):t + 1])
 
     def weight(i: MultiIndex) -> float:
         w = 0.0  # summed left to right, as lambda_curved sums membership
@@ -318,9 +328,11 @@ def _grow(
                     heapq.heappush(heap, (weight(succ), succ))
         if sample_budget is not None and nodes > sample_budget:
             if best is None:
-                raise BudgetExhausted(
-                    f"smallest growth step needs {nodes} samples, budget is {sample_budget}"
-                )
+                err = BudgetExhausted(
+                    f"smallest growth step needs {nodes} samples, budget is {sample_budget}")
+                err.stop = (f"budget: the smallest step needs {nodes - base} samples, "
+                            f"{sample_budget - base} are left")
+                raise err
             return best, added[:kept], None
         best, kept = L, len(added)
         if batch == "minimal" or nodes - base >= int(batch):
@@ -357,38 +369,42 @@ def _collect_samples(state: RunState, target: TargetSpec | None, idx: np.ndarray
 def _build_grid(state: RunState, kept: _RunGrid, levels, target: TargetSpec | None,
                 clock: _Clock | None = None) -> None:
     """Extend the run grid by the blocks of the tensor levels `levels`, which
-    bring it to `state.theta`, and set `state.interpolant`: the new nodes
-    are sampled and their surpluses solved against the kept passes.  The
-    margin of `state.theta` is computed from scratch when the grid keeps
+    bring it to `state.theta`, and set `state.interpolant`, a read-only
+    view of the run grid in its row order: the new nodes are sampled, in
+    graded-lex order, and their surpluses solved against the kept passes.
+    The margin of `state.theta` is computed from scratch when the grid keeps
     none: on the first build of a call, and after the budget cut the last
     round of a batch."""
     clock = clock or _Clock()
     ts = state.theta
+    start = len(kept.grid)
     grid, new = _extend_grid(kept.grid, ts.rule, levels)
     clock.lap("extend")
-    samples = _collect_samples(state, target, grid.idx[new], grid.points[new])
+    samples = _collect_samples(state, target, grid.idx[start:], grid.points[start:])
     clock.lap("sample")
-    passes = np.zeros((ts.dim + 1, len(grid)))
-    passes[:, ~new] = kept.passes
-    passes[0, new] = samples
+    kept.passes = _with_room(kept.passes, (ts.dim + 1, len(grid)))
+    passes = kept.passes[:, :len(grid)]
+    passes[0, start:] = samples
     _solve_rows(ts.rule, grid, passes, new)
-    for array in (grid.idx, grid.points, passes):
-        array.flags.writeable = False  # the interpolant handed out shares them
-    kept.grid, kept.passes = grid, passes
+    kept.grid = grid
     if kept.margin is None:
         kept.margin = np.array(margin(ts.theta), dtype=np.int64)
     state.interpolant = Interpolant(ts, grid, passes[0], passes[-1])
+    for array in (grid.idx, grid.points, state.interpolant.samples, state.interpolant.surpluses):
+        array.flags.writeable = False  # views of the run grid's buffers
     clock.lap("extend")
 
 
 def _fit_from(interp: Interpolant, config: RunConfig, clock: _Clock) -> FitParams:
     """Fit the decay to the surpluses or the Legendre coefficients, each keyed
     by degree: grid index j carries the degree j - 1 (for surpluses only on
-    the unit-growth rules `RunConfig` admits).  The grid rows are in
-    graded-lex order, the order of the fit's rows."""
+    the unit-growth rules `RunConfig` admits).  The fit's rows are put in
+    graded-lex order: the bits of its least squares depend on the order."""
     values = interp.surpluses if config.fit_source == "surplus" else grid_coeffs(interp)
     clock.lap("coefficients")
-    return _fit_rows(interp.grid.idx - 1, values, config.min_magnitude, config.fit_beta)
+    order = _graded_lex(interp.grid.idx)
+    return _fit_rows(interp.grid.idx[order] - 1, values[order], config.min_magnitude,
+                     config.fit_beta)
 
 
 def _probe_error(state: RunState, kept: _RunGrid, target: TargetSpec) -> float:
@@ -480,6 +496,9 @@ def run(
     run leaves is one JSON object.  The grow step is not saved: it depends
     only on the tensor set, the fit and the config the saved state holds,
     so a resumed run recomputes it bit for bit.
+
+    The interpolant returned, and left in `state.interpolant` on a return or
+    a raise, is the last build's in graded-lex order, in arrays of its own.
     """
     if target.dim != config.d:
         raise ValueError("target dimension does not match config")
@@ -489,7 +508,19 @@ def run(
         raise ValueError(f"the state was made with rule={state.config.rule}, d={state.config.d}; "
                          f"the config has rule={config.rule}, d={config.d}")
     state.config = config
-    kept = _RunGrid(config.d)
+    kept, last = _RunGrid(config.d), state.interpolant
+    try:
+        _iterate(state, kept, target, checkpoint_path)
+    finally:
+        if state.interpolant is not last:  # the last build's, a view of the run grid
+            state.interpolant = _in_graded_lex(state.interpolant)
+    return state.interpolant, state.history
+
+
+def _iterate(state: RunState, kept: _RunGrid, target: TargetSpec, checkpoint_path) -> None:
+    """The loop of `run()` on the run grid `kept`, which starts empty; the
+    last record says why the loop stopped."""
+    config = state.config
     levels = state.theta.theta.members  # the first build adds every level
     if _built(state):
         _build_grid(state, kept, levels, None)  # from the cache, as the last build was
@@ -516,18 +547,25 @@ def run(
                 saved = len(state.cache)
             clock.lap("checkpoint")
         if state.iteration >= config.max_iterations:
+            state.history[-1].stop = "iterations"
             break
         try:
             levels = _grow_phase(state, kept)
-        except BudgetExhausted:
+        except BudgetExhausted as err:
+            state.history[-1].stop = err.stop
             break
         finally:
             clock.lap("grow")
     if checkpoint_path is not None:
         save_state(state, checkpoint_path)
     clock.lap("checkpoint")
-    assert state.interpolant is not None
-    return state.interpolant, state.history
+
+
+def _in_graded_lex(interp: Interpolant) -> Interpolant:
+    """`interp` in new arrays and fibre tables, its rows in graded-lex order."""
+    order = _graded_lex(interp.grid.idx)
+    grid = GridNodes(interp.grid.idx[order], interp.grid.points[order])
+    return Interpolant(interp.tensor_set, grid, interp.samples[order], interp.surpluses[order])
 
 
 # ---------------------------------------------------------------------------

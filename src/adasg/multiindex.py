@@ -208,6 +208,14 @@ def curved_tail_min(alpha_k: float, beta_k: float, start: int) -> float:
     return min(curved_weight_1d(alpha_k, beta_k, t) for t in (math.floor(tstar), math.ceil(tstar)))
 
 
+def _tail_mins(alpha_k: float, beta_k: float, starts: list[int]) -> list[float]:
+    """`curved_tail_min` at each of the ascending `starts`: those below t*
+    share the interior minimum, which is computed once."""
+    below = bisect.bisect_left(starts, -beta_k / alpha_k - 1.0)  # the starts < t*
+    inner = [curved_tail_min(alpha_k, beta_k, starts[0])] * below if below else []
+    return inner + [curved_weight_1d(alpha_k, beta_k, t) for t in starts[below:]]
+
+
 def _sublevel_set(
     g: Sequence[Callable[[int], float]],
     L: float,

@@ -1,11 +1,12 @@
 """Sparse-grid interpolants: minimal tensor selection, node enumeration, and
 construction/evaluation in hierarchical-surplus (Newton) form.
 
-The grid is enumerated here only, as an int array of 1-based grid indices in
-graded-lex order: `grid_nodes` expands the blocks of every tensor level, and
-`_extend_grid` merges the blocks of new levels into a grid (the adaptive loop
-keeps its grid and extends it).  Every other operator reads that array, and
-acts on the lower set of grid indices one dimension at a time.  The
+The grid is enumerated here only, as an int array of 1-based grid indices:
+`grid_nodes` expands the blocks of every tensor level in graded-lex order,
+and `_extend_grid` appends the blocks of new levels to a grid, whose rows
+never move (the adaptive loop keeps its grid and extends it).  Every other
+operator reads that array in any row order, and acts on the lower set of
+grid indices one dimension at a time.  The
 transforms (samples to surpluses, `_solve_rows`, for the new rows of a grid;
 surpluses to Legendre coefficients in `spectral`) apply one triangular 1-D
 matrix along every fibre, read from the fibre table each grid carries per
@@ -23,6 +24,7 @@ from __future__ import annotations
 import bisect
 import functools
 import json
+import operator
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -102,21 +104,104 @@ class _Fibres:
     ids: dict[MultiIndex, int]    # the other d - 1 coordinates of a fibre -> its id
 
 
+def _with_room(buf: np.ndarray, shape: tuple[int, ...], fill=0) -> np.ndarray:
+    """`buf` if it has at least `shape`, or else a copy of it, padded with
+    `fill` to twice its size along each axis too short (or to `shape`)."""
+    if all(map(operator.le, shape, buf.shape)):
+        return buf
+    out = np.full([b if s <= b else max(s, 2 * b) for s, b in zip(shape, buf.shape)], fill,
+                  dtype=buf.dtype)
+    out[tuple(map(slice, buf.shape))] = buf
+    return out
+
+
+# rows per gather of fibre keys in `_Room._enter`, so that a from-scratch
+# table at high d reads ~2**18 coordinates at a time
+_KEY_TERMS = 1 << 18
+
+
+class _Room:
+    """The buffers of a grid whose rows only append (`_extend_grid`): its
+    first `n` rows of `idx` and `points`, and per dimension k the fibre of
+    each row, `of[k]`, the table `members[k]` (-1 where empty) with its
+    largest coordinate `top[k]`, and the fibre ids `ids[k]`.  A grid's
+    arrays and fibre tables are views of their leading rows and columns.
+    A buffer too short is copied to one twice its length, so appending costs
+    the new rows only; the rows in the buffers never move."""
+
+    def __init__(self, idx: np.ndarray, points: np.ndarray):
+        """The room of the rows `idx` with coordinates `points`, which it
+        takes as full buffers: the first row appended copies them."""
+        d = idx.shape[1]
+        self.n, self.idx, self.points = 0, idx, points
+        self.of = np.zeros((d, 0), dtype=np.int64)
+        self.members = [np.zeros((0, 0), dtype=np.int64) for _ in range(d)]
+        self.ids: list[dict[MultiIndex, int]] = [{} for _ in range(d)]
+        self.top = np.zeros(d, dtype=np.int64)
+        # others[k]: the dimensions but k, in order
+        j = np.arange(d - 1)
+        self.others = j + (j >= np.arange(d)[:, None])
+        self._enter(len(idx))
+
+    def append(self, idx: np.ndarray, points: np.ndarray) -> None:
+        """Add the rows `idx` with coordinates `points` after the rows held."""
+        start, n = self.n, self.n + len(idx)
+        self.idx = _with_room(self.idx, (n, idx.shape[1]))
+        self.points = _with_room(self.points, (n, idx.shape[1]))
+        self.idx[start:n], self.points[start:n] = idx, points
+        self._enter(n)
+
+    def _enter(self, n: int) -> None:
+        """Enter the rows from `self.n` up to `n` into the fibre tables.  A
+        row looks its fibre up by its other d - 1 coordinates, read for every
+        dimension by one gather through `others`, and a fibre one of them
+        opens takes the next id; then each row is written to its fibre's row
+        of `members`, in column j_k - 1."""
+        start, d = self.n, len(self.ids)
+        rows = self.idx[start:n]
+        self.of = _with_room(self.of, (d, n))
+        step = max(1, _KEY_TERMS // (d * d))
+        for lo in range(0, len(rows), step):
+            part = rows[lo:lo + step]
+            self.of[:, start + lo:start + lo + len(part)] = [
+                [ids.setdefault(key, len(ids)) for key in map(tuple, keys)]
+                for ids, keys in zip(self.ids, part[:, self.others].transpose(1, 0, 2).tolist())]
+        self.top = np.maximum(self.top, rows.max(axis=0, initial=0))
+        self.members = [_with_room(members, (len(ids), top), fill=-1)
+                        for members, ids, top in zip(self.members, self.ids, self.top.tolist())]
+        # each row's flat position in its table, for every dimension at once
+        width = np.array([members.shape[1] for members in self.members])
+        flat = self.of[:, start:n] * width[:, None] + rows.T - 1
+        numbers = np.arange(start, n)
+        for members, at in zip(self.members, flat):
+            np.put(members, at, numbers)
+        self.n = n
+
+    def tables(self) -> list[_Fibres]:
+        """The fibre tables of the rows held, as views."""
+        return [_Fibres(of[:self.n], members[:len(ids), :top], ids)
+                for of, members, ids, top in zip(self.of, self.members, self.ids, self.top.tolist())]
+
+
 @dataclass
 class GridNodes:
-    """1-based grid indices (N, d) in graded-lex order and their coordinates."""
+    """1-based grid indices (N, d) and their coordinates.
+
+    `grid_nodes` and `load_interpolant` give the rows in graded-lex order;
+    a grid `_extend_grid` extends keeps its rows in the order they came."""
 
     idx: np.ndarray     # (N, d) int64
     points: np.ndarray  # (N, d)
-    # per dimension, the fibre table of idx: built here from empty tables
-    # unless passed, as `_extend_grid` passes the tables it carries forward
-    _fibres: list[_Fibres] = field(default=None, repr=False, compare=False)
+    # the buffers the rows are held in, which `_extend_grid` appends to:
+    # made here from the arrays unless passed, and then the per-dimension
+    # fibre tables of idx are views of them
+    _room: _Room = field(default=None, repr=False, compare=False)
+    _fibres: list[_Fibres] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._fibres is None:
-            none = _Fibres(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64), {})
-            self._fibres = _extend_fibres([none] * self.idx.shape[1], self.idx,
-                                          np.ones(len(self), dtype=bool))
+        if self._room is None:
+            self._room = _Room(self.idx, self.points)
+        self._fibres = self._room.tables()
 
     def __len__(self) -> int:
         return len(self.idx)
@@ -131,23 +216,10 @@ class GridNodes:
         return tuple(map(tuple, self.idx.tolist()))
 
 
-def _extend_fibres(tables: list[_Fibres], idx: np.ndarray, new: np.ndarray) -> list[_Fibres]:
-    """The fibre tables of the grid-index set `idx`, from the `tables` of
-    its rows outside the mask `new`, in their order.  The old rows keep
-    their fibres; a new row looks its fibre up by its other coordinates,
-    and a fibre one of them opens takes the next id.  Then each row is
-    scattered to its fibre's row of `members`, in column j_k - 1."""
-    rows = idx[new]
-    out = []
-    for k, old in enumerate(tables):
-        ids = dict(old.ids)
-        of = np.empty(len(idx), dtype=np.int64)
-        of[~new] = old.of
-        of[new] = [ids.setdefault(key, len(ids)) for key in map(tuple, np.delete(rows, k, axis=1).tolist())]
-        members = np.full((len(ids), idx[:, k].max(initial=0)), -1, dtype=np.int64)
-        members[of, idx[:, k] - 1] = np.arange(len(idx))
-        out.append(_Fibres(of, members, ids))
-    return out
+def _graded_lex(idx: np.ndarray) -> np.ndarray:
+    """The permutation that puts the rows `idx` in graded-lex order: by the
+    index sum, then lexicographically."""
+    return np.lexsort(tuple(idx.T[::-1]) + (idx.sum(axis=1),))
 
 
 _GROWTH_TABLES: dict[str, np.ndarray] = {}
@@ -182,12 +254,16 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
 
     Tensor level i adds the disjoint block m(i_k - 1) + 1 .. m(i_k) in every
     dimension k.  Each block's rows are numbered 0..size-1 and the number is
-    read as mixed-radix digits, one per dimension; the rows are then merged
-    into graded-lex order: by the index sum, then lexicographically.  The
-    rows of `grid` keep their relative order.  The points are read off the
-    rule's node table by grid index, which the nested tables make the
-    points `grid` holds.  The fibre ids of `grid` are carried forward, and
-    the new rows look theirs up (`_extend_fibres`).
+    read as mixed-radix digits, one per dimension; the new rows are put in
+    graded-lex order among themselves and appended after the rows of
+    `grid`, which keep their places, so a grid extended from empty is in
+    graded-lex order.  The points are read off the rule's node table by
+    grid index, up to the largest index of the grid as a whole build reads
+    them.  The rows go to the buffers of `grid` (`_Room`), whose fibre ids
+    the old rows keep; the new rows look theirs up.  `grid` keeps its
+    arrays, but its fibre tables see the new rows, so it is the result that
+    is read from then on; a grid whose buffers have since taken other rows
+    is copied to new ones first.
     """
     d = grid.idx.shape[1]
     levels = np.array(levels, dtype=np.int64).reshape(-1, d)
@@ -201,11 +277,14 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
     block = np.repeat(np.arange(len(levels)), count)  # the level each row belongs to
     number = np.arange(len(block)) - np.repeat(np.cumsum(count) - count, count)
     added = first[block] + number[:, None] // place[block] % size[block]
-    idx = np.concatenate((grid.idx, added))
-    order = np.lexsort(tuple(idx.T[::-1]) + (idx.sum(axis=1),))
-    idx, new = idx[order], order >= len(grid)
-    fibres = _extend_fibres(grid._fibres, idx, new)
-    return GridNodes(idx, rules1d.family_nodes(rule, int(idx.max()))[idx - 1], fibres), new
+    added = added[_graded_lex(added)]
+    room = grid._room
+    if room.n != len(grid):
+        room = GridNodes(grid.idx, grid.points)._room
+    top = int(max(added.max(), room.top.max()))
+    room.append(added, rules1d.family_nodes(rule, top)[added - 1])
+    new = np.arange(room.n) >= len(grid)
+    return GridNodes(room.idx[:room.n], room.points[:room.n], room), new
 
 
 def grid_size(ts: TensorSet) -> int:

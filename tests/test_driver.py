@@ -23,9 +23,11 @@ from adasg import driver as dr
 from adasg import rules1d
 from adasg import sparse_grid as sg
 from adasg import targets as tg
-from adasg.fitting import FitParams, isotropic_params
+from adasg.fitting import FitParams, UnfittableError, isotropic_params
 from adasg.multiindex import (CurvedWeights, IndexSet, graded_lex_key, is_lower,
                               lambda_curved, margin)
+from adasg.spectral import grid_coeffs
+from test_sparse_grid import assert_fibres_are_the_rows_agreeing_off_k
 
 
 RAT2 = tg.builtin_target("rational", 2, c0=2.0, c=[1.0, 0.5])
@@ -213,15 +215,17 @@ def test_next_level_climbs_past_its_first_growth_table(rule):
 
 
 def check_run_grid(state, run):
-    """The run grid of a built state against the from-scratch routes."""
+    """The run grid of a built state against the from-scratch routes, its
+    rows put in graded-lex order."""
     ts = state.theta
     grid = sg.grid_nodes(ts)
-    assert run.grid.idx.tobytes() == grid.idx.tobytes()
-    assert run.grid.points.tobytes() == grid.points.tobytes()
+    order = sg._graded_lex(run.grid.idx)
+    assert run.grid.idx[order].tobytes() == grid.idx.tobytes()
+    assert run.grid.points[order].tobytes() == grid.points.tobytes()
     samples = np.array([state.cache[key] for key in map(tuple, grid.points.tolist())])
-    assert state.interpolant.samples.tobytes() == samples.tobytes()
+    assert state.interpolant.samples[order].tobytes() == samples.tobytes()
     ref = oracles.fibre_solve(ts.rule, grid.idx, samples)
-    assert state.interpolant.surpluses.tobytes() == ref.tobytes()
+    assert state.interpolant.surpluses[order].tobytes() == ref.tobytes()
     assert run.margin.dtype == np.int64
     assert sorted(map(tuple, run.margin.tolist())) == sorted(margin(ts.theta))
 
@@ -247,6 +251,70 @@ def test_kept_grid_equals_the_from_scratch_build_every_iteration(rule, d, batch,
             levels = dr._grow_phase(state, run)
         except dr.BudgetExhausted:
             break
+
+
+def fit_or_none(interp, cfg):
+    try:
+        return dr._fit_from(interp, cfg, dr._Clock())
+    except UnfittableError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=st.sampled_from(("leja", "leja_odd", "clenshaw_curtis", "rleja_double2")),
+       d=st.integers(1, 6), batch=st.one_of(st.just("minimal"), st.integers(1, 10)),
+       spare=st.integers(0, 50), fit_source=st.sampled_from(("legendre", "surplus")))
+def test_run_grid_in_arrival_order_equals_a_build_from_scratch_every_iteration(
+        rule, d, batch, spare, fit_source):
+    """The run grid appends each build's rows: in graded-lex order it is
+    the grid of the tensor set, every kept fibre table holds the rows that
+    agree off k, and the coefficients and the fit have the bits of a build
+    from scratch.  The budget leaves `spare` samples past the start."""
+    if fit_source == "surplus" and not rules1d.unit_growth(rule):
+        fit_source = "legendre"
+    cfg = dr.RunConfig(rule=rule, d=d, fit_source=fit_source, batch=batch, max_iterations=12,
+                       initial_level=1.0)
+    ts = dr.initial_tensor_set(cfg)
+    cfg = dataclasses.replace(cfg, max_samples=sg.grid_size(ts) + spare)
+    state = dr.RunState(cfg, ts)
+    run, levels = dr._RunGrid(d), state.theta.theta.members
+    for _ in range(cfg.max_iterations):
+        dr._build_phase(state, run, levels, rational(d))
+        grid = sg.grid_nodes(state.theta)
+        view = dr._in_graded_lex(state.interpolant)
+        assert view.grid.idx.tobytes() == grid.idx.tobytes()
+        assert view.grid.points.tobytes() == grid.points.tobytes()
+        assert_fibres_are_the_rows_agreeing_off_k(run.grid)
+        samples = [state.cache[key] for key in map(tuple, grid.points.tolist())]
+        scratch = sg.build_interpolant(state.theta, dict(zip(grid.indices, samples)))
+        order = sg._graded_lex(run.grid.idx)
+        coeffs = grid_coeffs(state.interpolant)[order]
+        assert coeffs.tobytes() == grid_coeffs(scratch).tobytes()
+        assert fit_or_none(state.interpolant, cfg) == fit_or_none(scratch, cfg)
+        try:
+            levels = dr._grow_phase(state, run)
+        except dr.BudgetExhausted:
+            break
+
+
+def test_interpolant_returned_by_run_keeps_its_bytes_when_its_state_runs_further():
+    """`run()` hands out its last build in graded-lex order, in arrays and
+    fibre tables of its own: running the state further leaves it as it was."""
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=3, max_samples=80)
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    interp, _ = dr.run(cfg, RAT2, state=state)
+    assert interp is state.interpolant
+    assert interp.grid.idx.tobytes() == sg.grid_nodes(interp.tensor_set).idx.tobytes()
+    pts = np.random.default_rng(1).uniform(-1, 1, size=(50, 2))
+
+    def contents():
+        arrays = (interp.grid.idx, interp.grid.points, interp.samples, interp.surpluses)
+        return [a.tobytes() for a in arrays], sg.evaluate_batch(interp, pts).tobytes()
+
+    before = contents()
+    dr.run(dataclasses.replace(cfg, max_iterations=8), RAT2, state=state)
+    assert state.interpolant.node_count > interp.node_count
+    assert contents() == before
 
 
 def test_replaced_tensor_set_or_cache_is_built_from_scratch(tmp_path):
@@ -369,6 +437,30 @@ def test_run_zero_iterations_single_record():
     cfg = dr.RunConfig(rule="leja", d=2, max_iterations=0, max_samples=100)
     _, hist = dr.run(cfg, RAT2)
     assert len(hist) == 1
+
+
+D24_STOP = "budget: the smallest step needs 300 samples, 275 are left"
+
+
+def d24_total_degree_1(max_samples=300):
+    """d = 24 from total degree 1 (25 nodes): its fit needs 2d + 1 = 49
+    coefficients, so it stays isotropic, and its smallest step is the whole
+    total-degree-2 layer, 300 nodes."""
+    cfg = dr.RunConfig(rule="leja", d=24, initial_level=1.0, max_iterations=10,
+                       max_samples=max_samples)
+    return cfg, tg.builtin_target("rational", 24, c0=3.0, c=[(k + 1) ** -1.5 for k in range(24)])
+
+
+def test_the_last_record_says_why_the_run_stopped(tmp_path):
+    cfg, target = d24_total_degree_1()
+    _, hist = dr.run(cfg, target, checkpoint_path=tmp_path / "ck.json")
+    assert [(r.node_count, r.n_used) for r in hist] == [(25, 0)]
+    assert hist[-1].stop == D24_STOP
+    assert "stop" not in (tmp_path / "ck.json").read_text()
+    assert dr.load_state(tmp_path / "ck.json").history[-1].stop is None
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=2, max_samples=100)
+    _, hist = dr.run(cfg, RAT2)
+    assert [r.stop for r in hist] == [None, None, "iterations"]
 
 
 def test_run_anisotropy_ordering_and_improvement():

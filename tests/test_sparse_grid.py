@@ -590,7 +590,7 @@ def test_new_rows_solve_equals_the_whole_grid_solve_bitwise(theta, rule, data, s
     for done, cut in zip([0] + cuts, cuts + [len(members)]):
         grid, new = sg._extend_grid(grid, rule, members[done:cut])
         part = sg.TensorSet(IndexSet(theta.dim, members[:cut]), rule)
-        assert grid.idx.tobytes() == sg.grid_nodes(part).idx.tobytes()
+        assert grid.idx[sg._graded_lex(grid.idx)].tobytes() == sg.grid_nodes(part).idx.tobytes()
         kept = passes
         passes = np.zeros((theta.dim + 1, len(grid)))
         passes[:, ~new] = kept
@@ -598,7 +598,7 @@ def test_new_rows_solve_equals_the_whole_grid_solve_bitwise(theta, rule, data, s
         sg._solve_rows(rule, grid, passes, new)
         ref = oracles.fibre_solve(rule, grid.idx, passes[0])
         assert passes[-1].tobytes() == ref.tobytes()
-    assert grid.points.tobytes() == full.points.tobytes()
+    assert grid.points[sg._graded_lex(grid.idx)].tobytes() == full.points.tobytes()
 
 
 def fibres_by_row(grid):
@@ -653,7 +653,8 @@ def test_fibre_table_holds_the_rows_agreeing_off_k_after_every_extension(d, rule
         for levels in (members[done:cut], []):
             grid, _ = sg._extend_grid(grid, rule, levels)
             assert_fibres_are_the_rows_agreeing_off_k(grid)
-    assert grid.idx.tobytes() == sg.grid_nodes(sg.TensorSet(IndexSet(d, members), rule)).idx.tobytes()
+    full = sg.grid_nodes(sg.TensorSet(IndexSet(d, members), rule))
+    assert grid.idx[sg._graded_lex(grid.idx)].tobytes() == full.idx.tobytes()
 
 
 def test_grid_carries_its_fibre_tables():
@@ -661,6 +662,20 @@ def test_grid_carries_its_fibre_tables():
     grid = sg.grid_nodes(ts)
     assert_fibres_are_the_rows_agreeing_off_k(grid)
     assert_fibres_are_the_rows_agreeing_off_k(sg._extend_grid(grid, "leja", [(1, 1)])[0])
+
+
+def test_each_dimension_of_a_fresh_grid_has_a_fibre_table_of_its_own():
+    """The empty tables a grid starts from are one per dimension, so the
+    tables that an extension grows in place stay apart: d distinct ids
+    dicts, each holding the keys of its own dimension."""
+    d = 3
+    grid = sg.GridNodes.empty(d)
+    assert len({id(fib.ids) for fib in grid._fibres}) == d
+    grid, _ = sg._extend_grid(grid, "leja", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert len({id(fib.ids) for fib in grid._fibres}) == d
+    for k, fib in enumerate(grid._fibres):
+        assert set(fib.ids) == set(map(tuple, np.delete(grid.idx, k, axis=1).tolist()))
+    assert_fibres_are_the_rows_agreeing_off_k(grid)
 
 
 # the greedy max-/min-Lebesgue and min-delta tables take seconds to build;

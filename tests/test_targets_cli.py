@@ -19,7 +19,7 @@ from adasg import driver as dr
 from adasg import sparse_grid as sg
 from adasg import targets as tg
 from adasg.multiindex import lambda_classic
-from test_driver import tear_writes
+from test_driver import D24_STOP, d24_total_degree_1, tear_writes
 from test_multiindex import deadline
 
 STUB = textwrap.dedent("""
@@ -463,6 +463,23 @@ def test_cli_evaluate_write_failing_part_way_keeps_previous_file(tmp_path, monke
     assert (tmp_path / "evaluations.csv").read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "evaluations.csv", "model.json", "pts.csv"]
+
+
+def test_cli_run_prints_why_it_stopped(tmp_path, capsys):
+    cfg, target = d24_total_degree_1()
+    (tmp_path / "run.cfg").write_text(textwrap.dedent(f"""
+        d = 24
+        initial_level = 1
+        max_iterations = 10
+        max_samples = 300
+        target = rational
+        target_c0 = 3
+        target_c = {",".join(map(repr, target.params["c"]))}
+    """))
+    assert cli.main(["run", "--config", str(tmp_path / "run.cfg"), "--workdir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("finished after 1 iterations, 25 nodes")
+    assert lines[1] == f"stopped: {D24_STOP}"
 
 
 def test_cli_run_resumes_from_checkpoint(tmp_path, capsys):
