@@ -678,6 +678,19 @@ def test_each_dimension_of_a_fresh_grid_has_a_fibre_table_of_its_own():
     assert_fibres_are_the_rows_agreeing_off_k(grid)
 
 
+def test_a_grid_extended_twice_gives_each_extension_its_own_rows():
+    """Extending a grid appends to its buffers, which the result shares; a
+    second extension of the same grid must not see the first one's rows."""
+    ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (0, 1)]), "leja")
+    grid = sg.grid_nodes(ts)
+    first, _ = sg._extend_grid(grid, "leja", [(2, 0)])
+    second, new = sg._extend_grid(grid, "leja", [(0, 2)])
+    assert first.idx.tolist() == grid.idx.tolist() + [[3, 1]]
+    assert second.idx.tolist() == grid.idx.tolist() + [[1, 3]]
+    assert new.tolist() == [False] * len(grid) + [True]
+    assert_fibres_are_the_rows_agreeing_off_k(second)
+
+
 # the greedy max-/min-Lebesgue and min-delta tables take seconds to build;
 # Leja stands for the greedy families
 @settings(max_examples=60, deadline=None)
