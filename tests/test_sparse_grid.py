@@ -691,6 +691,15 @@ def test_a_grid_extended_twice_gives_each_extension_its_own_rows():
     assert_fibres_are_the_rows_agreeing_off_k(second)
 
 
+@pytest.mark.parametrize("top", [3, 300, 70_000, 2**40])
+def test_graded_lex_order_holds_at_every_key_width(top):
+    """The keys take 8 to 64 bits as the sums need; the order is the
+    stable sort by (index sum, index)."""
+    idx = np.random.default_rng(top).integers(1, top, size=(400, 5))
+    rows = idx.tolist()
+    assert sg._graded_lex(idx).tolist() == sorted(range(400), key=lambda r: (sum(rows[r]), rows[r]))
+
+
 # the greedy max-/min-Lebesgue and min-delta tables take seconds to build;
 # Leja stands for the greedy families
 @settings(max_examples=60, deadline=None)
