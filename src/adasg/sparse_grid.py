@@ -174,13 +174,13 @@ class _Room:
         flat = self.of[:, start:n] * width[:, None] + rows.T - 1
         numbers = np.arange(start, n)
         for members, at in zip(self.members, flat):
-            np.put(members, at, numbers)
+            members.put(at, numbers)
         self.n = n
 
     def tables(self) -> list[_Fibres]:
         """The fibre tables of the rows held, as views."""
-        return [_Fibres(of[:self.n], members[:len(ids), :top], ids)
-                for of, members, ids, top in zip(self.of, self.members, self.ids, self.top.tolist())]
+        return [_Fibres(of, members[:len(ids), :top], ids) for of, members, ids, top
+                in zip(self.of[:, :self.n], self.members, self.ids, self.top.tolist())]
 
 
 @dataclass

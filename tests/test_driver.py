@@ -442,12 +442,11 @@ def test_run_zero_iterations_single_record():
 D24_STOP = "budget: the smallest step needs 300 samples, 275 are left"
 
 
-def d24_total_degree_1(max_samples=300):
-    """d = 24 from total degree 1 (25 nodes): its fit needs 2d + 1 = 49
-    coefficients, so it stays isotropic, and its smallest step is the whole
-    total-degree-2 layer, 300 nodes."""
-    cfg = dr.RunConfig(rule="leja", d=24, initial_level=1.0, max_iterations=10,
-                       max_samples=max_samples)
+def d24_total_degree_1():
+    """d = 24 from total degree 1 (25 nodes) with 300 samples: its fit needs
+    2d + 1 = 49 coefficients, so it stays isotropic, and its smallest step
+    is the whole total-degree-2 layer, 300 nodes."""
+    cfg = dr.RunConfig(rule="leja", d=24, initial_level=1.0, max_iterations=10, max_samples=300)
     return cfg, tg.builtin_target("rational", 24, c0=3.0, c=[(k + 1) ** -1.5 for k in range(24)])
 
 

@@ -466,7 +466,7 @@ def test_cli_evaluate_write_failing_part_way_keeps_previous_file(tmp_path, monke
 
 
 def test_cli_run_prints_why_it_stopped(tmp_path, capsys):
-    cfg, target = d24_total_degree_1()
+    _, target = d24_total_degree_1()
     (tmp_path / "run.cfg").write_text(textwrap.dedent(f"""
         d = 24
         initial_level = 1
