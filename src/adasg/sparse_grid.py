@@ -282,7 +282,8 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
     block = np.repeat(np.arange(len(levels)), count)  # the level each row belongs to
     number = np.arange(len(block)) - np.repeat(np.cumsum(count) - count, count)
     added = first[block] + number[:, None] // place[block] % size[block]
-    added = added[_graded_lex(added)]
+    if len(added) > 1:  # a block's rows come in lex order, not graded-lex
+        added = added[_graded_lex(added)]
     room = grid._room
     if room.n != len(grid):
         room = GridNodes(grid.idx, grid.points)._room
