@@ -52,6 +52,7 @@ from .multiindex import (
     IndexSet,
     MultiIndex,
     _entering,
+    _graded_lex,
     _tail_mins,
     lambda_classic,
     lambda_curved,
@@ -64,12 +65,10 @@ from .sparse_grid import (
     TensorSet,
     _extend_grid,
     _FixedPoints,
-    _graded_lex,
     _growth_table,
     _load_format,
     _read_text,
-    _solve_rows,
-    _with_room,
+    _solve_new,
     _write_csv,
     _write_text_atomic,
     build_interpolant,  # noqa: F401 - perfbench's tracer tests patch it under this name
@@ -180,12 +179,11 @@ class _RunGrid:
     It starts empty; the first build of the call extends it by every level
     of the tensor set, and each later build by the levels the grow step
     before it admitted.  Its rows keep the order they came in: each build
-    appends its own in graded-lex order (`_extend_grid`).  `passes` holds
-    the surplus solve's values per pass (`_solve_rows`), a column per row:
-    row 0 the samples, row d the surpluses; the columns past the grid's
-    rows are room for later builds.  `margin`
-    holds the (M, d) int64 rows of the margin of the tensor set, which the
-    grow step returns; it is None until a build computes it from scratch.
+    appends its own in graded-lex order (`_extend_grid`).  `passes` is the
+    surplus solve's pass buffer (`_solve_new`), of which the last build's
+    interpolant is a view.  `margin` holds the (M, d) int64 rows of the
+    margin of the tensor set, which the grow step returns; it is None until
+    a build computes it from scratch.
     `probe` is set by the first probe of the call: the probe points with
     the basis and prefix products kept there (G x P doubles for the G
     distinct prefixes of length d - 1 and P points, plus the m x d x P basis
@@ -370,26 +368,22 @@ def _build_grid(state: RunState, kept: _RunGrid, levels, target: TargetSpec | No
                 clock: _Clock | None = None) -> None:
     """Extend the run grid by the blocks of the tensor levels `levels`, which
     bring it to `state.theta`, and set `state.interpolant`, a read-only
-    view of the run grid in its row order: the new nodes are sampled, in
-    graded-lex order, and their surpluses solved against the kept passes.
+    view of the run grid in its row order: the new rows, past the old ones,
+    are sampled in graded-lex order and solved against the kept passes.
     The margin of `state.theta` is computed from scratch when the grid keeps
     none: on the first build of a call, and after the budget cut the last
     round of a batch."""
     clock = clock or _Clock()
     ts = state.theta
     start = len(kept.grid)
-    grid, new = _extend_grid(kept.grid, ts.rule, levels)
+    grid = _extend_grid(kept.grid, ts.rule, levels)
     clock.lap("extend")
     samples = _collect_samples(state, target, grid.idx[start:], grid.points[start:])
     clock.lap("sample")
-    kept.passes = _with_room(kept.passes, (ts.dim + 1, len(grid)))
-    passes = kept.passes[:, :len(grid)]
-    passes[0, start:] = samples
-    _solve_rows(ts.rule, grid, passes, new)
+    state.interpolant, kept.passes = _solve_new(ts, grid, kept.passes, start, samples)
     kept.grid = grid
     if kept.margin is None:
         kept.margin = np.array(margin(ts.theta), dtype=np.int64)
-    state.interpolant = Interpolant(ts, grid, passes[0], passes[-1])
     for array in (grid.idx, grid.points, state.interpolant.samples, state.interpolant.surpluses):
         array.flags.writeable = False  # views of the run grid's buffers
     clock.lap("extend")
@@ -398,13 +392,11 @@ def _build_grid(state: RunState, kept: _RunGrid, levels, target: TargetSpec | No
 def _fit_from(interp: Interpolant, config: RunConfig, clock: _Clock) -> FitParams:
     """Fit the decay to the surpluses or the Legendre coefficients, each keyed
     by degree: grid index j carries the degree j - 1 (for surpluses only on
-    the unit-growth rules `RunConfig` admits).  The fit's rows are put in
-    graded-lex order: the bits of its least squares depend on the order."""
+    the unit-growth rules `RunConfig` admits).  The rows go in the grid's
+    order; the fit puts them in its own."""
     values = interp.surpluses if config.fit_source == "surplus" else grid_coeffs(interp)
     clock.lap("coefficients")
-    order = _graded_lex(interp.grid.idx)
-    return _fit_rows(interp.grid.idx[order] - 1, values[order], config.min_magnitude,
-                     config.fit_beta)
+    return _fit_rows(interp.grid.idx - 1, values, config.min_magnitude, config.fit_beta)
 
 
 def _probe_error(state: RunState, kept: _RunGrid, target: TargetSpec) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import MultiIndex, graded_lex_key
+from .multiindex import MultiIndex, _graded_lex
 
 DEFAULT_MIN_MAGNITUDE = 1e-14
 
@@ -69,21 +69,24 @@ def fit_curved(
 
     `min_magnitude` drops coefficients relative to the largest magnitude
     (their logs are dominated by round-off).  With `include_beta` false the
-    log columns are masked and beta is pinned to zero.  The rows of the
-    regression are the coefficients in graded-lex order of their degrees.
+    log columns are masked and beta is pinned to zero.  A degree with a
+    negative entry is refused.
     """
-    items = sorted(coeffs.items(), key=lambda kv: graded_lex_key(kv[0]))
-    degrees = np.array([nu for nu, _ in items], dtype=np.int64)
-    return _fit_rows(degrees, np.array([c for _, c in items], dtype=float),
-                     min_magnitude, include_beta)
+    if any(min(nu) < 0 for nu in coeffs):
+        raise ValueError("a degree has a negative entry")
+    return _fit_rows(np.array(list(coeffs), dtype=np.int64),
+                     np.array(list(coeffs.values()), dtype=float), min_magnitude, include_beta)
 
 
 def _fit_rows(degrees: np.ndarray, values: np.ndarray, min_magnitude: float,
               include_beta: bool) -> FitParams:
     """`fit_curved` on coefficient `values` whose degrees are the rows of
-    `degrees` (N, d), already in graded-lex order."""
+    `degrees` (N, d), non-negative, in any order: the regression takes its
+    rows in graded-lex order, since the bits of lstsq depend on the order."""
     if len(values) == 0:
         raise UnfittableError("no coefficients")
+    order = _graded_lex(degrees)
+    degrees, values = degrees[order], values[order]
     d = degrees.shape[1]
     mags = np.abs(values)
     # the largest magnitude as `max` over the rows in order finds it: a NaN

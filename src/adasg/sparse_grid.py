@@ -4,16 +4,17 @@ construction/evaluation in hierarchical-surplus (Newton) form.
 The grid is enumerated here only, as an int array of 1-based grid indices:
 `grid_nodes` expands the blocks of every tensor level in graded-lex order,
 and `_extend_grid` appends the blocks of new levels to a grid, whose rows
-never move (the adaptive loop keeps its grid and extends it).  Every other
-operator reads that array in any row order, and acts on the lower set of
-grid indices one dimension at a time.  The
-transforms (samples to surpluses, `_solve_rows`, for the new rows of a grid;
-surpluses to Legendre coefficients in `spectral`) apply one triangular 1-D
-matrix along every fibre, read from the fibre table each grid carries per
-dimension.  The fibres of the last dimension are the prefixes (j_1..j_{d-1})
-of the grid indices.  Evaluation contracts the surpluses with the 1-D Newton
-basis (`_newton_basis`, point-major, from contiguous coordinates) over the
-trie of those prefixes in lex order, a chunk of points at a time, from one
+never move: an extension's rows are the suffix past the old grid's (the
+adaptive loop keeps its grid and extends it).  Every other operator reads
+that array in any row order, and acts on the lower set of grid indices one
+dimension at a time.  The transforms (samples to surpluses for a suffix of
+new rows, `_solve_new`, in a pass buffer it grows; surpluses to Legendre
+coefficients in `spectral`) apply one triangular 1-D matrix along every
+fibre, read from the fibre table each grid carries per dimension.  The
+fibres of the last dimension are the prefixes (j_1..j_{d-1}) of the grid
+indices.  Evaluation contracts the surpluses with the 1-D Newton basis
+(`_newton_basis`, point-major, from contiguous coordinates) over the trie
+of those prefixes in lex order, a chunk of points at a time, from one
 contiguous (G, chunk) slab of prefix products (`_contract`): `evaluate_batch`
 forms each slab (`_trie_plan`), and the adaptive loop's probe
 (`_FixedPoints`) keeps its slabs between calls, with the same bits.
@@ -35,6 +36,7 @@ from . import rules1d
 from .multiindex import (
     IndexSet,
     MultiIndex,
+    _graded_lex,
     _lower_set,
     is_lower,
 )
@@ -216,17 +218,6 @@ class GridNodes:
         return tuple(map(tuple, self.idx.tolist()))
 
 
-def _graded_lex(idx: np.ndarray) -> np.ndarray:
-    """The permutation that puts the rows `idx` (positive) in graded-lex
-    order: by the index sum, then lexicographically.  The keys take the
-    narrowest unsigned type that holds the sums, since numpy sorts 8- and
-    16-bit keys by radix: 4-5x faster on grids of thousands of rows."""
-    total = idx.sum(axis=1)
-    keys = np.empty((idx.shape[1] + 1, len(idx)), dtype=np.min_scalar_type(total.max(initial=0)))
-    keys[:-1], keys[-1] = idx.T[::-1], total
-    return np.lexsort(keys)
-
-
 _GROWTH_TABLES: dict[str, np.ndarray] = {}
 
 
@@ -250,12 +241,12 @@ def _growth_table(rule: str, top: int) -> np.ndarray:
 
 def grid_nodes(ts: TensorSet) -> GridNodes:
     """Union of index boxes {1 <= j <= m(i)} over the tensor set, with coordinates."""
-    return _extend_grid(GridNodes.empty(ts.dim), ts.rule, ts.theta.members)[0]
+    return _extend_grid(GridNodes.empty(ts.dim), ts.rule, ts.theta.members)
 
 
-def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndarray]:
-    """`grid` together with the blocks of the tensor levels `levels`, and the
-    mask of the rows those blocks add.
+def _extend_grid(grid: GridNodes, rule: str, levels) -> GridNodes:
+    """`grid` together with the blocks of the tensor levels `levels`, whose
+    rows follow those of `grid`.
 
     Tensor level i adds the disjoint block m(i_k - 1) + 1 .. m(i_k) in every
     dimension k.  Each block's rows are numbered 0..size-1 and the number is
@@ -273,7 +264,7 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
     d = grid.idx.shape[1]
     levels = np.array(levels, dtype=np.int64).reshape(-1, d)
     if len(levels) == 0:
-        return grid, np.zeros(len(grid), dtype=bool)
+        return grid
     m = _growth_table(rule, int(levels.max()))
     first, size = m[levels] + 1, m[levels + 1] - m[levels]
     # place values: the product of the block's sizes in the later dimensions
@@ -289,8 +280,7 @@ def _extend_grid(grid: GridNodes, rule: str, levels) -> tuple[GridNodes, np.ndar
         room = GridNodes(grid.idx, grid.points)._room
     top = int(max(added.max(), room.top.max()))
     room.append(added, rules1d.family_nodes(rule, top)[added - 1])
-    new = np.arange(room.n) >= len(grid)
-    return GridNodes(room.idx[:room.n], room.points[:room.n], room), new
+    return GridNodes(room.idx[:room.n], room.points[:room.n], room)
 
 
 def grid_size(ts: TensorSet) -> int:
@@ -348,7 +338,7 @@ def _fibre_apply(grid: GridNodes, data: np.ndarray, mats: list[np.ndarray]) -> n
     mats[k][c - 1, q - 1] times its fibre's member at q, folded left to
     right from 0.0; a member past the fibre's end reads 0.0, so its term is
     an exact zero.  The inverse direction, samples to surpluses, is
-    `_solve_rows`.
+    `_solve_new`.
     """
     out = np.array(data, dtype=float)
     n = len(out)
@@ -383,40 +373,6 @@ def _newton_table(rule: str, m: int) -> np.ndarray:
     return table
 
 
-def _solve_rows(rule: str, grid: GridNodes, passes: np.ndarray, new: np.ndarray) -> None:
-    """Surpluses of the rows `new` (a mask) of the grid's lower grid-index
-    set, in place.
-
-    passes[0] holds the samples and passes[k + 1] the values after the
-    solve's pass along dimension k, so passes[d] holds the surpluses.  Each
-    dimension's Newton table T[i, j] = h_j(x_i) is unit lower triangular and
-    is inverted by forward substitution along every fibre: the member at c
-    takes T[c - 1, q - 1] times the member at q off its value, for q = 1..c-1
-    in turn.  The new rows are solved one coordinate value c at a time, from
-    the bottom, so the members below each are solved before it; the grid's
-    fibre table gives those members.  A row's values depend only on the rows
-    below it, which a lower set keeps, so the rows outside `new` keep
-    theirs, and a build from scratch marks every row new.
-    """
-    rows = np.flatnonzero(new)
-    if len(rows) == 0:
-        return
-    idx = grid.idx
-    table = _newton_table(rule, int(idx.max()))  # nested nodes: one table serves every dimension
-    for k in range(idx.shape[1]):
-        out = passes[k + 1]
-        out[rows] = passes[k, rows]
-        c = idx[rows, k]
-        if c.max() == 1:
-            continue  # no new row has a member below it along dimension k
-        fibres = grid._fibres[k]
-        for v in np.flatnonzero(np.bincount(c)[2:]) + 2:
-            at = rows[c == v]
-            terms = table[v - 1, :v - 1] * out[fibres.members[fibres.of[at], :v - 1]]
-            # subtract.reduce folds left to right: the q-th term goes off after the (q-1)-th
-            out[at] = np.subtract.reduce(np.column_stack((out[at], terms)), axis=1)
-
-
 @dataclass
 class Interpolant:
     """A built sparse-grid operator, immutable after construction."""
@@ -435,13 +391,50 @@ class Interpolant:
         return len(self.grid)
 
 
+def _solve_new(ts: TensorSet, grid: GridNodes, passes: np.ndarray, start: int,
+               samples: np.ndarray) -> tuple[Interpolant, np.ndarray]:
+    """The interpolant of `ts` on `grid`, whose rows from `start` on are new
+    and have the values `samples`, and the pass buffer it is a view of:
+    `passes` if it has room for the grid's rows, or else a longer copy.
+
+    The buffer holds a column per row, and its columns past the grid's rows
+    are room for later rows.  passes[0] holds the samples and passes[k + 1]
+    the values after the solve's pass along dimension k, so passes[d] holds
+    the surpluses; the rows before `start` must hold theirs already.  Each
+    dimension's Newton table T[i, j] = h_j(x_i) is unit lower triangular and
+    is inverted by forward substitution along every fibre: the member at c
+    takes T[c - 1, q - 1] times the member at q off its value, for q = 1..c-1
+    in turn.  The new rows are solved one coordinate value c at a time, from
+    the bottom, so the members below each are solved before it; the grid's
+    fibre table gives those members.  A row's values depend only on the rows
+    below it, which a lower set keeps, so the rows before `start` keep
+    theirs, and a build from scratch starts at 0.
+    """
+    passes = _with_room(passes, (ts.dim + 1, len(grid)))
+    view = passes[:, :len(grid)]
+    view[0, start:] = samples
+    if start < len(grid):
+        # nested nodes: one table serves every dimension
+        table = _newton_table(ts.rule, int(grid.idx.max()))
+        for k in range(ts.dim):
+            out = view[k + 1]
+            out[start:] = view[k, start:]
+            c = grid.idx[start:, k]
+            if c.max() == 1:
+                continue  # no new row has a member below it along dimension k
+            fibres = grid._fibres[k]
+            for v in np.flatnonzero(np.bincount(c)[2:]) + 2:
+                at = start + np.flatnonzero(c == v)
+                terms = table[v - 1, :v - 1] * out[fibres.members[fibres.of[at], :v - 1]]
+                # subtract.reduce folds left to right: the q-th term goes off after the (q-1)-th
+                out[at] = np.subtract.reduce(np.column_stack((out[at], terms)), axis=1)
+    return Interpolant(ts, grid, view[0], view[-1]), passes
+
+
 def build_interpolant(ts: TensorSet, samples: dict[MultiIndex, float]) -> Interpolant:
     """Assemble the interpolant from samples keyed by 1-based grid index."""
     grid = grid_nodes(ts)
-    passes = np.zeros((ts.dim + 1, len(grid)))
-    passes[0] = _aligned_values(grid, samples)
-    _solve_rows(ts.rule, grid, passes, np.ones(len(grid), dtype=bool))
-    return Interpolant(ts, grid, passes[0], passes[-1])
+    return _solve_new(ts, grid, np.zeros((ts.dim + 1, 0)), 0, _aligned_values(grid, samples))[0]
 
 
 def _check_domain(Y: np.ndarray, allow_extrapolation: bool):

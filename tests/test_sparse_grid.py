@@ -588,16 +588,14 @@ def test_new_rows_solve_equals_the_whole_grid_solve_bitwise(theta, rule, data, s
     members = list(theta.members)  # graded-lex: every prefix is lower
     cuts = sorted(data.draw(st.lists(st.integers(0, len(members)), max_size=3)))
     for done, cut in zip([0] + cuts, cuts + [len(members)]):
-        grid, new = sg._extend_grid(grid, rule, members[done:cut])
+        start = len(grid)
+        grid = sg._extend_grid(grid, rule, members[done:cut])
         part = sg.TensorSet(IndexSet(theta.dim, members[:cut]), rule)
         assert grid.idx[sg._graded_lex(grid.idx)].tobytes() == sg.grid_nodes(part).idx.tobytes()
-        kept = passes
-        passes = np.zeros((theta.dim + 1, len(grid)))
-        passes[:, ~new] = kept
-        passes[0, new] = [values[j] for j in map(tuple, grid.idx[new].tolist())]
-        sg._solve_rows(rule, grid, passes, new)
-        ref = oracles.fibre_solve(rule, grid.idx, passes[0])
-        assert passes[-1].tobytes() == ref.tobytes()
+        samples = [values[j] for j in map(tuple, grid.idx[start:].tolist())]
+        interp, passes = sg._solve_new(part, grid, passes, start, samples)
+        ref = oracles.fibre_solve(rule, grid.idx, interp.samples)
+        assert interp.surpluses.tobytes() == ref.tobytes()
     assert grid.points[sg._graded_lex(grid.idx)].tobytes() == full.points.tobytes()
 
 
@@ -633,7 +631,7 @@ def test_kept_fibre_table_equals_a_table_built_from_scratch(theta, rule, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(members)), max_size=4)))
     grid = sg.GridNodes.empty(theta.dim)
     for done, cut in zip([0] + cuts, cuts + [len(members)]):
-        grid, _ = sg._extend_grid(grid, rule, members[done:cut])
+        grid = sg._extend_grid(grid, rule, members[done:cut])
         scratch = sg.GridNodes(grid.idx, grid.points)
         assert fibres_by_row(grid) == fibres_by_row(scratch)
     assert_fibres_are_the_rows_agreeing_off_k(grid)
@@ -651,7 +649,7 @@ def test_fibre_table_holds_the_rows_agreeing_off_k_after_every_extension(d, rule
     grid = sg.GridNodes.empty(d)
     for done, cut in zip([0] + cuts, cuts + [len(members)]):
         for levels in (members[done:cut], []):
-            grid, _ = sg._extend_grid(grid, rule, levels)
+            grid = sg._extend_grid(grid, rule, levels)
             assert_fibres_are_the_rows_agreeing_off_k(grid)
     full = sg.grid_nodes(sg.TensorSet(IndexSet(d, members), rule))
     assert grid.idx[sg._graded_lex(grid.idx)].tobytes() == full.idx.tobytes()
@@ -661,7 +659,7 @@ def test_grid_carries_its_fibre_tables():
     ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (0, 1)]), "leja")
     grid = sg.grid_nodes(ts)
     assert_fibres_are_the_rows_agreeing_off_k(grid)
-    assert_fibres_are_the_rows_agreeing_off_k(sg._extend_grid(grid, "leja", [(1, 1)])[0])
+    assert_fibres_are_the_rows_agreeing_off_k(sg._extend_grid(grid, "leja", [(1, 1)]))
 
 
 def test_each_dimension_of_a_fresh_grid_has_a_fibre_table_of_its_own():
@@ -671,7 +669,7 @@ def test_each_dimension_of_a_fresh_grid_has_a_fibre_table_of_its_own():
     d = 3
     grid = sg.GridNodes.empty(d)
     assert len({id(fib.ids) for fib in grid._fibres}) == d
-    grid, _ = sg._extend_grid(grid, "leja", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    grid = sg._extend_grid(grid, "leja", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert len({id(fib.ids) for fib in grid._fibres}) == d
     for k, fib in enumerate(grid._fibres):
         assert set(fib.ids) == set(map(tuple, np.delete(grid.idx, k, axis=1).tolist()))
@@ -683,11 +681,10 @@ def test_a_grid_extended_twice_gives_each_extension_its_own_rows():
     second extension of the same grid must not see the first one's rows."""
     ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (0, 1)]), "leja")
     grid = sg.grid_nodes(ts)
-    first, _ = sg._extend_grid(grid, "leja", [(2, 0)])
-    second, new = sg._extend_grid(grid, "leja", [(0, 2)])
+    first = sg._extend_grid(grid, "leja", [(2, 0)])
+    second = sg._extend_grid(grid, "leja", [(0, 2)])
     assert first.idx.tolist() == grid.idx.tolist() + [[3, 1]]
     assert second.idx.tolist() == grid.idx.tolist() + [[1, 3]]
-    assert new.tolist() == [False] * len(grid) + [True]
     assert_fibres_are_the_rows_agreeing_off_k(second)
 
 

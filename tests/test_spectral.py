@@ -205,7 +205,7 @@ def test_grid_coeffs_equal_the_fibre_oracle_bitwise(theta, rule, data, seed):
     cuts = sorted(data.draw(st.lists(st.integers(1, len(members)), max_size=3)))
     grid = sg.GridNodes.empty(theta.dim)
     for done, cut in zip([0] + cuts, cuts + [len(members)]):
-        grid, _ = sg._extend_grid(grid, rule, members[done:cut])
+        grid = sg._extend_grid(grid, rule, members[done:cut])
         part = sg.TensorSet(IndexSet(theta.dim, members[:cut]), rule)
         assert_coeffs_equal_the_fibre_oracle(part, grid, rng)
 
