@@ -68,6 +68,7 @@ from .sparse_grid import (
     _growth_table,
     _load_format,
     _read_text,
+    _reader,
     _solve_new,
     _write_csv,
     _write_text_atomic,
@@ -256,8 +257,12 @@ def _grow(
     order: the front, weighed by d gathers of the tail minima summed left to
     right, is sorted once and merged with a heap of the successors.  The
     node count runs along; the budget and the batch rule are checked after
-    each round.
+    each round.  A grid already past the budget is refused as such.
     """
+    if sample_budget is not None and nodes > sample_budget:
+        err = BudgetExhausted(f"the grid has {nodes} nodes, more than max_samples = {sample_budget}")
+        err.stop = f"budget: {err}"
+        raise err
     rule, d = ts.rule, ts.dim
     m: list[int] = []  # m[l + 1] = m(l), up to one level past every tail
     tails: list[list[float]] = [[] for _ in range(d)]  # tails[k][l]: W's term at level l
@@ -647,13 +652,7 @@ def load_state(path) -> RunState:
         obj["iteration"], obj["fit"] = record["iteration"], record["fit"]
         for key in ("theta", "cache", "history"):
             obj[key] += record[key]
-
-    def read(key, make):
-        try:
-            return make(obj[key])
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ValueError(f"{path}: malformed {key!r}: {err}") from None
-
+    read = _reader(obj, path)
     config = read("config", lambda v: _from_dict(RunConfig, v))
     theta = read("theta", lambda v: TensorSet(IndexSet(config.d, v), config.rule))
     state = RunState(config, theta, read("iteration", _iteration))

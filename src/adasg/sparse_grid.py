@@ -727,20 +727,45 @@ def _load_format(text: str, path, fmt: str, version: int, keys: tuple[str, ...])
     return obj
 
 
+def _reader(obj: dict, path):
+    """read(key, make): make(obj[key]) for the object `obj` read from the
+    file at `path`, where a TypeError, ValueError or OverflowError refuses
+    the field as malformed, named with the file."""
+    def read(key: str, make):
+        try:
+            return make(obj[key])
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ValueError(f"{path}: malformed {key!r}: {err}") from None
+    return read
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
 def load_interpolant(path) -> Interpolant:
+    """The interpolant a file `save_interpolant` wrote holds; a field that
+    is malformed, or that does not match the fields before it, is refused
+    with the file."""
     obj = _load_format(_read_text(path), path, _FORMAT, _VERSION,
                        ("rule", "dim", "theta", "grid_indices", "points", "samples", "surpluses"))
-    ts = TensorSet(IndexSet(obj["dim"], obj["theta"]), obj["rule"])
+    read = _reader(obj, path)
+    read("rule", lambda v: rules1d.growth(v, 0))  # validates the kind
+    rule = obj["rule"]
+    dim = read("dim", lambda v: IndexSet(operator.index(v), ()).dim)
+    ts = read("theta", lambda v: TensorSet(IndexSet(dim, v), rule))
     grid = grid_nodes(ts)
-    if grid.idx.tolist() != obj["grid_indices"]:
-        raise ValueError("grid indices in file do not match the tensor set")
+    read("grid_indices", lambda v: _check(
+        v == grid.idx.tolist(), "grid indices in file do not match the tensor set"))
     # the grid is regenerated from the rule; a model saved on another node
     # table (e.g. an older greedy rule) would evaluate wrongly, so refuse it
-    points = np.array(obj["points"], dtype=float)
-    if len(points) != len(grid) or (len(grid) and points.tobytes() != grid.points.tobytes()):
-        raise ValueError(f"points in file do not match the node table of rule {obj['rule']!r}")
-    samples = np.array(obj["samples"], dtype=float)
-    surpluses = np.array(obj["surpluses"], dtype=float)
-    if len(samples) != len(grid) or len(surpluses) != len(grid):
-        raise ValueError("sample/surplus arrays do not match the grid")
-    return Interpolant(ts, grid, samples, surpluses)
+    read("points", lambda v: _check(np.array(v, dtype=float).tobytes() == grid.points.tobytes(),
+                                    f"points in file do not match the node table of rule {rule!r}"))
+
+    def values(v):
+        out = np.array(v, dtype=float)
+        _check(out.shape == (len(grid),), f"{len(out)} values for {len(grid)} grid nodes")
+        return out
+
+    return Interpolant(ts, grid, read("samples", values), read("surpluses", values))

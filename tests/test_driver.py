@@ -462,6 +462,23 @@ def test_the_last_record_says_why_the_run_stopped(tmp_path):
     assert [r.stop for r in hist] == [None, None, "iterations"]
 
 
+OVER_BUDGET_STOP = "budget: the grid has 36 nodes, more than max_samples = 10"
+
+
+def test_a_resumed_run_over_its_budget_says_its_grid_is_too_large(tmp_path):
+    """A checkpoint whose grid holds more nodes than the resumed config's
+    max_samples stops at its first grow step; the stop text once gave a
+    negative count of samples left."""
+    cfg = dr.RunConfig(rule="leja", d=2, max_iterations=30, max_samples=40)
+    target = tg.builtin_target("rational", 2, c0=3.0, c=[1.0, 0.5])
+    _, hist = dr.run(cfg, target, checkpoint_path=tmp_path / "ck.json")
+    assert (hist[-1].node_count, hist[-1].stop) == (36, "iterations")
+    state = dr.load_state(tmp_path / "ck.json")
+    _, hist = dr.run(dataclasses.replace(cfg, max_iterations=31, max_samples=10), target,
+                     state=state)
+    assert (len(hist), hist[-1].node_count, hist[-1].stop) == (31, 36, OVER_BUDGET_STOP)
+
+
 def test_run_anisotropy_ordering_and_improvement():
     cfg = dr.RunConfig(rule="leja", d=2, fit_source="legendre", max_iterations=14,
                        max_samples=260, probe_count=400, probe_seed=3)

@@ -146,3 +146,15 @@ def test_every_imported_name_is_used_in_its_module():
         unused += [f"{path.name}:{line}: {name}" for name, line in _imported_names(tree)
                    if name not in loaded and "# noqa: F401" not in lines[line - 1]]
     assert not unused, "imported names never used: " + ", ".join(unused)
+
+
+def test_private_names_are_imported_from_the_module_that_defines_them():
+    # a private name a sibling only re-imports would hide its owner
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defined = {module: set(_top_level_private_names(tree)) for module, tree in trees.items()}
+    wrong = [f"{module}: {alias.name} from .{node.module}" for module, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names
+             if alias.name.startswith("_") and alias.name not in defined[node.module]]
+    assert not wrong, "private names imported from a module that does not define them: " + \
+        ", ".join(wrong)

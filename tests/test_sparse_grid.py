@@ -749,6 +749,60 @@ def test_load_refuses_reordered_grid_indices(tmp_path):
         sg.load_interpolant(path)
 
 
+def samples_short_by_one(obj):
+    obj["samples"].pop()
+
+
+def samples_with_a_string(obj):
+    obj["samples"][0] = "x"
+
+
+def theta_of_another_dimension(obj):
+    obj["theta"] = [[0, 0, 0]]
+
+
+def theta_not_lower(obj):
+    obj["theta"].remove([0, 0])
+
+
+def an_unknown_rule(obj):
+    obj["rule"] = "nope"
+
+
+def grid_indices_reordered(obj):
+    rows = obj["grid_indices"]
+    rows[1], rows[2] = rows[2], rows[1]
+
+
+def dimension_zero(obj):
+    obj["dim"] = 0
+
+
+def theta_a_number(obj):
+    obj["theta"] = 5
+
+
+@pytest.mark.parametrize("edit, key, message", [
+    (samples_short_by_one, "samples", "4 values for 5 grid nodes"),
+    (samples_with_a_string, "samples", "could not convert string to float"),
+    (theta_of_another_dimension, "theta", "does not have dimension 2"),
+    (theta_not_lower, "theta", "tensor set must be downward closed"),
+    (an_unknown_rule, "rule", "unknown rule kind 'nope'"),
+    (grid_indices_reordered, "grid_indices", "do not match the tensor set"),
+    (dimension_zero, "dim", "dimension must be >= 1"),
+    (theta_a_number, "theta", "not iterable")])
+def test_load_names_the_file_and_the_malformed_field(tmp_path, edit, key, message):
+    ts = sg.TensorSet(IndexSet(2, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]), "leja")
+    path = tmp_path / "model.json"
+    sg.save_interpolant(sg.build_interpolant(ts, random_samples(np.random.default_rng(20), ts)),
+                        path)
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed {key!r}: ") + ".*" + message):
+        sg.load_interpolant(path)
+
+
 def theta_with_a_duplicate(theta):
     theta.append(theta[-1])
 

@@ -19,7 +19,7 @@ from adasg import driver as dr
 from adasg import sparse_grid as sg
 from adasg import targets as tg
 from adasg.multiindex import lambda_classic
-from test_driver import D24_STOP, d24_total_degree_1, tear_writes
+from test_driver import D24_STOP, OVER_BUDGET_STOP, d24_total_degree_1, tear_writes
 from test_multiindex import deadline
 
 STUB = textwrap.dedent("""
@@ -480,6 +480,25 @@ def test_cli_run_prints_why_it_stopped(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("finished after 1 iterations, 25 nodes")
     assert lines[1] == f"stopped: {D24_STOP}"
+
+
+def test_cli_run_resumed_over_its_budget_prints_that_its_grid_is_too_large(tmp_path, capsys):
+    base = textwrap.dedent("""
+        rule = leja
+        d = 2
+        target = rational
+        target_c0 = 3
+        target_c = 1,0.5
+    """)
+    (tmp_path / "run.cfg").write_text(base + "max_iterations = 30\nmax_samples = 40\n")
+    args = ["run", "--config", str(tmp_path / "run.cfg"), "--workdir", str(tmp_path / "wd")]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "stopped: iterations"
+    (tmp_path / "run.cfg").write_text(base + "max_iterations = 31\nmax_samples = 10\n")
+    assert cli.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("finished after 31 iterations, 36 nodes")
+    assert lines[2] == f"stopped: {OVER_BUDGET_STOP}"
 
 
 def test_cli_run_resumes_from_checkpoint(tmp_path, capsys):
