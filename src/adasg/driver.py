@@ -69,6 +69,7 @@ from .sparse_grid import (
     _load_format,
     _read_text,
     _reader,
+    _reordered,
     _solve_new,
     _write_csv,
     _write_text_atomic,
@@ -561,7 +562,7 @@ def _iterate(state: RunState, kept: _RunGrid, target: TargetSpec, checkpoint_pat
 def _in_graded_lex(interp: Interpolant) -> Interpolant:
     """`interp` in new arrays and fibre tables, its rows in graded-lex order."""
     order = _graded_lex(interp.grid.idx)
-    grid = GridNodes(interp.grid.idx[order], interp.grid.points[order])
+    grid = _reordered(interp.grid, order)
     return Interpolant(interp.tensor_set, grid, interp.samples[order], interp.surpluses[order])
 
 

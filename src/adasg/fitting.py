@@ -69,9 +69,13 @@ def fit_curved(
 
     `min_magnitude` drops coefficients relative to the largest magnitude
     (their logs are dominated by round-off).  With `include_beta` false the
-    log columns are masked and beta is pinned to zero.  A degree with a
-    negative entry is refused.
+    log columns are masked and beta is pinned to zero.  An empty degree, one
+    whose length is not the first's, or one with a negative entry is refused.
     """
+    d = len(next(iter(coeffs), ()))
+    for nu in coeffs:
+        if len(nu) != d or not nu:
+            raise ValueError(f"degree {nu} has {len(nu)} entries, expected {d or 'at least 1'}")
     if any(min(nu) < 0 for nu in coeffs):
         raise ValueError("a degree has a negative entry")
     return _fit_rows(np.array(list(coeffs), dtype=np.int64),

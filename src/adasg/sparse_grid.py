@@ -23,6 +23,7 @@ forms each slab (`_trie_plan`), and the adaptive loop's probe
 from __future__ import annotations
 
 import bisect
+import copy
 import functools
 import json
 import operator
@@ -216,6 +217,17 @@ class GridNodes:
     def indices(self) -> tuple[MultiIndex, ...]:
         """The grid indices as tuples, the keys of a sample map."""
         return tuple(map(tuple, self.idx.tolist()))
+
+
+def _reordered(grid: GridNodes, order: np.ndarray) -> GridNodes:
+    """The rows of `grid` permuted by `order`, in buffers of their own, its
+    fibre tables renumbered (from scratch if its buffers took later rows)."""
+    room = grid._room if grid._room.n == len(grid) else _Room(grid.idx, grid.points)
+    new, number = copy.copy(room), np.full(len(order) + 1, -1)  # number[-1]: -1 stays
+    number[order] = np.arange(len(order))
+    new.idx, new.points, new.of = room.idx[order], room.points[order], room.of[:, order]
+    new.members, new.ids = [number[m] for m in room.members], [dict(i) for i in room.ids]
+    return GridNodes(new.idx, new.points, new)
 
 
 _GROWTH_TABLES: dict[str, np.ndarray] = {}

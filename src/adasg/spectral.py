@@ -36,6 +36,27 @@ def _legendre_matrix(degrees: int, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [-1, 1] (Golub & Welsch), numpy's
+    `leggauss` bit for bit: every floating-point operation in its order."""
+    def series(x, c):  # `legval`'s Clenshaw recurrence; the first step adds 0.0 terms
+        c0, c1 = c[-1], 0.0
+        for nd in range(len(c), 1, -1):
+            c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+        return c0 + c1 * x
+
+    scl, j = 1.0 / np.sqrt(2 * np.arange(m) + 1), np.arange(m)
+    # the symmetric companion matrix; eigvalsh reads its lower triangle only
+    x = np.linalg.eigvalsh(np.diag(np.arange(1, m) * scl[:-1] * scl[1:], -1))
+    c = np.append(np.zeros(m), 1.0)  # P_m, whose derivative has 2j + 1 at j = m-1, m-3, ...
+    df = series(x, (2.0 * j + 1) * (j % 2 != m % 2))
+    x -= series(x, c) / df  # one Newton step
+    fm = series(x, c[1:])
+    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    return (x - x[::-1]) / 2, w * (2. / w.sum())
+
+
 @functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
 def _basis_change(rule: str, m: int) -> np.ndarray:
     """B[n, j] = <P_n, h_j> for the first m Newton basis polynomials of `rule`,
@@ -44,9 +65,10 @@ def _basis_change(rule: str, m: int) -> np.ndarray:
     An m-point Gauss rule integrates these degree <= 2m - 2 products exactly.
     B is upper triangular because P_n is orthogonal to every degree below n;
     `triu` drops the rounding noise there.  The Gauss rule changes with m,
-    and with it the rounding, so each m keeps its own matrix.
+    and with it the rounding, so each m keeps its own matrix.  B's bits
+    depend on LAPACK's symmetric eigensolver and the BLAS matmul.
     """
-    y, w = np.polynomial.legendre.leggauss(m)
+    y, w = _gauss_legendre(m)
     newton = np.ascontiguousarray(_newton_basis(rule, m, y).T)  # [quadrature point, j]
     basis = np.triu((_legendre_matrix(m - 1, y) * (w / 2.0)[None, :]) @ newton)
     basis.flags.writeable = False

@@ -297,6 +297,36 @@ def test_run_grid_in_arrival_order_equals_a_build_from_scratch_every_iteration(
             break
 
 
+@pytest.mark.parametrize("rule, d", [("leja", 1), ("leja", 3), ("clenshaw_curtis", 2),
+                                     ("rleja_double2", 4)])
+def test_graded_lex_copy_has_the_fibres_and_evaluations_of_a_build_from_scratch(rule, d):
+    """After every build, the copy `run()` hands out, of that build and of
+    the one before (whose buffers have since taken more rows), holds in its
+    own tables the rows that agree off k, and evaluates to the bytes of
+    `build_interpolant` on the same samples."""
+    cfg = dr.RunConfig(rule=rule, d=d, batch=2, max_iterations=6, max_samples=120)
+    state = dr.RunState(cfg, dr.initial_tensor_set(cfg))
+    run, levels, built = dr._RunGrid(d), state.theta.theta.members, []
+    pts = np.random.default_rng(d).uniform(-1, 1, size=(40, d))
+    for _ in range(cfg.max_iterations):
+        dr._build_phase(state, run, levels, rational(d))
+        built.append(state.interpolant)
+        for interp in built[-2:]:
+            view = dr._in_graded_lex(interp)
+            assert_fibres_are_the_rows_agreeing_off_k(view.grid)
+            for mine, kept in zip(view.grid._fibres, run.grid._fibres):
+                assert not np.shares_memory(mine.members, kept.members)
+                assert not np.shares_memory(mine.of, kept.of) and mine.ids is not kept.ids
+            grid = sg.grid_nodes(interp.tensor_set)
+            samples = [state.cache[key] for key in map(tuple, grid.points.tolist())]
+            scratch = sg.build_interpolant(interp.tensor_set, dict(zip(grid.indices, samples)))
+            assert sg.evaluate_batch(view, pts).tobytes() == sg.evaluate_batch(scratch, pts).tobytes()
+        try:
+            levels = dr._grow_phase(state, run)
+        except dr.BudgetExhausted:
+            break
+
+
 def test_interpolant_returned_by_run_keeps_its_bytes_when_its_state_runs_further():
     """`run()` hands out its last build in graded-lex order, in arrays and
     fibre tables of its own: running the state further leaves it as it was."""

@@ -128,6 +128,14 @@ def test_fit_curved_refuses_a_degree_with_a_negative_entry():
         fit_curved(coeffs)
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ({(0, 0): 1.0, (1,): 0.5}, r"degree \(1,\) has 1 entries, expected 2"),
+    ({(): 1.0}, r"degree \(\) has 0 entries, expected at least 1")])
+def test_fit_curved_refuses_degrees_of_unequal_or_no_length_by_name(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        fit_curved(coeffs)
+
+
 def test_a_fit_without_three_distinct_degrees_in_any_dimension_is_unfittable():
     coeffs = {nu: math.exp(-sum(nu)) for nu in itertools.product((0, 1), repeat=3)}
     with pytest.raises(UnfittableError, match="every dimension is rank-deficient"):

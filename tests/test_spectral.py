@@ -178,6 +178,13 @@ def test_cached_1d_matrices_are_read_only_and_equal_a_fresh_build(rule):
             assert fresh.shape == (m, m) and fresh.tobytes() == mat.tobytes()
 
 
+def test_gauss_legendre_has_the_bytes_of_numpys_leggauss():
+    for m in range(1, 257):
+        got, want = sp._gauss_legendre(m), np.polynomial.legendre.leggauss(m)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), m
+
+
 def assert_coeffs_equal_the_fibre_oracle(ts, grid, rng):
     """`grid_coeffs` of random surpluses on `grid`, about a quarter of them
     signed zeros, equals the oracle's lexsort-and-q-loop transform bitwise."""

@@ -175,14 +175,30 @@ def test_external_timeout_is_refused_on_every_path(tmp_path, path, timeout, comm
     assert not (wd / "points.csv").exists()
 
 
-def test_import_loads_no_subprocess_machinery():
-    # only an external evaluator run as a command needs subprocess and shlex
+def fresh_interpreter(code):
+    """What `code` prints in a new interpreter that imports this checkout's adasg."""
     src = str(Path(tg.__file__).resolve().parents[1])
-    code = "import sys, adasg, adasg.cli; print(sorted({'subprocess', 'shlex'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_subprocess_machinery():
+    # only an external evaluator run as a command needs subprocess and shlex
+    code = "import sys, adasg, adasg.cli; print(sorted({'subprocess', 'shlex'} & set(sys.modules)))"
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_a_legendre_fit_run_loads_no_numpy_polynomial():
+    # the transform builds its Gauss rules itself (`spectral._gauss_legendre`)
+    code = ("import sys\n"
+            "from adasg import driver as dr, spectral as sp, targets as tg\n"
+            "cfg = dr.RunConfig(rule='leja', d=2, max_iterations=4, max_samples=60)\n"
+            "_, history = dr.run(cfg, tg.builtin_target('rational', 2, c0=2.0, c=[1.0, 0.5]))\n"
+            "print(history[-1].n_used > 0, sp._basis_change.cache_info().currsize > 0,\n"
+            "      'numpy.polynomial' in sys.modules)")
+    assert fresh_interpreter(code) == "True True False"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
